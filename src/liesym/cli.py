@@ -10,7 +10,8 @@ Output is human text by default and stable JSON with ``--json`` — identical
 inputs and seed give byte-identical reports (timings are opt-in via
 ``--timings`` precisely so the default stays reproducible).  Exit codes:
 0 success/admitted/PASS, 2 rejected/FAIL, 3 quarantined catalog rows in the
-selection, 1 usage or input errors.  ``LIESYM_SEED`` overrides the default
+selection, 1 usage or input errors (expressions that fail to evaluate on the
+sample or nest too deeply included).  ``LIESYM_SEED`` overrides the default
 sampling seed when ``--seed`` is not given.
 """
 
@@ -23,7 +24,7 @@ import sys
 import time
 
 from .catalog import entry_ids, get_entry, list_entries, verify_entry
-from .expr import fold_constants, parse, to_string
+from .expr import EvalError, SamplingError, fold_constants, parse, to_string
 from .jordan import classify2x2, kind_to_L4_rep
 from .liealg import (
     AlgebraElement,
@@ -525,11 +526,11 @@ def main(argv=None) -> int:
         if args.catalog_cmd == "list":
             return _cmd_catalog_list(args, started)
         return _cmd_catalog_verify(args, started)
-    except CliError as exc:
+    except (CliError, ValueError, EvalError, SamplingError) as exc:
         print(f"liesym: error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"liesym: error: {exc}", file=sys.stderr)
+    except RecursionError:
+        print("liesym: error: expression nests too deeply", file=sys.stderr)
         return 1
 
 

@@ -5,8 +5,8 @@ right-hand sides symbolically, so this module keeps the expression language
 deliberately small: constants, symbols, binary sum/product/quotient/power,
 unary negation, and calls to a fixed set of elementary functions.  On top of
 the trees it provides a parser, differentiation, constant folding,
-substitution, compilation to vectorized numpy closures, and rejection-sampled
-domains for deciding "is this expression numerically zero".
+substitution, one vectorized numpy evaluator, and rejection-sampled domains
+for deciding "is this expression numerically zero".
 
 Design notes:
 
@@ -16,11 +16,15 @@ Design notes:
 - Domain errors (log of a non-positive number, division by zero, fractional
   power of a negative base) raise :class:`EvalError` — never a silent NaN.
   The vectorized path enforces the same policy with a finiteness check.
+- :func:`compile_evaluator` lays expressions out as one tape with a slot per
+  distinct subtree and one numpy call per slot; a zero test reads the value
+  and its cancellation-scale terms from that single pass.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -622,9 +626,10 @@ def free_symbols(e: Expr) -> frozenset[str]:
 def top_level_terms(e: Expr) -> tuple[Expr, ...]:
     """The additive terms of ``e`` seen from the root (signs stripped).
 
-    Used to set the cancellation scale in :func:`zero_report`: an expression
+    They set the cancellation scale in :func:`zero_report_at`: an expression
     that is "zero" because huge terms cancel should be judged relative to the
-    size of those terms, not of the sum.
+    size of those terms, not of the sum.  Each term is a subtree of ``e``, so
+    one tape pass over ``e`` yields the terms' values too.
     """
     if e.kind == SUM:
         return top_level_terms(e.args[0]) + top_level_terms(e.args[1])
@@ -634,124 +639,101 @@ def top_level_terms(e: Expr) -> tuple[Expr, ...]:
 
 
 # --------------------------------------------------------------------------
-# Vectorized compilation
+# Vectorized evaluation: one tape of distinct subtrees
 # --------------------------------------------------------------------------
 
-_NUMPY_FNS = {
+# The numpy call of a tape slot, by node kind or function name.  The operators
+# are the ones a node-by-node walk would apply, so results match it bit for bit.
+_TAPE_FNS = {
+    SUM: operator.add, PRODUCT: operator.mul, QUOTIENT: operator.truediv,
+    POWER: np.power, NEG: operator.neg,
     "sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log,
     "sqrt": np.sqrt, "atan": np.arctan, "atan2": np.arctan2,
 }
 
 
-class _GuardError(EvalError):
-    """Internal: a strict compiled node went non-finite; carries the flat
-    index of the first bad row so the caller can name the point."""
+def _tape(roots: Sequence[Expr], idx: Mapping[str, int]):
+    """Lay the roots out as a Wengert list: one slot per distinct subtree.
 
-    def __init__(self, sub: Expr, index: int):
-        super().__init__("non-finite intermediate")
-        self.sub = sub
-        self.index = index
-
-
-def _build(e: Expr, idx: Mapping[str, int], strict: bool = False):
-    k = e.kind
-    if k == CONSTANT:
-        # np.float64, not float: scalar 0/0 must flow through numpy's
-        # nan semantics (caught by the guards), not raise.
-        v = np.float64(e.value)
-        f = lambda cols: v
-    elif k == SYMBOL:
-        try:
-            i = idx[e.value]
-        except KeyError:
-            raise EvalError(f"unbound symbol {e.value!r}") from None
-        f = lambda cols: cols[i]
-    elif k == CALL:
-        fn = _NUMPY_FNS[e.value]
-        parts = [_build(a, idx, strict) for a in e.args]
-        if len(parts) == 1:
-            fa = parts[0]
-            f = lambda cols: fn(fa(cols))
-        else:
-            fa, fb = parts
-            f = lambda cols: fn(fa(cols), fb(cols))
-    elif k == NEG:
-        fa = _build(e.args[0], idx, strict)
-        f = lambda cols: -fa(cols)
-    else:
-        fa = _build(e.args[0], idx, strict)
-        fb = _build(e.args[1], idx, strict)
-        if k == SUM:
-            f = lambda cols: fa(cols) + fb(cols)
-        elif k == PRODUCT:
-            f = lambda cols: fa(cols) * fb(cols)
-        elif k == QUOTIENT:
-            f = lambda cols: fa(cols) / fb(cols)
-        elif k == POWER:
-            f = lambda cols: np.power(fa(cols), fb(cols))
-        else:  # pragma: no cover
-            raise ValueError(f"unknown node kind {k!r}")
-    if not strict:
-        return f
-
-    # Strict mode flags a non-finite value at the node that produced it, so
-    # an intermediate infinity cannot wash out to a finite final answer
-    # (matching the scalar evaluator, where math.* raises at that same step).
-    def guarded(cols):
-        out = f(cols)
-        bad = ~np.isfinite(out)
-        if np.any(bad):
-            raise _GuardError(e, int(np.argmax(np.ravel(bad))))
-        return out
-
-    return guarded
+    The walk is an explicit-stack, left-to-right post-order, so slots are
+    ordered by first occurrence in a plain tree walk and depth costs no
+    Python frames.  A slot is keyed by (kind, value, child slots); constants
+    are keyed by ``float.hex`` so that 0.0 and -0.0 (which ``atan2`` tells
+    apart) stay separate.  Returns ``(steps, outs)``: ``steps[i]`` is
+    ``(op, arg, node)`` and ``outs[j]`` the slot holding ``roots[j]``.
+    """
+    steps: list[tuple] = []
+    slots: dict[tuple, int] = {}
+    seen: dict[int, int] = {}   # id(node) -> slot; every node stays alive via roots
+    for root in roots:
+        stack = [root]
+        while stack:
+            e = stack[-1]
+            if id(e) in seen:
+                stack.pop()
+                continue
+            todo = [a for a in e.args if id(a) not in seen]
+            if todo:
+                stack.extend(reversed(todo))
+                continue
+            stack.pop()
+            k = e.kind
+            if k == CONSTANT:
+                # np.float64, not float: scalar 0/0 must flow through numpy's
+                # nan semantics (caught by the finiteness check), not raise.
+                key, op, arg = (k, float(e.value).hex()), CONSTANT, np.float64(e.value)
+            elif k == SYMBOL:
+                if e.value not in idx:
+                    raise EvalError(f"unbound symbol {e.value!r}")
+                key, op, arg = (k, e.value), SYMBOL, idx[e.value]
+            else:
+                arg = tuple(seen[id(a)] for a in e.args)
+                key, op = (k, e.value, arg), _TAPE_FNS[e.value if k == CALL else k]
+            slot = slots.get(key)
+            if slot is None:
+                slot = slots[key] = len(steps)
+                steps.append((op, arg, e))
+            seen[id(e)] = slot
+    return steps, [seen[id(r)] for r in roots]
 
 
-def _compile_raw(e: Expr, names: Sequence[str]):
-    """Compile without the finiteness check (non-finite rows stay NaN/inf)."""
-    idx = {n: i for i, n in enumerate(names)}
-    f = _build(e, idx)
-
-    def run(*cols):
-        arrs = [np.asarray(c, dtype=float) for c in cols]
-        shape = np.broadcast_shapes(*(a.shape for a in arrs)) if arrs else ()
-        with np.errstate(all="ignore"):
-            out = np.asarray(f(arrs), dtype=float)
-        if out.shape != shape:
-            out = np.broadcast_to(out, shape)
-        return out
-
-    return run
-
-
-def compile_evaluator(e: Expr, names: Sequence[str]):
-    """Compile ``e`` to a closure over equal-length numpy arrays.
+def compile_evaluator(e: Expr, names: Sequence[str], terms: Sequence[Expr] = (),
+                      strict: bool = True):
+    """Compile ``e`` to a callable over equal-length numpy arrays.
 
     The returned callable takes one array per name (in order) and returns the
-    elementwise values.  Any non-finite value — in the result or at any
-    intermediate step — raises :class:`EvalError`, so the vectorized path
-    enforces the same no-silent-NaN policy as :func:`evaluate`.
+    elementwise values of ``e``; with ``terms`` it returns ``(value, [value
+    of each term])`` from the same pass, and terms that are subtrees of ``e``
+    cost nothing extra.  With ``strict`` (the default) any non-finite value —
+    in the result or at any intermediate step — raises :class:`EvalError`
+    naming the first such sub-expression and the point, so the vectorized
+    path enforces the same no-silent-NaN policy as :func:`evaluate`.  Without
+    it non-finite entries stay NaN/inf.
     """
-    idx = {n: i for i, n in enumerate(names)}
-    f = _build(e, idx, strict=True)
     names = tuple(names)
+    steps, outs = _tape((e, *terms), {n: i for i, n in enumerate(names)})
 
     def run(*cols):
         arrs = [np.asarray(c, dtype=float) for c in cols]
         shape = np.broadcast_shapes(*(a.shape for a in arrs)) if arrs else ()
-        try:
-            with np.errstate(all="ignore"):
-                out = np.asarray(f(arrs), dtype=float)
-        except _GuardError as exc:
-            i = exc.index
-            point = {n: float(a.ravel()[i % a.size]) if a.size else float("nan")
-                     for n, a in zip(names, arrs)}
-            raise EvalError(
-                f"non-finite value in {to_string(exc.sub)!r} near {point}"
-            ) from None
-        if out.shape != shape:
-            out = np.broadcast_to(out, shape)
-        return out
+        vals = []
+        with np.errstate(all="ignore"):
+            for op, arg, node in steps:
+                if op is CONSTANT:
+                    v = arg
+                elif op is SYMBOL:
+                    v = arrs[arg]
+                else:
+                    v = op(*[vals[j] for j in arg])
+                if strict and not np.isfinite(v).all():
+                    i = int(np.argmax(np.ravel(~np.isfinite(v))))
+                    point = {n: float(a.ravel()[i % a.size]) if a.size else float("nan")
+                             for n, a in zip(names, arrs)}
+                    raise EvalError(f"non-finite value in {to_string(node)!r} near {point}")
+                vals.append(v)
+        res = [np.asarray(vals[s], dtype=float) for s in outs]
+        res = [r if r.shape == shape else np.broadcast_to(r, shape) for r in res]
+        return (res[0], res[1:]) if terms else res[0]
 
     return run
 
@@ -768,7 +750,8 @@ class SamplingDomain:
     kept only if every excluded expression has magnitude above ``guard``
     there (non-finite values also reject the point).  Draws are uniform per
     coordinate from ``numpy.random.default_rng(seed)``, so sampling is
-    reproducible.
+    reproducible.  Raises ``ValueError`` unless ``n >= 1`` and every interval
+    is finite with ``lo < hi``.
     """
 
     intervals: Mapping[str, tuple[float, float]]
@@ -776,6 +759,14 @@ class SamplingDomain:
     guard: float = 1e-3
     n: int = 200
     seed: int = 0
+
+    def __post_init__(self):
+        if not self.n >= 1:
+            raise ValueError(f"need at least one sample point, got n={self.n}")
+        for name, (lo, hi) in self.intervals.items():
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ValueError(
+                    f"interval for {name!r} must be finite with lo < hi, got {lo}:{hi}")
 
     def names(self) -> tuple[str, ...]:
         return tuple(self.intervals)
@@ -794,7 +785,7 @@ def sample(dom: SamplingDomain, params: Mapping[str, float] | None = None) -> di
         if extra:
             raise SamplingError(
                 f"excluded locus has unbound symbols {sorted(extra)}; bind them via params")
-        filters.append(_compile_raw(ee, names))
+        filters.append(compile_evaluator(ee, names, strict=False))
 
     rng = np.random.default_rng(dom.seed)
     kept: list[np.ndarray] = []
@@ -841,10 +832,16 @@ def zero_report_at(e: Expr, pts: Mapping[str, np.ndarray],
                    tol: float = 1e-9) -> ZeroReport:
     """Zero test of ``e`` at explicit sample points (one array per symbol).
 
-    Same relative criterion as :func:`zero_report`; use this when the points
-    come from somewhere other than a box — e.g. pushed through a change of
-    coordinates whose inverse is only valid on a slice.
+    At each point the test is |e| <= tol * (1 + scale), the scale being the
+    largest of the :func:`top_level_terms` there; ``e`` and its terms come
+    from one compiled pass.  Every other zero test in the package ends here;
+    call it directly when the points come from somewhere other than a box —
+    e.g. pushed through a change of coordinates whose inverse is only valid on
+    a slice.  Raises ``ValueError`` unless ``tol`` is finite and positive and
+    there is at least one point.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol}")
     ee = fold_constants(e)
     names = tuple(pts)
     extra = free_symbols(ee) - set(names)
@@ -852,13 +849,10 @@ def zero_report_at(e: Expr, pts: Mapping[str, np.ndarray],
         raise EvalError(
             f"expression has unbound symbols {sorted(extra)}; supply a column for each")
     cols = [np.asarray(pts[nm], dtype=float) for nm in names]
-    vals = compile_evaluator(ee, names)(*cols)
-    terms = top_level_terms(ee)
-    if len(terms) > 1:
-        mags = [np.abs(compile_evaluator(t, names)(*cols)) for t in terms]
-        scale = np.maximum.reduce(mags)
-    else:
-        scale = np.abs(vals)
+    if any(c.size == 0 for c in cols):
+        raise ValueError("need at least one sample point, got none")
+    vals, terms = compile_evaluator(ee, names, top_level_terms(ee))(*cols)
+    scale = np.maximum.reduce([np.abs(t) for t in terms])
     ratio = np.abs(vals) / (1.0 + scale)
     i = int(np.argmax(ratio))
     witness = {nm: float(cols[k][i]) for k, nm in enumerate(names)}
@@ -868,6 +862,8 @@ def zero_report_at(e: Expr, pts: Mapping[str, np.ndarray],
 
 def zero_report(e: Expr, dom: SamplingDomain, tol: float = 1e-9,
                 params: Mapping[str, float] | None = None) -> ZeroReport:
+    """:func:`zero_report_at` on the points :func:`sample` draws from ``dom``,
+    after binding ``params``; unbound symbols raise before any sampling."""
     ee = fold_constants(substitute(e, dict(params or {})))
     names = dom.names()
     extra = free_symbols(ee) - set(names)
@@ -882,9 +878,7 @@ def is_zero_numeric(e: Expr, dom: SamplingDomain, tol: float = 1e-9,
                     params: Mapping[str, float] | None = None) -> bool:
     """Is ``e`` numerically zero on ``dom``?
 
-    Zero is judged relative to the cancellation scale: at each sampled point
-    the test is |e| <= tol * (1 + scale) with the scale from
-    :func:`top_level_terms`.  Raises :class:`EvalError` if ``e`` fails to
-    evaluate at a sampled point.
+    The relative test of :func:`zero_report_at` on the points of ``dom``.
+    Raises :class:`EvalError` if ``e`` fails to evaluate at a sampled point.
     """
     return zero_report(e, dom, tol, params).ok

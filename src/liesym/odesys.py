@@ -19,7 +19,7 @@ import numpy as np
 
 from .expr import (
     Expr, RESERVED_NAMES, const, differentiate, fold_constants, free_symbols,
-    is_zero_numeric, sqrt, substitute, sym, SamplingDomain,
+    sample, sqrt, substitute, sym, SamplingDomain, zero_report_at,
 )
 
 __all__ = ["Mat2", "OdeSystem", "ReducibilityHint", "linear_change",
@@ -264,7 +264,8 @@ def reducibility_hint(f: Expr, g: Expr, dom: SamplingDomain,
     """Screen a profile pair for degeneracy on ``dom`` (a one-variable box).
 
     The tests are numeric-probabilistic: f' ≡ 0 or g' ≡ 0, then the
-    proportionality Wronskian f·g' − f'·g ≡ 0.
+    proportionality Wronskian f·g' − f'·g ≡ 0, all at one set of points drawn
+    from ``dom``.
     """
     names = dom.names()
     if len(names) != 1:
@@ -272,9 +273,13 @@ def reducibility_hint(f: Expr, g: Expr, dom: SamplingDomain,
     u = names[0]
     fp = fold_constants(differentiate(f, u))
     gp = fold_constants(differentiate(g, u))
-    if is_zero_numeric(fp, dom, tol, params) or is_zero_numeric(gp, dom, tol, params):
+    pts = sample(dom, params)
+
+    def vanishes(e: Expr) -> bool:
+        return zero_report_at(substitute(e, dict(params or {})), pts, tol).ok
+
+    if vanishes(fp) or vanishes(gp):
         return ReducibilityHint.ReducibleFPrimeGPrimeZero
-    wronskian = f * gp - fp * g
-    if is_zero_numeric(wronskian, dom, tol, params):
+    if vanishes(f * gp - fp * g):
         return ReducibilityHint.ReducibleProportional
     return ReducibilityHint.NoHint

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .expr import (Expr, SamplingDomain, ZeroReport, const, differentiate,
-                   evaluate, fold_constants, free_symbols, parse, sym,
-                   to_string, zero_report)
+                   evaluate, fold_constants, free_symbols, parse, sample, sym,
+                   to_string, zero_report_at)
 from .odesys import Mat2, OdeSystem
 
 __all__ = [
@@ -390,8 +390,9 @@ def admits(sys: OdeSystem, g, dom: SamplingDomain | None = None,
     """Does ``sys`` admit the point field ``g``?
 
     Both symmetry defects are put through the relative zero test of
-    :func:`liesym.expr.zero_report` over ``dom`` (default:
-    :func:`default_domain`); the field is admitted iff both pass at ``tol``.
+    :func:`liesym.expr.zero_report_at` at one set of points drawn from ``dom``
+    (default: :func:`default_domain`); the field is admitted iff both pass at
+    ``tol``.
     """
     if dom is None:
         dom = default_domain()
@@ -399,8 +400,9 @@ def admits(sys: OdeSystem, g, dom: SamplingDomain | None = None,
     if missing:
         raise ValueError(f"domain must bound all of {_FIVE}; missing {sorted(missing)}")
     r1, r2 = residual_expressions(sys, g)
-    rep1 = zero_report(r1, dom, tol)
-    rep2 = zero_report(r2, dom, tol)
+    pts = sample(dom)
+    rep1 = zero_report_at(r1, pts, tol)
+    rep2 = zero_report_at(r2, pts, tol)
     worst, comp = ((rep1, 1) if rep1.max_ratio >= rep2.max_ratio else (rep2, 2))
     return Verdict(admitted=bool(rep1.ok and rep2.ok),
                    max_ratio=worst.max_ratio, component=comp,

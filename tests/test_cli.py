@@ -234,6 +234,43 @@ class TestCheck:
         assert "'G'" in err
 
 
+    @pytest.mark.parametrize("opts, reason", [
+        (("--tol", "nan"), "tol"),
+        (("--tol", "-1"), "tol"),
+        (("--samples", "0"), "sample point"),
+        (("--samples", "-3"), "sample point"),
+        (("--domain", "x=1:1,y=0.2:3,z=0.2:3,yp=-1:1,zp=-1:1"), "lo < hi"),
+    ])
+    def test_invalid_numeric_options(self, capsys, sysfile, clean_seed_env,
+                                     opts, reason):
+        # an admitted pair: a bad option must not turn into a verdict
+        s = sysfile({"F": "exp(y)", "G": "exp(z)"})
+        g = sysfile({"xi": "1"}, "gen.json")
+        code, out, err = run(capsys, "check", s, g, "--json", *opts)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("liesym: error:") and reason in err
+
+    def test_evaluation_failure_is_reported(self, capsys, sysfile, clean_seed_env):
+        s = sysfile({"F": "ln(y-1)", "G": "z^(-3)"})
+        g = sysfile({"coefficients": [0, 1, 0, 0, 0, 0, 0, 0]}, "gen.json")
+        code, out, err = run(capsys, "check", s, g)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("liesym: error: non-finite value in 'ln(y - 1)' near {")
+        assert "Traceback" not in err
+
+    def test_too_deep_expression_is_reported(self, capsys, sysfile, clean_seed_env):
+        terms = " + ".join(f"{i % 5 + 1} * y ^ ({i % 7 - 3}) * z ^ ({3 - i % 7})"
+                           for i in range(500))
+        s = sysfile({"F": terms, "G": terms})
+        g = sysfile({"xi": "1"}, "gen.json")
+        code, out, err = run(capsys, "check", s, g)
+        assert code == 1
+        assert out == ""
+        assert err == "liesym: error: expression nests too deeply\n"
+
+
 class TestCatalogCli:
     def test_list(self, capsys):
         code, out, _ = run(capsys, "catalog", "list", "--json")

@@ -8,6 +8,7 @@ with no cleverness at all, checked bit-for-bit against the library, and
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -372,8 +373,40 @@ def test_compile_unbound_symbol():
 
 def test_compile_nonfinite_raises():
     f = compile_evaluator(parse("1 / (y - z)"), ("y", "z"))
-    with pytest.raises(EvalError):
+    with pytest.raises(EvalError, match=re.escape(
+            "non-finite value in '1 / (y - z)' near {'y': 1.0, 'z': 1.0}")):
         f(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
+
+
+def test_compile_deep_sum_without_recursion():
+    # 3,000 levels: deeper than the interpreter's recursion limit
+    e = ex.sym("y")
+    for i in range(3000):
+        e = e + float(i % 7) * ex.sym("y")
+    y = np.array([0.5, 2.0])
+    # every partial sum is an exact multiple of y, so the total is exact
+    assert np.array_equal(compile_evaluator(e, ("y",))(y), y * (1 + 8994))
+
+
+def test_compile_keeps_signed_zeros_apart():
+    e = ex.atan2(0, -0.0) + ex.atan2(0, 0.0) * ex.sym("y")
+    y = np.array([0.5, 2.0])
+    want = [evaluate(e, {"y": v}) for v in y]
+    assert want == [math.pi, math.pi]
+    assert np.array_equal(compile_evaluator(e, ("y",))(y), want)
+
+
+def test_compile_terms_come_from_the_same_pass():
+    e = parse("y*z - exp(y) + 2")
+    names = ("y", "z")
+    y, z = np.array([0.5, 1.0, 2.0]), np.array([3.0, -1.0, 0.25])
+    terms = top_level_terms(e)
+    val, got = compile_evaluator(e, names, terms)(y, z)
+    assert np.array_equal(val, compile_evaluator(e, names)(y, z))
+    assert len(got) == len(terms)
+    for t, g in zip(terms, got):
+        assert g.shape == y.shape
+        assert np.array_equal(g, compile_evaluator(t, names)(y, z))
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +477,42 @@ def test_zero_report_with_params():
     e = parse("gamma * y - 2 * y")
     assert is_zero_numeric(e, dom, tol=1e-9, params={"gamma": 2.0})
     assert not is_zero_numeric(e, dom, tol=1e-9, params={"gamma": 2.5})
+
+
+def test_zero_report_at_compiles_once(monkeypatch):
+    calls = []
+    real = ex.compile_evaluator
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ex, "compile_evaluator", counting)
+    pts = {"y": np.array([0.5, 1.5]), "z": np.array([2.0, 0.3])}
+    rep = ex.zero_report_at(parse("y*z - exp(y) + 2 - y*z + exp(y) - 2*y^0"), pts)
+    assert rep.ok
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_zero_report_at_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        ex.zero_report_at(parse("y"), {"y": np.array([1.0])}, tol=tol)
+
+
+def test_zero_report_at_rejects_empty_points():
+    with pytest.raises(ValueError, match="at least one sample point"):
+        ex.zero_report_at(parse("y"), {"y": np.array([])})
+
+
+@pytest.mark.parametrize("change", [
+    {"n": 0}, {"n": -3}, {"intervals": {"y": (1.0, 1.0)}},
+    {"intervals": {"y": (2.0, 1.0)}}, {"intervals": {"y": (0.0, math.inf)}},
+    {"intervals": {"y": (math.nan, 1.0)}},
+])
+def test_sampling_domain_rejects_bad_input(change):
+    with pytest.raises(ValueError):
+        SamplingDomain(**{"intervals": {"y": (0.0, 1.0)}, **change})
 
 
 def test_zero_report_unbound_symbol_raises():
