@@ -11,7 +11,7 @@ inputs and seed give byte-identical reports (timings are opt-in via
 ``--timings`` precisely so the default stays reproducible).  Exit codes:
 0 success/admitted/PASS, 2 rejected/FAIL, 3 quarantined catalog rows in the
 selection, 1 usage or input errors (expressions that fail to evaluate on the
-sample or nest too deeply included).  ``LIESYM_SEED`` overrides the default
+sample included).  ``LIESYM_SEED`` overrides the default
 sampling seed when ``--seed`` is not given.
 """
 
@@ -528,9 +528,6 @@ def main(argv=None) -> int:
         return _cmd_catalog_verify(args, started)
     except (CliError, ValueError, EvalError, SamplingError) as exc:
         print(f"liesym: error: {exc}", file=sys.stderr)
-        return 1
-    except RecursionError:
-        print("liesym: error: expression nests too deeply", file=sys.stderr)
         return 1
 
 

@@ -1,4 +1,4 @@
-"""Immutable expression trees plus the numeric plumbing built on them.
+"""Hash-consed expression trees plus the numeric plumbing built on them.
 
 Everything downstream (ODE systems, prolongations, the catalog) manipulates
 right-hand sides symbolically, so this module keeps the expression language
@@ -10,15 +10,29 @@ for deciding "is this expression numerically zero".
 
 Design notes:
 
-- Trees are frozen dataclasses; structural equality is dataclass equality.
+- Nodes are hash-consed (Filliâtre & Conchon, "Type-Safe Modular
+  Hash-Consing", 2006): building a node whose kind, value and children match
+  a live node returns that node, so structurally equal trees are one object
+  and ``==`` and ``hash`` are identity.  The intern table holds nodes weakly,
+  keyed on (kind, value, child ids); constants are keyed by ``float.hex``, so
+  ``const(0.0) is not const(-0.0)``.  Nodes are immutable.
+- Each node caches its :func:`fold_constants` result, its derivative per
+  variable and its :func:`free_symbols`, so repeated and shared work is done
+  once per distinct node, and a cached result dies with its node.  A result
+  equal to the node is stored as a sentinel, not as a self-reference.  A
+  derivative that contains its node (``exp(u)``, ``sqrt(u)``, ``u ^ v``) or
+  another node whose derivative contains this one (``sin(u)`` and ``cos(u)``)
+  forms a reference cycle, which the cycle collector frees.
+- Every walk over a tree uses an explicit stack, so depth costs no Python
+  frames.
 - Printing parenthesizes so that ``parse(to_string(e))`` reproduces the tree
   node-for-node for any parser- or fold-produced tree.
 - Domain errors (log of a non-positive number, division by zero, fractional
   power of a negative base) raise :class:`EvalError` — never a silent NaN.
   The vectorized path enforces the same policy with a finiteness check.
 - :func:`compile_evaluator` lays expressions out as one tape with a slot per
-  distinct subtree and one numpy call per slot; a zero test reads the value
-  and its cancellation-scale terms from that single pass.
+  distinct node and one numpy call per slot; a zero test reads the value and
+  its cancellation-scale terms from that single pass.
 """
 
 from __future__ import annotations
@@ -26,8 +40,9 @@ from __future__ import annotations
 import math
 import operator
 import re
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -77,17 +92,80 @@ class SamplingError(RuntimeError):
     """Rejection sampling could not collect enough admissible points."""
 
 
-@dataclass(frozen=True)
+#: The live nodes, keyed on (kind, value, child ids); constants on
+#: (kind, float.hex).  A node holds its children, so their ids stay valid
+#: while its entry lives, and the entry goes when the node is freed.  Ids
+#: rather than the children themselves: a key that held its children would
+#: keep alive every node on a cycle through the caches below.
+_INTERNED: "weakref.WeakValueDictionary[tuple, Expr]" = weakref.WeakValueDictionary()
+
+#: A cache entry meaning "the node itself"; storing the node would make a
+#: reference cycle that only the cycle collector frees.
+_SELF = object()
+
+_NO_SYMBOLS: frozenset[str] = frozenset()
+
+_set = object.__setattr__
+
+
 class Expr:
     """One node of an expression tree.
 
     ``value`` holds the float for constants and the name for symbols and
     calls; it is None for the arithmetic kinds.  ``args`` are the children.
+    ``Expr(kind, value, args)`` returns the live node with those fields if
+    there is one, so equal trees are the same object.
     """
 
-    kind: str
-    value: float | str | None = None
-    args: tuple["Expr", ...] = ()
+    __slots__ = ("kind", "value", "args", "_fold", "_diff", "_free", "__weakref__")
+
+    def __new__(cls, kind: str, value: float | str | None = None,
+                args: tuple["Expr", ...] = ()):
+        if kind == CONSTANT:
+            value = float(value)
+            key = (kind, value.hex())
+        else:
+            args = tuple(args)
+            key = (kind, value, tuple(map(id, args)))
+        node = _INTERNED.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "kind", kind)
+            _set(node, "value", value)
+            _set(node, "args", args)
+            # a leaf folds to itself and knows its symbols from the start
+            leaf = kind == CONSTANT or kind == SYMBOL
+            _set(node, "_fold", _SELF if leaf else None)
+            _set(node, "_diff", None)
+            if kind == SYMBOL:
+                _set(node, "_free", frozenset((value,)))
+            else:
+                _set(node, "_free", _NO_SYMBOLS if leaf else None)
+            _INTERNED[key] = node
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Expr nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Expr nodes are immutable")
+
+    def __reduce__(self):
+        return (Expr, (self.kind, self.value, self.args))
+
+    def __repr__(self):
+        out, stack = [], [self]
+        while stack:
+            e = stack.pop()
+            if isinstance(e, str):
+                out.append(e)
+                continue
+            parts = [f"Expr(kind={e.kind!r}, value={e.value!r}, args=("]
+            for i, a in enumerate(e.args):
+                parts += [", "] * (i > 0) + [a]
+            parts.append(",))" if len(e.args) == 1 else "))")
+            stack.extend(reversed(parts))
+        return "".join(out)
 
     # -- arithmetic sugar so client code reads like the formulas it encodes --
     def __add__(self, other):
@@ -180,6 +258,25 @@ def _as_expr(v) -> Expr:
     raise TypeError(f"cannot coerce {type(v).__name__} to Expr")
 
 
+def _postorder(root: Expr, ready: Callable[[Expr], bool]) -> Iterator[Expr]:
+    """Yield each node under ``root`` that is not ``ready``, children before
+    parents and left to right, once.  The caller makes a yielded node ready
+    before it asks for the next.  The stack is explicit, so depth costs no
+    Python frames."""
+    stack = [root]
+    while stack:
+        e = stack[-1]
+        if ready(e):
+            stack.pop()
+            continue
+        todo = [a for a in e.args if not ready(a)]
+        if todo:
+            stack.extend(reversed(todo))
+            continue
+        stack.pop()
+        yield e
+
+
 # --------------------------------------------------------------------------
 # Parsing
 # --------------------------------------------------------------------------
@@ -195,6 +292,9 @@ _TOKEN = re.compile(
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^(),])"
 )
+
+#: binary operator -> precedence; '^' is the one right-associative operator
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -214,106 +314,113 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _binary(op: str, a: Expr, b: Expr) -> Expr:
+    if op == "+":
+        return Expr(SUM, None, (a, b))
+    if op == "-":
+        return Expr(SUM, None, (a, Expr(NEG, None, (b,))))
+    if op == "^":
+        return Expr(POWER, None, (a, b))
+    return Expr(PRODUCT if op == "*" else QUOTIENT, None, (a, b))
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+class _Group:
+    """One ``expr`` of the grammar being read: the whole input, a
+    parenthesized expression, or the arguments of a call to ``fn``."""
 
-    def expect_op(self, op: str):
-        kind, text, pos = self.peek()
-        if kind != "op" or text != op:
-            raise ParseError(f"expected {op!r}", pos)
-        return self.advance()
+    def __init__(self, fn: str | None, pos: int):
+        self.fn, self.pos = fn, pos
+        self.operands: list[Expr] = []
+        self.ops: list[str] = []
+        self.negs = 0            # '-' signs read before the next base
+        self.args: list[Expr] = []
 
-    def parse_expr(self) -> Expr:
-        e = self.parse_term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.parse_term()
-                if text == "-":
-                    rhs = Expr(NEG, None, (rhs,))
-                e = Expr(SUM, None, (e, rhs))
-            else:
-                return e
+    def push_op(self, op: str):
+        prec = _PRECEDENCE[op]
+        while self.ops and (_PRECEDENCE[self.ops[-1]] > prec
+                            or _PRECEDENCE[self.ops[-1]] == prec and op != "^"):
+            self.reduce()
+        self.ops.append(op)
 
-    def parse_term(self) -> Expr:
-        e = self.parse_factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                rhs = self.parse_factor()
-                e = Expr(PRODUCT if text == "*" else QUOTIENT, None, (e, rhs))
-            else:
-                return e
+    def reduce(self):
+        b = self.operands.pop()
+        self.operands.append(_binary(self.ops.pop(), self.operands.pop(), b))
 
-    def parse_factor(self) -> Expr:
-        e = self.parse_base()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            return Expr(POWER, None, (e, self.parse_factor()))
-        return e
-
-    def parse_base(self) -> Expr:
-        kind, text, pos = self.advance()
-        if kind == "num":
-            return const(float(text))
-        if kind == "name":
-            nk, nt, _ = self.peek()
-            if nk == "op" and nt == "(":
-                if text not in FUNCTIONS:
-                    raise ParseError(f"unknown function {text!r}", pos)
-                self.advance()
-                args = [self.parse_expr()]
-                ck, ct, _ = self.peek()
-                if ck == "op" and ct == ",":
-                    self.advance()
-                    args.append(self.parse_expr())
-                self.expect_op(")")
-                if len(args) != FUNCTIONS[text]:
-                    raise ParseError(
-                        f"{text} expects {FUNCTIONS[text]} argument(s), got {len(args)}",
-                        pos,
-                    )
-                return Expr(CALL, text, tuple(args))
-            return sym(text)
-        if kind == "op" and text == "(":
-            e = self.parse_expr()
-            self.expect_op(")")
-            return e
-        if kind == "op" and text == "-":
-            inner = self.parse_base()
-            # A negated literal becomes a negative constant right away, so
-            # "y^(-3)" carries an exponent node of -3, not neg(3).
-            if inner.kind == CONSTANT:
-                return const(-inner.value)
-            return Expr(NEG, None, (inner,))
-        raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input", pos)
+    def result(self) -> Expr:
+        while self.ops:
+            self.reduce()
+        return self.operands.pop()
 
 
 def parse(text: str) -> Expr:
     """Parse ``text`` into an expression tree.
 
     Raises :class:`ParseError` with a position on syntax errors, unknown
-    function names, and wrong call arities.
+    function names, and wrong call arities.  Operator precedence and nesting
+    are handled with explicit stacks, so deep input costs no Python frames.
     """
-    p = _Parser(text)
-    e = p.parse_expr()
-    kind, text_, pos = p.peek()
-    if kind != "end":
-        raise ParseError(f"trailing input {text_!r}", pos)
-    return e
+    tokens = _tokenize(text)
+    i = 0
+    groups = [_Group(None, 0)]
+    while True:
+        # Read one base, opening a group for each '(' or call on the way.
+        kind, tok, pos = tokens[i]
+        i += 1
+        if kind == "op" and tok == "-":
+            groups[-1].negs += 1
+            continue
+        if kind == "op" and tok == "(":
+            groups.append(_Group("(", pos))
+            continue
+        if kind == "name" and tokens[i][:2] == ("op", "("):
+            if tok not in FUNCTIONS:
+                raise ParseError(f"unknown function {tok!r}", pos)
+            i += 1
+            groups.append(_Group(tok, pos))
+            continue
+        if kind == "num":
+            base = const(float(tok))
+        elif kind == "name":
+            base = sym(tok)
+        else:
+            raise ParseError(f"unexpected token {tok!r}" if tok else "unexpected end of input", pos)
+        # Hand the base to its group; close every group that ends after it.
+        while True:
+            g = groups[-1]
+            for _ in range(g.negs):
+                # A negated literal becomes a negative constant right away, so
+                # "y^(-3)" carries an exponent node of -3, not neg(3).
+                base = const(-base.value) if base.kind == CONSTANT else Expr(NEG, None, (base,))
+            g.negs = 0
+            g.operands.append(base)
+            kind, tok, pos = tokens[i]
+            if kind == "op" and tok in _PRECEDENCE:
+                i += 1
+                g.push_op(tok)
+                break
+            value = g.result()
+            if g.fn is None:
+                if kind != "end":
+                    raise ParseError(f"trailing input {tok!r}", pos)
+                return value
+            if g.fn != "(":
+                g.args.append(value)
+                if kind == "op" and tok == "," and len(g.args) == 1:
+                    i += 1
+                    break
+            if kind != "op" or tok != ")":
+                raise ParseError("expected ')'", pos)
+            i += 1
+            groups.pop()
+            if g.fn == "(":
+                base = value
+                continue
+            if len(g.args) != FUNCTIONS[g.fn]:
+                raise ParseError(
+                    f"{g.fn} expects {FUNCTIONS[g.fn]} argument(s), got {len(g.args)}",
+                    g.pos,
+                )
+            base = Expr(CALL, g.fn, tuple(g.args))
 
 
 # --------------------------------------------------------------------------
@@ -326,56 +433,63 @@ _LEVEL = {SUM: 1, PRODUCT: 2, QUOTIENT: 2, NEG: 2, POWER: 4,
 
 def _fmt_number(v: float) -> str:
     if v == int(v) and abs(v) <= 1e15:
-        return str(int(v))
+        # int() drops the sign of -0.0, which atan2 tells apart from 0.0
+        return "-0" if v == 0 and math.copysign(1.0, v) < 0 else str(int(v))
     return repr(v)
 
 
-def _render(e: Expr, min_level: int) -> str:
+def _layout(e: Expr) -> tuple[int, list]:
+    """The precedence level of ``e`` and its text: strings and
+    ``(child, min_level)`` pairs, in order."""
     k = e.kind
     if k == CONSTANT:
-        body = _fmt_number(e.value)
         # "-3" re-parses as a negated literal only in base position; treat a
-        # negative constant like a neg node for parenthesization.
-        level = _LEVEL[NEG] if e.value < 0 else _LEVEL[CONSTANT]
-    elif k == SYMBOL:
-        body, level = e.value, _LEVEL[SYMBOL]
-    elif k == CALL:
-        body = f"{e.value}({', '.join(_render(a, 1) for a in e.args)})"
-        level = _LEVEL[CALL]
-    elif k == SUM:
+        # negative constant (-0 too) like a neg node for parenthesization.
+        neg = math.copysign(1.0, e.value) < 0
+        return _LEVEL[NEG] if neg else _LEVEL[CONSTANT], [_fmt_number(e.value)]
+    if k == SYMBOL:
+        return _LEVEL[SYMBOL], [e.value]
+    if k == CALL:
+        parts: list = [f"{e.value}("]
+        for i, a in enumerate(e.args):
+            parts += [", "] * (i > 0) + [(a, 1)]
+        return _LEVEL[CALL], parts + [")"]
+    if k == SUM:
         a, b = e.args
         if b.kind == NEG:
-            body = f"{_render(a, 1)} - {_render(b.args[0], 2)}"
-        elif b.kind == CONSTANT and b.value < 0:
-            body = f"{_render(a, 1)} - {_fmt_number(-b.value)}"
-        else:
-            body = f"{_render(a, 1)} + {_render(b, 2)}"
-        level = _LEVEL[SUM]
-    elif k == PRODUCT:
-        body = f"{_render(e.args[0], 2)} * {_render(e.args[1], 3)}"
-        level = _LEVEL[PRODUCT]
-    elif k == QUOTIENT:
-        body = f"{_render(e.args[0], 2)} / {_render(e.args[1], 3)}"
-        level = _LEVEL[QUOTIENT]
-    elif k == NEG:
+            return _LEVEL[SUM], [(a, 1), " - ", (b.args[0], 2)]
+        if b.kind == CONSTANT and b.value < 0:
+            return _LEVEL[SUM], [(a, 1), f" - {_fmt_number(-b.value)}"]
+        return _LEVEL[SUM], [(a, 1), " + ", (b, 2)]
+    if k == PRODUCT:
+        return _LEVEL[PRODUCT], [(e.args[0], 2), " * ", (e.args[1], 3)]
+    if k == QUOTIENT:
+        return _LEVEL[QUOTIENT], [(e.args[0], 2), " / ", (e.args[1], 3)]
+    if k == NEG:
         # '-' binds a bare base in the grammar, so anything that is not an
         # atom (powers included: "-a ^ b" would re-parse as "(-a) ^ b") gets
         # parentheses.
-        body = f"-{_render(e.args[0], 5)}"
-        level = _LEVEL[NEG]
-    elif k == POWER:
-        body = f"{_render(e.args[0], 5)} ^ {_render(e.args[1], 4)}"
-        level = _LEVEL[POWER]
-    else:  # pragma: no cover - defensive
-        raise ValueError(f"unknown node kind {k!r}")
-    if level < min_level:
-        return f"({body})"
-    return body
+        return _LEVEL[NEG], ["-", (e.args[0], 5)]
+    if k == POWER:
+        return _LEVEL[POWER], [(e.args[0], 5), " ^ ", (e.args[1], 4)]
+    raise ValueError(f"unknown node kind {k!r}")  # pragma: no cover
 
 
 def to_string(e: Expr) -> str:
     """Render ``e`` so that ``parse(to_string(e))`` rebuilds it structurally."""
-    return _render(e, 1)
+    out: list[str] = []
+    stack: list = [(e, 1)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, min_level = item
+        level, parts = _layout(node)
+        if level < min_level:
+            parts = ["(", *parts, ")"]
+        stack.extend(reversed(parts))
+    return "".join(out)
 
 
 # --------------------------------------------------------------------------
@@ -388,42 +502,51 @@ _SCALAR_FNS: dict[str, Callable] = {
 }
 
 
-def evaluate(e: Expr, binding: Mapping[str, float]) -> float:
-    """Evaluate at a point.  Raises :class:`EvalError` on any failure."""
-    k = e.kind
-    if k == CONSTANT:
-        return e.value
-    if k == SYMBOL:
-        try:
-            return float(binding[e.value])
-        except KeyError:
-            raise EvalError(f"unbound symbol {e.value!r}") from None
+def _apply(k: str, fn: str | None, vals: list[float]) -> float:
+    """One node's operation on its children's values."""
     if k == SUM:
-        return evaluate(e.args[0], binding) + evaluate(e.args[1], binding)
+        return vals[0] + vals[1]
     if k == PRODUCT:
-        return evaluate(e.args[0], binding) * evaluate(e.args[1], binding)
+        return vals[0] * vals[1]
     if k == QUOTIENT:
-        num = evaluate(e.args[0], binding)
-        den = evaluate(e.args[1], binding)
-        if den == 0.0:
+        if vals[1] == 0.0:
             raise EvalError("division by zero")
-        return num / den
+        return vals[0] / vals[1]
     if k == NEG:
-        return -evaluate(e.args[0], binding)
+        return -vals[0]
     if k == POWER:
-        b = evaluate(e.args[0], binding)
-        p = evaluate(e.args[1], binding)
+        b, p = vals
         try:
             return math.pow(b, p)
         except (ValueError, OverflowError) as exc:
             raise EvalError(f"pow({b!r}, {p!r}): {exc}") from None
     if k == CALL:
-        vals = [evaluate(a, binding) for a in e.args]
         try:
-            return _SCALAR_FNS[e.value](*vals)
+            return _SCALAR_FNS[fn](*vals)
         except (ValueError, OverflowError) as exc:
-            raise EvalError(f"{e.value}({vals!r}): {exc}") from None
+            raise EvalError(f"{fn}({vals!r}): {exc}") from None
     raise ValueError(f"unknown node kind {k!r}")  # pragma: no cover
+
+
+def evaluate(e: Expr, binding: Mapping[str, float]) -> float:
+    """Evaluate at a point.  Raises :class:`EvalError` on any failure.
+
+    Children are evaluated left to right before their parent, and a shared
+    node once, so the first failure is the one a plain tree walk meets.
+    """
+    vals: dict[Expr, float] = {}
+    for n in _postorder(e, vals.__contains__):
+        k = n.kind
+        if k == CONSTANT:
+            vals[n] = n.value
+        elif k == SYMBOL:
+            try:
+                vals[n] = float(binding[n.value])
+            except KeyError:
+                raise EvalError(f"unbound symbol {n.value!r}") from None
+        else:
+            vals[n] = _apply(k, n.value, [vals[a] for a in n.args])
+    return vals[e]
 
 
 # --------------------------------------------------------------------------
@@ -482,33 +605,22 @@ def _minus_one(v: Expr) -> Expr:
     return Expr(SUM, None, (v, const(-1.0)))
 
 
-def differentiate(e: Expr, var: str) -> Expr:
-    """Partial derivative with respect to ``var``.
-
-    The result is built through identity-dropping constructors (``0*e``,
-    ``e+0`` and friends never appear) but is not otherwise simplified; apply
-    :func:`fold_constants` when a tidy tree matters.
-    """
+def _derivative(e: Expr, d: list[Expr]) -> Expr:
+    """The derivative of the non-leaf ``e`` from its children's derivatives ``d``."""
     k = e.kind
-    if k == CONSTANT:
-        return _ZERO
-    if k == SYMBOL:
-        return _ONE if e.value == var else _ZERO
     if k == SUM:
-        return _add(differentiate(e.args[0], var), differentiate(e.args[1], var))
+        return _add(d[0], d[1])
     if k == NEG:
-        return _neg(differentiate(e.args[0], var))
+        return _neg(d[0])
     if k == PRODUCT:
         a, b = e.args
-        da, db = differentiate(a, var), differentiate(b, var)
-        return _add(_mul(da, b), _mul(a, db))
+        return _add(_mul(d[0], b), _mul(a, d[1]))
     if k == QUOTIENT:
         a, b = e.args
-        da, db = differentiate(a, var), differentiate(b, var)
-        return _div(_sub(_mul(da, b), _mul(a, db)), Expr(POWER, None, (b, const(2.0))))
+        return _div(_sub(_mul(d[0], b), _mul(a, d[1])), Expr(POWER, None, (b, const(2.0))))
     if k == POWER:
         u, v = e.args
-        du, dv = differentiate(u, var), differentiate(v, var)
+        du, dv = d
         if _is_const(dv, 0.0):
             return _mul(_mul(v, Expr(POWER, None, (u, _minus_one(v)))), du)
         if _is_const(du, 0.0):
@@ -518,12 +630,10 @@ def differentiate(e: Expr, var: str) -> Expr:
         fn = e.value
         if fn == "atan2":
             a, b = e.args
-            da, db = differentiate(a, var), differentiate(b, var)
-            num = _sub(_mul(da, b), _mul(a, db))
+            num = _sub(_mul(d[0], b), _mul(a, d[1]))
             den = _add(Expr(POWER, None, (a, const(2.0))), Expr(POWER, None, (b, const(2.0))))
             return _div(num, den)
-        u = e.args[0]
-        du = differentiate(u, var)
+        u, du = e.args[0], d[0]
         if _is_const(du, 0.0):
             return _ZERO
         if fn == "sin":
@@ -541,24 +651,52 @@ def differentiate(e: Expr, var: str) -> Expr:
     raise ValueError(f"unknown node kind {k!r}")  # pragma: no cover
 
 
+def differentiate(e: Expr, var: str) -> Expr:
+    """Partial derivative with respect to ``var``.
+
+    The result is built through identity-dropping constructors (``0*e``,
+    ``e+0`` and friends never appear) but is not otherwise simplified; apply
+    :func:`fold_constants` when a tidy tree matters.  Each node keeps its
+    derivatives.
+    """
+    done: dict[Expr, Expr] = {}
+
+    def ready(n: Expr) -> bool:
+        if n in done:
+            return True
+        if n.kind == CONSTANT or n.kind == SYMBOL:
+            done[n] = _ONE if n.kind == SYMBOL and n.value == var else _ZERO
+            return True
+        r = None if n._diff is None else n._diff.get(var)
+        if r is not None:
+            done[n] = n if r is _SELF else r
+            return True
+        return False
+
+    for n in _postorder(e, ready):
+        r = done[n] = _derivative(n, [done[a] for a in n.args])
+        if n._diff is None:
+            _set(n, "_diff", {})
+        n._diff[var] = _SELF if r is n else r
+    return done[e]
+
+
 # --------------------------------------------------------------------------
 # Folding, substitution, inspection
 # --------------------------------------------------------------------------
 
-def fold_constants(e: Expr) -> Expr:
-    """Bottom-up simplification: constant subtrees are evaluated, and the
-    identities ``0*e``, ``e*1``, ``e+0``, ``e^1``, ``e^0``, ``0/e``, ``e/1``,
-    ``neg(neg(e))`` are dropped.  Idempotent; preserves values everywhere the
-    input evaluates.  A constant subtree whose evaluation fails (say ``1/0``)
-    is kept as-is so the error still surfaces at evaluation time.
-    """
+def _folded(e: Expr) -> Expr:
+    r = e._fold
+    return e if r is _SELF else r
+
+
+def _fold_node(e: Expr) -> Expr:
+    """Fold one node whose children are folded already."""
     k = e.kind
-    if k in (CONSTANT, SYMBOL):
-        return e
-    args = tuple(fold_constants(a) for a in e.args)
+    args = tuple([_folded(a) for a in e.args])
     if all(a.kind == CONSTANT for a in args):
         try:
-            return const(evaluate(Expr(k, e.value, args), {}))
+            return const(_apply(k, e.value, [a.value for a in args]))
         except EvalError:
             return Expr(k, e.value, args)
     if k == SUM:
@@ -596,31 +734,57 @@ def fold_constants(e: Expr) -> Expr:
     return Expr(k, e.value, args)
 
 
+def fold_constants(e: Expr) -> Expr:
+    """Bottom-up simplification: constant subtrees are evaluated, and the
+    identities ``0*e``, ``e*1``, ``e+0``, ``e^1``, ``e^0``, ``0/e``, ``e/1``,
+    ``neg(neg(e))`` are dropped.  Idempotent; preserves values everywhere the
+    input evaluates.  A constant subtree whose evaluation fails (say ``1/0``)
+    is kept as-is so the error still surfaces at evaluation time.  The result
+    is cached on every node it visits.
+    """
+    for n in _postorder(e, lambda n: n._fold is not None):
+        r = _fold_node(n)
+        _set(n, "_fold", _SELF if r is n else r)
+    return _folded(e)
+
+
 def substitute(e: Expr, mapping: Mapping[str, "Expr | float"]) -> Expr:
-    """Replace symbols by expressions (numbers are coerced to constants)."""
+    """Replace symbols by expressions (numbers are coerced to constants).
+
+    A subtree with none of the mapped symbols comes back as it is, found
+    from the cached :func:`free_symbols` without walking it.
+    """
     if not mapping:
         return e
-    if e.kind == SYMBOL:
-        if e.value in mapping:
-            return _as_expr(mapping[e.value])
-        return e
-    if e.kind in (CONSTANT,):
-        return e
-    args = tuple(substitute(a, mapping) for a in e.args)
-    if args == e.args:
-        return e
-    return Expr(e.kind, e.value, args)
+    names = mapping.keys()
+    free_symbols(e)  # fills every node's _free, read by ready() below
+    done: dict[Expr, Expr] = {}
+
+    def ready(n: Expr) -> bool:
+        if n in done:
+            return True
+        if names.isdisjoint(n._free):
+            done[n] = n
+            return True
+        if n.kind == SYMBOL:
+            done[n] = _as_expr(mapping[n.value])
+            return True
+        return False
+
+    for n in _postorder(e, ready):
+        done[n] = Expr(n.kind, n.value, tuple([done[a] for a in n.args]))
+    return done[e]
 
 
 def free_symbols(e: Expr) -> frozenset[str]:
-    if e.kind == SYMBOL:
-        return frozenset((e.value,))
-    if e.kind == CONSTANT:
-        return frozenset()
-    out: frozenset[str] = frozenset()
-    for a in e.args:
-        out |= free_symbols(a)
-    return out
+    """The symbol names in ``e``; cached on every node."""
+    for n in _postorder(e, lambda n: n._free is not None):
+        out = n.args[0]._free
+        for a in n.args[1:]:
+            if not a._free <= out:  # else share the child's set
+                out = out | a._free
+        _set(n, "_free", out)
+    return e._free
 
 
 def top_level_terms(e: Expr) -> tuple[Expr, ...]:
@@ -631,15 +795,21 @@ def top_level_terms(e: Expr) -> tuple[Expr, ...]:
     size of those terms, not of the sum.  Each term is a subtree of ``e``, so
     one tape pass over ``e`` yields the terms' values too.
     """
-    if e.kind == SUM:
-        return top_level_terms(e.args[0]) + top_level_terms(e.args[1])
-    if e.kind == NEG:
-        return top_level_terms(e.args[0])
-    return (e,)
+    terms = []
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        if n.kind == SUM:
+            stack += [n.args[1], n.args[0]]
+        elif n.kind == NEG:
+            stack.append(n.args[0])
+        else:
+            terms.append(n)
+    return tuple(terms)
 
 
 # --------------------------------------------------------------------------
-# Vectorized evaluation: one tape of distinct subtrees
+# Vectorized evaluation: one tape of distinct nodes
 # --------------------------------------------------------------------------
 
 # The numpy call of a tape slot, by node kind or function name.  The operators
@@ -653,48 +823,32 @@ _TAPE_FNS = {
 
 
 def _tape(roots: Sequence[Expr], idx: Mapping[str, int]):
-    """Lay the roots out as a Wengert list: one slot per distinct subtree.
+    """Lay the roots out as a Wengert list: one slot per distinct node.
 
-    The walk is an explicit-stack, left-to-right post-order, so slots are
-    ordered by first occurrence in a plain tree walk and depth costs no
-    Python frames.  A slot is keyed by (kind, value, child slots); constants
-    are keyed by ``float.hex`` so that 0.0 and -0.0 (which ``atan2`` tells
-    apart) stay separate.  Returns ``(steps, outs)``: ``steps[i]`` is
-    ``(op, arg, node)`` and ``outs[j]`` the slot holding ``roots[j]``.
+    Slots are ordered by first occurrence in a left-to-right post-order walk.
+    Nodes are interned, so a slot is a node: equal subtrees share it, and
+    0.0 and -0.0 (which ``atan2`` tells apart) do not.  Returns ``(steps,
+    outs)``: ``steps[i]`` is ``(op, arg, node)`` and ``outs[j]`` the slot
+    holding ``roots[j]``.
     """
     steps: list[tuple] = []
-    slots: dict[tuple, int] = {}
-    seen: dict[int, int] = {}   # id(node) -> slot; every node stays alive via roots
+    seen: dict[Expr, int] = {}
     for root in roots:
-        stack = [root]
-        while stack:
-            e = stack[-1]
-            if id(e) in seen:
-                stack.pop()
-                continue
-            todo = [a for a in e.args if id(a) not in seen]
-            if todo:
-                stack.extend(reversed(todo))
-                continue
-            stack.pop()
+        for e in _postorder(root, seen.__contains__):
             k = e.kind
             if k == CONSTANT:
                 # np.float64, not float: scalar 0/0 must flow through numpy's
                 # nan semantics (caught by the finiteness check), not raise.
-                key, op, arg = (k, float(e.value).hex()), CONSTANT, np.float64(e.value)
+                op, arg = CONSTANT, np.float64(e.value)
             elif k == SYMBOL:
                 if e.value not in idx:
                     raise EvalError(f"unbound symbol {e.value!r}")
-                key, op, arg = (k, e.value), SYMBOL, idx[e.value]
+                op, arg = SYMBOL, idx[e.value]
             else:
-                arg = tuple(seen[id(a)] for a in e.args)
-                key, op = (k, e.value, arg), _TAPE_FNS[e.value if k == CALL else k]
-            slot = slots.get(key)
-            if slot is None:
-                slot = slots[key] = len(steps)
-                steps.append((op, arg, e))
-            seen[id(e)] = slot
-    return steps, [seen[id(r)] for r in roots]
+                op, arg = _TAPE_FNS[e.value if k == CALL else k], tuple(seen[a] for a in e.args)
+            seen[e] = len(steps)
+            steps.append((op, arg, e))
+    return steps, [seen[r] for r in roots]
 
 
 def compile_evaluator(e: Expr, names: Sequence[str], terms: Sequence[Expr] = (),

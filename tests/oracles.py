@@ -1,9 +1,10 @@
 """Independent numeric oracles used by the test suite.
 
 Deliberately written against *formulas*, not against the library under test:
-the only liesym import is the expression evaluator needed to turn right-hand
-sides into floats.  Each oracle is a textbook method simple enough to audit
-by eye, so expected values derived from them count as independent evidence.
+the only liesym imports are the expression evaluator needed to turn right-hand
+sides into floats and the node constructor the symbolic references build
+with.  Each oracle is a textbook method simple enough to audit by eye, so
+expected values derived from them count as independent evidence.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from liesym.expr import evaluate
+from liesym.expr import EvalError, Expr, evaluate
 
 
 def fd_derivative(f, x: float, h: float = 1e-6) -> float:
@@ -88,3 +89,124 @@ def matexp_series(M: np.ndarray, terms: int = 60) -> np.ndarray:
         term = term @ M / k
         out = out + term
     return out
+
+
+# ---------------------------------------------------------------------------
+# Symbolic references: plain recursion, no caches, no explicit stacks.  They
+# restate the folding and differentiation rules node by node, for trees
+# shallow enough for the interpreter's recursion limit.
+# ---------------------------------------------------------------------------
+
+def _c(v: float) -> Expr:
+    return Expr("constant", v)
+
+
+def _is(e: Expr, v: float) -> bool:
+    return e.kind == "constant" and e.value == v
+
+
+def reference_fold(e: Expr) -> Expr:
+    """Constant folding: evaluate constant subtrees, drop 0*e, e*1, e+0,
+    e^1, e^0, 0/e, e/1 and neg(neg(e))."""
+    k = e.kind
+    if k in ("constant", "symbol"):
+        return e
+    args = tuple(reference_fold(a) for a in e.args)
+    if all(a.kind == "constant" for a in args):
+        try:
+            return _c(evaluate(Expr(k, e.value, args), {}))
+        except EvalError:
+            return Expr(k, e.value, args)
+    a, b = args[0], args[-1]
+    if k == "sum" and (_is(a, 0.0) or _is(b, 0.0)):
+        return b if _is(a, 0.0) else a
+    if k == "product":
+        if _is(a, 0.0) or _is(b, 0.0):
+            return _c(0.0)
+        if _is(a, 1.0) or _is(b, 1.0):
+            return b if _is(a, 1.0) else a
+    if k == "quotient":
+        if _is(a, 0.0) and not _is(b, 0.0):
+            return _c(0.0)
+        if _is(b, 1.0):
+            return a
+    if k == "power" and (_is(b, 1.0) or _is(b, 0.0)):
+        return a if _is(b, 1.0) else _c(1.0)
+    if k == "neg" and a.kind == "constant":
+        return _c(-a.value)
+    if k == "neg" and a.kind == "neg":
+        return a.args[0]
+    return Expr(k, e.value, args)
+
+
+def _neg(a):
+    if a.kind == "constant":
+        return _c(-a.value)
+    return a.args[0] if a.kind == "neg" else Expr("neg", None, (a,))
+
+
+def _add(a, b):
+    return b if _is(a, 0.0) else a if _is(b, 0.0) else Expr("sum", None, (a, b))
+
+
+def _mul(a, b):
+    if _is(a, 0.0) or _is(b, 0.0):
+        return _c(0.0)
+    return b if _is(a, 1.0) else a if _is(b, 1.0) else Expr("product", None, (a, b))
+
+
+def _div(a, b):
+    return _c(0.0) if _is(a, 0.0) else a if _is(b, 1.0) else Expr("quotient", None, (a, b))
+
+
+def _sq(a):
+    return Expr("power", None, (a, _c(2.0)))
+
+
+def _fn(name, *args):
+    return Expr("call", name, args)
+
+
+def reference_differentiate(e: Expr, var: str) -> Expr:
+    """The textbook rules, built through the same identity-dropping
+    constructors (0*e, e*1, e+0, 0/e, e/1, neg(neg(e)) never appear)."""
+    k = e.kind
+    if k == "constant":
+        return _c(0.0)
+    if k == "symbol":
+        return _c(1.0 if e.value == var else 0.0)
+    d = [reference_differentiate(a, var) for a in e.args]
+    if k == "sum":
+        return _add(d[0], d[1])
+    if k == "neg":
+        return _neg(d[0])
+    if k == "product":
+        a, b = e.args
+        return _add(_mul(d[0], b), _mul(a, d[1]))
+    if k == "quotient":
+        a, b = e.args
+        return _div(_add(_mul(d[0], b), _neg(_mul(a, d[1]))), _sq(b))
+    if k == "power":
+        u, v = e.args
+        du, dv = d
+        if _is(dv, 0.0):
+            v1 = _c(v.value - 1.0) if v.kind == "constant" else Expr("sum", None, (v, _c(-1.0)))
+            return _mul(_mul(v, Expr("power", None, (u, v1))), du)
+        if _is(du, 0.0):
+            return _mul(_mul(e, _fn("ln", u)), dv)
+        return _mul(e, _add(_mul(dv, _fn("ln", u)), _div(_mul(v, du), u)))
+    fn = e.value
+    if fn == "atan2":
+        a, b = e.args
+        return _div(_add(_mul(d[0], b), _neg(_mul(a, d[1]))), _add(_sq(a), _sq(b)))
+    u, du = e.args[0], d[0]
+    if _is(du, 0.0):
+        return _c(0.0)
+    return {
+        "sin": lambda: _mul(_fn("cos", u), du),
+        "cos": lambda: _neg(_mul(_fn("sin", u), du)),
+        "exp": lambda: _mul(e, du),
+        "ln": lambda: _div(du, u),
+        "sqrt": lambda: _div(du, _mul(_c(2.0), e)),
+        "atan": lambda: _div(du, _add(_c(1.0), _sq(u))),
+    }[fn]()

@@ -348,6 +348,81 @@ def test_top_level_terms():
 
 
 # ---------------------------------------------------------------------------
+# Interning and per-node caches
+# ---------------------------------------------------------------------------
+
+def test_equal_trees_are_one_node():
+    e = parse("y*z + 1")
+    assert e is parse("y * z + 1")
+    assert e is ex.sym("y") * ex.sym("z") + 1
+    assert e is not parse("z * y + 1")
+    with pytest.raises(AttributeError):
+        e.kind = "product"
+
+
+def test_signed_zeros_are_distinct_nodes():
+    assert ex.const(0.0) is not ex.const(-0.0)
+    assert ex.const(0.0) != ex.const(-0.0)
+    assert ex.const(-0.0) is ex.const(-0.0)
+    assert to_string(ex.const(-0.0)) == "-0"
+    assert parse(to_string(ex.const(-0.0))) is ex.const(-0.0)
+    assert to_string(ex.const(2.0) * ex.const(-0.0)) == "2 * (-0)"
+
+
+def test_copy_and_pickle_return_the_interned_node():
+    import copy
+    import pickle
+    e = parse("atan2(z, y) - 2.5 * y ^ -3")
+    assert copy.deepcopy(e) is e
+    assert pickle.loads(pickle.dumps(e)) is e
+
+
+def test_intern_table_returns_to_baseline():
+    # A T2.4 residual under a linear change has thousands of tree nodes but
+    # only a few hundred distinct ones; once it is dropped, every node built
+    # for it (and every result cached on those nodes) must go too.
+    import gc
+    from liesym import catalog, odesys, symmetry
+
+    entry = catalog.get_entry("T2.4")
+    params = entry.resolve()
+    ((_, gen),) = entry.labeled_generators(params)
+
+    def residuals(P):
+        system = odesys.linear_change(entry.build(params), P)
+        return symmetry.residual_expressions(system, symmetry.transform_generator(gen, P))
+
+    # the first build fills the caches of the long-lived catalog nodes
+    residuals(odesys.Mat2(1.1, 0.2, -0.15, 0.9))
+    gc.collect()
+    baseline = len(ex._INTERNED)
+    res = residuals(odesys.Mat2(0.9, -0.1, 0.25, 1.2))
+    assert len(ex._INTERNED) > baseline + 100
+    del res
+    gc.collect()
+    assert len(ex._INTERNED) == baseline
+
+
+def _same_value(a, b) -> bool:
+    return a == b or (a[0] == b[0] == "ok" and math.isnan(a[1]) and math.isnan(b[1]))
+
+
+@given(trees, st.sampled_from(["x", "y", "z"]), bindings)
+@settings(max_examples=150)
+def test_cached_walkers_match_recursive_reference(t, var, b):
+    from oracles import reference_differentiate, reference_fold
+    # fold and differentiate twice each: once filling the caches, once
+    # reading them
+    for _ in range(2):
+        for got, want in ((fold_constants(t), reference_fold(t)),
+                          (differentiate(t, var), reference_differentiate(t, var))):
+            assert got is want
+            assert _run(lambda: to_string(got)) == _run(lambda: to_string(want))
+            assert _same_value(_run(lambda: evaluate(got, b)),
+                               _run(lambda: evaluate(want, b)))
+
+
+# ---------------------------------------------------------------------------
 # Vectorized compilation
 # ---------------------------------------------------------------------------
 
@@ -386,6 +461,27 @@ def test_compile_deep_sum_without_recursion():
     y = np.array([0.5, 2.0])
     # every partial sum is an exact multiple of y, so the total is exact
     assert np.array_equal(compile_evaluator(e, ("y",))(y), y * (1 + 8994))
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 5000 + "y" + ")" * 5000,
+    "- " * 5001 + "y",
+    " ^ ".join(["y"] * 5000),
+    "sin(" * 5000 + "y" + ")" * 5000,
+    " - ".join(["y"] * 5000),
+], ids=["parentheses", "negations", "powers", "calls", "differences"])
+def test_deep_expressions_without_recursion(text):
+    # 5,000 levels of each kind of nesting, far beyond the interpreter's
+    # recursion limit: every walker keeps its own stack
+    e = parse(text)
+    assert parse(to_string(e)) is e
+    assert repr(e).startswith("Expr(kind=")
+    assert free_symbols(e) == {"y"}
+    assert substitute(e, {"y": ex.sym("z")}) is parse(text.replace("y", "z"))
+    assert len(top_level_terms(e)) in (1, 5000)
+    d = fold_constants(differentiate(e, "y"))
+    assert math.isfinite(evaluate(fold_constants(e), {"y": 1.0}))
+    assert math.isfinite(evaluate(d, {"y": 1.0}))
 
 
 def test_compile_keeps_signed_zeros_apart():

@@ -1,0 +1,156 @@
+"""Write a fixed set of liesym outputs to a directory, one file per output,
+so that two checkouts can be compared byte for byte with one ``diff -r``.
+
+    python3 tools/byte_identity.py OUT [--src SRC]
+
+``--src`` names the ``src`` directory of the package under test (default:
+the one next to this script), so one copy of the script serves both sides:
+
+    python3 tools/byte_identity.py /tmp/new
+    python3 tools/byte_identity.py /tmp/old --src /path/to/other/checkout/src
+    diff -r /tmp/old /tmp/new && echo identical
+
+The inputs are fixed by seeds; the ``check`` and ``covariance`` inputs come
+from the benchmark's generators in ``bench/workloads.py`` next to this
+script.  264 files:
+
+- ``catalog/``: ``liesym catalog verify --all --json`` at seeds 0 and 1;
+- ``verify_entry/``: ``verify_entry`` on all 34 rows at ``draw_params(id, s)``
+  for s = 0..3, as the report's repr;
+- ``check/``: ``liesym check --json`` on the 40 inputs of round 0 of the
+  ``check`` workload at seeds 1 and 2, with the temporary directory masked;
+- ``covariance/``: the 33 rows of round 0 of the ``covariance`` workload at
+  seed 1, with the printed transformed system and the generators' ratios;
+- ``errors/``: eight ``EvalError`` texts;
+- ``sample.txt`` and ``reducibility/``: ``sample`` with excluded loci and four
+  ``reducibility_hint`` calls.
+
+Needs only the standard library and numpy; writes nothing outside ``OUT``
+but the benchmark's input files, which go to a temporary directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _cli(cli, argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _error_text(thunk) -> str:
+    try:
+        thunk()
+    except Exception as exc:  # the text of whatever it raises is the output
+        return f"{type(exc).__name__}: {exc}\n"
+    return "no error\n"
+
+
+def write_outputs(out: Path, work: Path) -> int:
+    """Write every output under ``out``; returns the number of files."""
+    # imported here: main() puts the package under test on sys.path first
+    import workloads
+    from liesym import catalog, cli, odesys
+    from liesym.expr import (SamplingDomain, compile_evaluator, evaluate,
+                             parse, sample, to_string, zero_report)
+
+    files = 0
+
+    def emit(rel: str, text: str) -> None:
+        nonlocal files
+        (out / rel).parent.mkdir(parents=True, exist_ok=True)
+        (out / rel).write_text(text)
+        files += 1
+
+    for seed in (0, 1):
+        code, stdout, stderr = _cli(cli, ["catalog", "verify", "--all", "--json",
+                                          "--seed", str(seed)])
+        emit(f"catalog/verify-all-seed{seed}.txt", f"exit {code}\n{stdout}{stderr}")
+
+    for eid in catalog.entry_ids():
+        for s in range(4):
+            report = catalog.verify_entry(eid, catalog.draw_params(eid, s))
+            emit(f"verify_entry/{eid}-draw{s}.txt", repr(report) + "\n")
+
+    for seed in (1, 2):
+        wdir = work / f"check-{seed}"
+        wdir.mkdir()
+        for j, op in enumerate(workloads.Check(seed, wdir).round(0)):
+            code, stdout, stderr = _cli(cli, ["check", op["system"], op["generator"],
+                                              "--json", "--seed", str(op["seed"])])
+            text = f"exit {code}\n{stdout}{stderr}".replace(str(wdir), "<work>")
+            emit(f"check/seed{seed}-{j:02d}.txt", text)
+
+    cov = workloads.Covariance(1, work)
+    for op in cov.round(0):
+        system, ratios, _ = cov.run(op)
+        emit(f"covariance/{op[0]}.txt",
+             f"F = {to_string(system.F)}\nG = {to_string(system.G)}\n"
+             f"ratios = {ratios!r}\n")
+
+    dom = SamplingDomain(intervals={"y": (0.2, 3.0)}, n=20, seed=0)
+    errors = {
+        "compile-shared-subtree": lambda: compile_evaluator(
+            parse("ln(y - z) * ln(y - z) + 1 / (y - z)"), ("y", "z"))(
+                np.array([0.5, 1.0, 2.0]), np.array([0.2, 1.0, 1.0])),
+        "compile-quotient": lambda: compile_evaluator(
+            parse("1 / (y - z)"), ("y", "z"))(np.array([1.0, 2.0]), np.array([1.0, 1.0])),
+        "compile-unbound": lambda: compile_evaluator(parse("q + y"), ("y",)),
+        "evaluate-unbound": lambda: evaluate(parse("y + z"), {"y": 1.0}),
+        "evaluate-division": lambda: evaluate(parse("2 + 1 / y"), {"y": 0.0}),
+        "evaluate-power": lambda: evaluate(parse("y ^ 0.5"), {"y": -2.0}),
+        "evaluate-call": lambda: evaluate(parse("sin(y) + ln(y)"), {"y": -1.0}),
+        "zero-report-unbound": lambda: zero_report(parse("gamma * y"), dom),
+    }
+    for name, thunk in errors.items():
+        emit(f"errors/{name}.txt", _error_text(thunk))
+
+    loci = SamplingDomain(intervals={"y": (-1.0, 1.0), "z": (-1.0, 1.0)},
+                          excluded=(parse("y - z"), parse("y - c")),
+                          guard=0.05, n=50, seed=3)
+    pts = sample(loci, params={"c": 0.5})
+    emit("sample.txt", "".join(f"{k} = {[float(v) for v in pts[k]]!r}\n" for k in pts))
+
+    xdom = SamplingDomain(intervals={"x": (0.2, 3.0)}, n=50, seed=1)
+    hints = {
+        "constant": (parse("3"), parse("x")),
+        "proportional": (parse("x ^ 2"), parse("c * x ^ 2")),
+        "none": (parse("sin(x)"), parse("cos(x)")),
+        "exp": (parse("exp(2 * x)"), parse("x * exp(x)")),
+    }
+    for name, (f, g) in hints.items():
+        emit(f"reducibility/{name}.txt",
+             repr(odesys.reducibility_hint(f, g, xdom, params={"c": 3.0})) + "\n")
+    return files
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("out", type=Path, help="directory to write (must not exist)")
+    ap.add_argument("--src", type=Path, default=ROOT / "src",
+                    help="src directory of the liesym checkout under test")
+    args = ap.parse_args(argv)
+    if not (args.src / "liesym").is_dir():
+        ap.error(f"no liesym package under {args.src}")
+    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "bench")]
+    args.out.mkdir(parents=True)
+    with tempfile.TemporaryDirectory() as work:
+        n = write_outputs(args.out, Path(work))
+    print(f"wrote {n} files to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
