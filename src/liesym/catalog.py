@@ -10,9 +10,10 @@ residual must vanish, in the relative sense of
 
 Entries come in three groups:
 
-* ``T1.*`` — families admitting a five-dimensional symmetry group: two
-  x-profile generators selected by the sign parameter ``kappa`` plus one
-  linear action on (y, z) (diagonal, rotation, or shear).
+* ``T1.*`` — families listing four fields: the x-translation kernel, two
+  x-profile generators selected by the sign parameter ``kappa``, and one
+  linear action on (y, z) (diagonal, rotation, or shear).  Verification
+  checks these four; whether the algebra holds more is not checked here.
 * ``T2.*`` — families admitting exactly one extension of the kernel, one
   per optimal-system class of the eight-dimensional algebra.
 * ``T3.*`` — families admitting exactly two extensions (a defining
@@ -23,13 +24,18 @@ component fails verification (the sign of G is inconsistent with the listed
 generator); it is kept, and reported, but excluded from any pass gate.
 ``T3.S5a`` is admissible only on the gamma = 1/2 subfamily, so its gamma is
 pinned there.  Quarantine status travels with the verification report.
+
+Every entry is data (see :class:`CatalogEntry`), and one generic path builds
+them all: each formula is parsed once, on first use, the resolved parameter
+values are substituted as constants, and the result is constant-folded.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -37,17 +43,15 @@ import numpy as np
 from .expr import (
     Expr,
     SamplingDomain,
-    atan,
-    atan2,
     const,
     cos,
+    evaluate,
     exp,
     fold_constants,
     free_symbols,
     parse,
     sample,
     sin,
-    sqrt,
     substitute,
     sym,
     zero_report_at,
@@ -67,6 +71,122 @@ __all__ = [
 ]
 
 _EPS = 1e-6  # margin below which a constrained parameter counts as violating
+
+# ---------------------------------------------------------------------------
+# Formulas, validators, draws and sample slices shared by every entry
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _formula(text: str) -> Expr:
+    """``parse(text)``, once per distinct text (the table's own: a bounded set)."""
+    return parse(text)
+
+
+def _value(text: str, v: Mapping[str, float]) -> float:
+    return evaluate(_formula(text), v)
+
+
+def _bind(text: str, v: Mapping[str, float]) -> Expr:
+    """The formula with the values ``v`` bound as constants, folded."""
+    return fold_constants(substitute(_formula(text), v))
+
+
+_PROFILE_DOM = SamplingDomain(intervals={"u": (0.3, 2.5)}, n=64, seed=7)
+
+
+def _laurent(prefix: str, u: str) -> str:
+    """The truncated Laurent profile c_m2*u^-2 + c_m1*u^-1 + c_p1*u + c_p2*u^2
+    with coefficients named ``<prefix>m2`` .. ``<prefix>p2``."""
+    return (f"{prefix}m2*({u})^-2 + {prefix}m1*({u})^-1 + {prefix}p1*({u}) "
+            f"+ {prefix}p2*({u})^2")
+
+
+#: The validator table.  A check ``(kind, formula, *args, message)`` fails
+#: when ``_FAILS[kind](value of formula, *args)`` is true.  Two more kinds:
+#: ``("nonzero", name, ...)`` fails when some |name| < 1e-12, and
+#: ``("laurent",)`` when the f/g Laurent profile pair is degenerate.
+_FAILS = {
+    "one-of": lambda x, values: x not in values,
+    "away": lambda x, values, margin=_EPS: any(abs(x - a) < margin for a in values),
+    "min": lambda x, bound: x < bound,
+    "max": lambda x, bound: x > bound,
+    "pinned": lambda x, value: abs(x - value) > 1e-9,
+}
+
+
+def _violation(check: tuple, v: Mapping[str, float]) -> Optional[str]:
+    """The message of the failed ``check``, or None."""
+    kind, *args = check
+    if kind == "nonzero":
+        return next((f"{nm} must be nonzero" for nm in args if abs(v[nm]) < 1e-12), None)
+    if kind == "laurent":
+        f, g = (_bind(_laurent(c, "u"), v) for c in "fg")
+        hint = reducibility_hint(f, g, _PROFILE_DOM)
+        if hint is ReducibilityHint.NoHint:
+            return None
+        return (f"profile pair is degenerate ({hint.value}); "
+                "pick genuinely independent nonzero profiles")
+    text, *rest, msg = args
+    return msg if _FAILS[kind](_value(text, v), *rest) else None
+
+
+def _draw_into(v: dict, rng: np.random.Generator, specs: tuple) -> None:
+    """Run draw specs ``(name, kind, *args)`` in order, RNG calls included:
+    ``pm [lo hi]`` is a random sign times uniform(lo, hi) (default 0.3, 1.3),
+    ``uniform lo hi``, ``choice values``, ``= formula`` of the values so far,
+    and ``retry margin specs`` redraws ``specs`` until the formula ``name``
+    of what they drew reaches ``margin`` in magnitude."""
+    for name, kind, *args in specs:
+        if kind == "pm":
+            lo, hi = args or (0.3, 1.3)
+            v[name] = float((1.0 if rng.uniform() < 0.5 else -1.0) * rng.uniform(lo, hi))
+        elif kind == "uniform":
+            v[name] = float(rng.uniform(*args))
+        elif kind == "choice":
+            v[name] = float(rng.choice(args[0]))
+        elif kind == "=":
+            v[name] = _value(args[0], v)
+        else:  # retry
+            margin, inner = args
+            _draw_into(v, rng, inner)
+            while abs(_value(name, v)) < margin:
+                _draw_into(v, rng, inner)
+
+
+def _pms(names: str) -> tuple:
+    return tuple((nm, "pm") for nm in names.split())
+
+
+def _away0(name: str) -> tuple:
+    return ("away", name, (0.0,), f"{name} must be nonzero")
+
+
+_BOX = {"x": (0.2, 3.0), "y": (0.2, 3.0), "z": (0.2, 3.0),
+        "yp": (-1.5, 1.5), "zp": (-1.5, 1.5)}
+
+
+def _polar_push(v, u, w):
+    return w * np.cos(u), w * np.sin(u)
+
+
+def _spiral_push(v, u, w):
+    r = w * np.exp(v["alpha"] * u)
+    return r * np.cos(u) + v["y0"], r * np.sin(u) + v["z0"]
+
+
+#: Named (u, v) -> (y, z) maps for entries whose slice is easiest to
+#: describe parametrically: polar coordinates, and the log spiral of
+#: ``alpha`` around the center (y0, z0).
+_PUSHFORWARDS = {"polar": _polar_push, "spiral": _spiral_push}
+
+#: The x-profile pair of the T1 entries, by ``kappa``: (label, xi) for
+#: ``determining_generator``; xi solves xi''' = 4*kappa*xi' (see xi_family).
+_T1_PROFILES = {
+    0.0: (("dilation", "x"), ("projective", "x^2/2")),
+    -1.0: (("cos-profile", "cos(2*x)/2"), ("sin-profile", "sin(2*x)/2")),
+    1.0: (("growth-profile", "exp(2*x)/2"), ("decay-profile", "exp(-2*x)/2")),
+}
 
 # ---------------------------------------------------------------------------
 # Schema types
@@ -89,20 +209,35 @@ class ParamSpec:
 
 @dataclass(frozen=True, eq=False)
 class CatalogEntry:
-    """A family of systems plus the generators it is expected to admit."""
+    """A family of systems plus the generators it is expected to admit.
+
+    Every field is data.  ``F`` and ``G`` are formulas in (y, z) over the
+    parameters and the ``derived`` values, which are formulas evaluated in
+    order.  ``generators`` are ``(label, "c1, ..., c8")`` with the algebra
+    coefficients as formulas (see ``LinearGenerator.to_coefficients``); an
+    entry with ``profiles`` lists ``profiles[kappa]`` first, as
+    ``(label, xi)`` for ``determining_generator``.  ``checks`` are rows of
+    the validator table (see ``_FAILS``) and ``draws`` the draw specs (see
+    ``_draw_into``).  Points come from the ``pushforward`` named in
+    ``_PUSHFORWARDS`` or from the shared box with ``box`` overrides, whose
+    bounds may be formulas.
+    """
 
     id: str
     description: str
     params: tuple[ParamSpec, ...]
+    F: str = ""
+    G: str = ""
+    derived: Mapping[str, str] = field(default_factory=dict)
+    generators: tuple[tuple[str, str], ...] = ()
+    profiles: Optional[Mapping[float, tuple]] = None
+    checks: tuple[tuple, ...] = ()
+    draws: tuple[tuple, ...] = ()
+    box: Mapping[str, tuple] = field(default_factory=dict)
+    pushforward: Optional[str] = None
     quarantined: bool = False
     notes: str = ""
     l8_family: Optional[int] = None
-    _build: Callable[[dict], OdeSystem] = field(default=None, repr=False)
-    _generators: Callable[[dict], list] = field(default=None, repr=False)
-    _validate: Callable[[dict], Optional[str]] = field(default=None, repr=False)
-    _draw: Callable[[np.random.Generator], dict] = field(default=None, repr=False)
-    _domain: Callable[[dict, int, int], SamplingDomain] = field(default=None, repr=False)
-    _points: Callable[[dict, int, int], dict] = field(default=None, repr=False)
 
     def defaults(self) -> dict[str, float]:
         return {s.name: s.default for s in self.params if not s.derived}
@@ -119,35 +254,63 @@ class CatalogEntry:
                 raise ValueError(
                     f"{self.id}: unknown parameter {k!r} (expected one of {sorted(p)})")
             p[k] = float(v)
-        if self._validate is not None:
-            msg = self._validate(p)
+        for check in self.checks:
+            msg = _violation(check, p)
             if msg:
                 raise ValueError(f"{self.id}: {msg}")
         return p
 
+    def _values(self, params: Mapping[str, float]) -> dict[str, float]:
+        """Resolved ``params`` plus the derived values."""
+        v = dict(params)
+        for name, text in self.derived.items():
+            v[name] = _value(text, v)
+        return v
+
+    def _system(self, v: Mapping[str, float]) -> OdeSystem:
+        return OdeSystem(_bind(self.F, v), _bind(self.G, v))
+
+    def _labeled(self, v: Mapping[str, float]) -> list:
+        out = [(label, determining_generator(xi))
+               for label, xi in (self.profiles or {}).get(v.get("kappa"), ())]
+        for label, coefficients in self.generators:
+            c = [_value(t, v) for t in coefficients.split(",")]
+            out.append((label, LinearGenerator.from_coefficients(c)))
+        return out
+
     def build(self, params: Mapping[str, float] | None = None) -> OdeSystem:
-        return self._build(self.resolve(params))
+        return self._system(self._values(self.resolve(params)))
 
     def labeled_generators(self, params: Mapping[str, float] | None = None) -> list:
         """``[(label, generator), ...]`` expected beyond the x-translation."""
-        return list(self._generators(self.resolve(params)))
+        return self._labeled(self._values(self.resolve(params)))
 
     def draw(self, rng: np.random.Generator) -> dict[str, float]:
         """A random admissible parameter set (validated before returning)."""
-        return self.resolve(self._draw(rng) if self._draw else {})
+        drawn: dict[str, float] = {}
+        _draw_into(drawn, rng, self.draws)
+        free = self.defaults()
+        return self.resolve({k: x for k, x in drawn.items() if k in free})
 
     def sample_points(self, params: Mapping[str, float],
                       n: int = 200, seed: int = 0) -> dict[str, np.ndarray]:
         """Phase-space sample columns for (x, y, z, yp, zp).
 
         Entries whose coordinate slice is easiest to describe parametrically
-        draw (u, v) boxes and push them through the defining relations; the
-        rest sample a plain box, possibly shifted per entry.
+        draw (u, v) boxes and push them through a named map; the rest sample
+        the shared box with the entry's overrides.
         """
-        if self._points is not None:
-            return self._points(params, n, seed)
-        dom = self._domain(params, n, seed) if self._domain else _box(n, seed)
-        return sample(dom)
+        v = self._values(params)
+        if self.pushforward:
+            rng = np.random.default_rng(seed)
+            u, w = rng.uniform(-1.2, 1.2, n), rng.uniform(0.2, 2.0, n)
+            yv, zv = _PUSHFORWARDS[self.pushforward](v, u, w)
+            return {"x": rng.uniform(0.2, 3.0, n), "y": yv, "z": zv,
+                    "yp": rng.uniform(-1.5, 1.5, n), "zp": rng.uniform(-1.5, 1.5, n)}
+        intervals = dict(_BOX)
+        for name, bounds in self.box.items():
+            intervals[name] = tuple(_value(b, v) if isinstance(b, str) else b for b in bounds)
+        return sample(SamplingDomain(intervals=intervals, n=n, seed=seed))
 
 
 @dataclass(frozen=True)
@@ -177,70 +340,486 @@ class EntryReport:
 
 
 # ---------------------------------------------------------------------------
-# Shared numeric helpers
+# The table
 # ---------------------------------------------------------------------------
+#
+# Group T1: every system has the shape F = kappa*y + P(y, z),
+# G = kappa*z + Q(y, z) with kappa in {0, -1, 1}.  The x-profile pair it
+# admits solves xi''' = 4*kappa*xi' (see xi_family); the remaining listed
+# generator is a linear action on (y, z) that fixes the family.
+#
+# Group T2: the free profiles f and g are truncated Laurent polynomials
+#   c_m2*u^-2 + c_m1*u^-1 + c_p1*u + c_p2*u^2
+# in the row's invariant variable.  A degenerate profile pair (constant, or
+# mutually proportional) would drop the family into a simpler class, so it
+# is rejected at validation time.
+#
+# Group T3: two extensions of the kernel (defining generator + one more).
 
-_VEL_BOX = {"yp": (-1.5, 1.5), "zp": (-1.5, 1.5)}
+_P = ParamSpec
+_F0G0 = (_P("f0", 1.0, "nonzero"), _P("g0", 1.0, "nonzero"))
+_LAURENT = (
+    _P("fm2", 0.4, "f-profile coefficient of u^-2"),
+    _P("fm1", -0.6, "f-profile coefficient of u^-1"),
+    _P("fp1", 0.8, "f-profile coefficient of u"),
+    _P("fp2", 0.3, "f-profile coefficient of u^2"),
+    _P("gm2", -0.5, "g-profile coefficient of u^-2"),
+    _P("gm1", 0.7, "g-profile coefficient of u^-1"),
+    _P("gp1", -0.4, "g-profile coefficient of u"),
+    _P("gp2", 0.6, "g-profile coefficient of u^2"),
+)
+_T2_PARAMS = (_P("gamma", 1.0),) + _LAURENT
+_T2_DRAWS = _pms("fm2 fm1 fp1 fp2 gm2 gm1 gp1 gp2 gamma")
+_T1_PARAMS = (_P("f0", 1.0, "nonzero"), _P("f1", 1.0, "nonzero"),
+              _P("kappa", 0.0, "one of 0, -1, 1"))
+_T1_CHECKS = (("one-of", "kappa", (0.0, -1.0, 1.0), "kappa must be one of 0, -1, 1"),
+              ("nonzero", "f0", "f1"))
+_T1_DRAWS = _pms("f0 f1") + (("kappa", "choice", (0.0, -1.0, 1.0)),)
+_T2_CHECKS = (("laurent",),)
+_NZ = ("nonzero", "f0", "g0")
 
 
-def _box(n: int, seed: int,
-         y: tuple[float, float] = (0.2, 3.0),
-         z: tuple[float, float] = (0.2, 3.0)) -> SamplingDomain:
-    intervals = {"x": (0.2, 3.0), "y": y, "z": z}
-    intervals.update(_VEL_BOX)
-    return SamplingDomain(intervals=intervals, n=n, seed=seed)
+def _pair(defining: str, extension: str) -> tuple:
+    """The two generators of a T3 entry."""
+    return (("defining", defining), ("extension", extension))
 
 
-def _sys(F: Expr, G: Expr) -> OdeSystem:
-    return OdeSystem(fold_constants(F), fold_constants(G))
+def _theta(u: str, v: str) -> tuple[str, str]:
+    """The pair cos(u)*f(v) + sin(u)*g(v), sin(u)*f(v) - cos(u)*g(v)."""
+    f, g = _laurent("f", v), _laurent("g", v)
+    return (f"cos({u})*({f}) + sin({u})*({g})", f"sin({u})*({f}) - cos({u})*({g})")
 
 
-def _lg(c1=0.0, c2=0.0, c3=0.0, c4=0.0, c5=0.0, c6=0.0, c7=0.0, c8=0.0):
-    """Linear generator from the 8 coefficients (see ``to_coefficients``)."""
-    return LinearGenerator.from_coefficients(
-        tuple(float(v) for v in (c1, c2, c3, c4, c5, c6, c7, c8)))
+def _polar(u: str, vpow: str) -> tuple[str, str]:
+    """The pair (f0*cos(u) + g0*sin(u))*vpow, (f0*sin(u) - g0*cos(u))*vpow."""
+    return (f"(f0*cos({u}) + g0*sin({u}))*({vpow})",
+            f"(f0*sin({u}) - g0*cos({u}))*({vpow})")
 
 
-def _pm(rng: np.random.Generator, lo: float = 0.3, hi: float = 1.3) -> float:
-    """A random magnitude in [lo, hi] with a random sign."""
-    return float((1.0 if rng.uniform() < 0.5 else -1.0) * rng.uniform(lo, hi))
+_POLAR_U, _POLAR_V = "atan2(z, y)", "sqrt(y*y + z*z)"
+# the log spiral around (y0, z0): angle u, radius v = exp(-alpha*u)*|(y, z) - center|
+_SPIRAL_U = "atan2(z - z0, y - y0)"
+_SPIRAL_V = f"exp(-alpha*{_SPIRAL_U})*sqrt((y - y0)*(y - y0) + (z - z0)*(z - z0))"
+_SPIRAL_DAMP = f"exp((alpha - 2*gamma)*{_SPIRAL_U})"
+_CHI = {"chi1": "alpha/(alpha*alpha + 1)", "chi2": "1/(alpha*alpha + 1)"}
+# (suffix, center (y0, z0), the y-translation of the defining generator and
+# the (y, z)-translation of T3.S4*'s extension, text)
+_SPIRAL_CENTERS = (
+    ("a", {**_CHI, "y0": "chi1", "z0": "-chi2"}, "-1", "-chi1, chi2",
+     "center shifted by (+chi1, -chi2)"),
+    ("b", {**_CHI, "y0": "-chi1", "z0": "chi2"}, "1", "chi1, -chi2",
+     "center shifted by (-chi1, +chi2)"),
+    ("c", {"y0": "0", "z0": "0"}, "-0", "0, 0", "center at the origin"),
+)
 
+_S1E_Q = "z*z + lam*y*z + kappa*y*y"
+_S1E_COMMON = (
+    "F = f0*(z - alpha*y)*Q^-gamma*psi, "
+    "G = -f0*(kappa*y + (lam+alpha)*z)*Q^-gamma*psi "
+    "with Q = z^2 + lam*y*z + kappa*y^2")
+_S1E_BRANCHES = (
+    ("psi = exp(((2*lam*gamma-4*mu)/p)*atan((lam*z+2*kappa*y)/(p*z))), "
+     "p^2 = 4*kappa - lam^2",
+     "exp(((2*lam*gamma - 4*mu)/pe)*atan((lam*z + 2*kappa*y)/(pe*z)))",
+     (_P("lam", 1.0), _P("kappa", 1.25, "4*kappa > lam^2")),
+     {"pe": "sqrt(4*kappa - lam*lam)"},
+     (("min", "4*kappa - lam*lam", 0.01,
+       "needs 4*kappa - lam^2 > 0 (complex-root quadratic)"),),
+     (("lam", "pm"), ("pe", "uniform", 1.5, 2.5), ("kappa", "=", "(lam*lam + pe*pe)/4"))),
+    ("psi = ((2*kappa*y+(lam+p)*z)/(2*kappa*y+(lam-p)*z))^((2*mu-lam*gamma)/p), "
+     "p^2 = lam^2 - 4*kappa",
+     "((2*kappa*y + (lam + pe)*z)/(2*kappa*y + (lam - pe)*z))^((2*mu - lam*gamma)/pe)",
+     (_P("lam", 3.0, "positive"), _P("kappa", 1.0, "positive, lam^2 > 4*kappa")),
+     {"pe": "sqrt(lam*lam - 4*kappa)"},
+     (("min", "lam", _EPS, "needs lam > 0 and kappa > 0 so the quadratic stays positive"),
+      ("min", "kappa", _EPS, "needs lam > 0 and kappa > 0 so the quadratic stays positive"),
+      ("min", "lam*lam - 4*kappa", 0.01, "needs lam^2 - 4*kappa > 0 (real-root quadratic)")),
+     (("lam", "uniform", 2.0, 3.0), ("t", "uniform", 0.4, 0.8),
+      ("kappa", "=", "lam*lam*(1 - t*t)/4"))),
+    ("psi = exp(-4*(mu*y+gamma*z)/(lam*y+2*z)), kappa = lam^2/4",
+     "exp(-4*(mu*y + gamma*z)/(lam*y + 2*z))",
+     (_P("lam", 2.0, "positive"), _P("kappa", 1.0, "lam^2/4", derived=True)),
+     {"kappa": "lam*lam/4"},
+     (("min", "lam", _EPS, "needs lam > 0 so lam*y + 2*z stays positive"),),
+     (("lam", "uniform", 0.5, 1.5),)),
+)
 
-def _nonzero(p: dict, *names: str) -> Optional[str]:
-    for nm in names:
-        if abs(p[nm]) < 1e-12:
-            return f"{nm} must be nonzero"
-    return None
-
-
-def _pushed_points(push: Callable) -> Callable[[dict, int, int], dict]:
-    """Point sampler that draws a (u, v) box and pushes it to (y, z)."""
-    def points(p: dict, n: int, seed: int) -> dict[str, np.ndarray]:
-        rng = np.random.default_rng(seed)
-        u = rng.uniform(-1.2, 1.2, n)
-        v = rng.uniform(0.2, 2.0, n)
-        yv, zv = push(p, u, v)
-        return {
-            "x": rng.uniform(0.2, 3.0, n),
-            "y": yv,
-            "z": zv,
-            "yp": rng.uniform(-1.5, 1.5, n),
-            "zp": rng.uniform(-1.5, 1.5, n),
-        }
-    return points
-
+_ROWS = (
+    CatalogEntry(
+        id="T1.J1",
+        description=("diagonal action: F = kappa*y + f0*y*z^-4*(z/y)^m, "
+                     "G = kappa*z + f1*z^-3*(z/y)^m with m = -4/(gamma-1)"),
+        params=(_P("gamma", 3.0, "away from 0 and 1"),) + _T1_PARAMS,
+        F="kappa*y + f0*y*z^-4*(z/y)^m",
+        G="kappa*z + f1*z^-3*(z/y)^m",
+        derived={"m": "-4/(gamma - 1)"},
+        profiles=_T1_PROFILES,
+        generators=(("diag-action", "0, 0, 0, 0, gamma, 1, 0, 0"),),
+        checks=_T1_CHECKS + (("away", "gamma", (0.0, 1.0), "gamma must stay away from 0 and 1"),),
+        draws=_T1_DRAWS + (("gamma", "uniform", 1.5, 3.5),),
+    ),
+    CatalogEntry(
+        id="T1.J2",
+        description=("rotation action: F = kappa*y + (f0*y - f1*z)*tau, "
+                     "G = kappa*z + (f0*z + f1*y)*tau with "
+                     "tau = exp(4*alpha*atan2(z,y))*(y^2+z^2)^-2"),
+        params=(_P("alpha", 2.0, "different from 1"),) + _T1_PARAMS,
+        F="kappa*y + (f0*y - f1*z)*(exp(4*alpha*atan2(z, y))*(y*y + z*z)^-2)",
+        G="kappa*z + (f0*z + f1*y)*(exp(4*alpha*atan2(z, y))*(y*y + z*z)^-2)",
+        generators=(("rotation-action", "0, 0, 0, 0, alpha, alpha, -1, 1"),),
+        profiles=_T1_PROFILES,
+        checks=_T1_CHECKS + (("away", "alpha", (1.0,), "alpha must differ from 1"),),
+        draws=_T1_DRAWS + (("alpha", "pm", 0.3, 0.9),),
+    ),
+    CatalogEntry(
+        id="T1.J3",
+        description=("shear action: F = kappa*y + exp(y/z)*z^-4*(f0*y + f1*z), "
+                     "G = kappa*z + f0*z^-3*exp(y/z)"),
+        params=_T1_PARAMS,
+        F="kappa*y + exp(y/z)*z^-4*(f0*y + f1*z)",
+        G="kappa*z + f0*z^-3*exp(y/z)",
+        generators=(("shear-action", "0, 0, 0, 0, 1, 1, 4, 0"),),
+        profiles=_T1_PROFILES,
+        checks=_T1_CHECKS,
+        draws=_T1_DRAWS,
+    ),
+    CatalogEntry(
+        id="T2.1",
+        description=("F = f(u)*y^(1-2*gamma), G = g(u)*y^(alpha-2*gamma) "
+                     "with u = y^alpha/z"),
+        params=(_P("gamma", 1.0), _P("alpha", 0.5, "in [-1, 1]")) + _LAURENT,
+        F=f"({_laurent('f', 'y^alpha/z')})*y^(1 - 2*gamma)",
+        G=f"({_laurent('g', 'y^alpha/z')})*y^(alpha - 2*gamma)",
+        generators=(("extension", "0, gamma, 0, 0, 1, alpha, 0, 0"),),
+        checks=_T2_CHECKS + (("min", "alpha", -1.0, "alpha must lie in [-1, 1]"),
+                             ("max", "alpha", 1.0, "alpha must lie in [-1, 1]")),
+        draws=_T2_DRAWS + (("alpha", "uniform", -0.9, 0.9),),
+        l8_family=1,
+    ),
+    CatalogEntry(
+        id="T2.2",
+        description="F = f(u)*y^(1-2*gamma), G = g(u)*y^(-2*gamma) with u = y*exp(-z)",
+        params=_T2_PARAMS,
+        F=f"({_laurent('f', 'y*exp(-z)')})*y^(1 - 2*gamma)",
+        G=f"({_laurent('g', 'y*exp(-z)')})*y^(-2*gamma)",
+        generators=(("extension", "0, gamma, 0, 1, 1, 0, 0, 0"),),
+        checks=_T2_CHECKS,
+        draws=_T2_DRAWS,
+        l8_family=2,
+    ),
+    CatalogEntry(
+        id="T2.3",
+        description=("polar pair F = exp(-2*gamma*u)*theta1, G = -exp(-2*gamma*u)*theta2 "
+                     "with y = v*cos(u), z = v*sin(u)"),
+        params=_T2_PARAMS,
+        F=f"exp(-2*gamma*{_POLAR_U})*({_theta(_POLAR_U, _POLAR_V)[0]})",
+        G=f"-(exp(-2*gamma*{_POLAR_U})*({_theta(_POLAR_U, _POLAR_V)[1]}))",
+        generators=(("extension", "0, gamma, 0, 0, 0, 0, -1, 1"),),
+        checks=_T2_CHECKS,
+        draws=_T2_DRAWS,
+        pushforward="polar",
+        quarantined=True,
+        notes=("fails verification as encoded: the listed generator sends the first "
+               "residual to -2*G, so the sign of the second component is inconsistent "
+               "with the first; kept for completeness with the failure reported"),
+        l8_family=3,
+    ),
+    *(CatalogEntry(
+        id=f"T2.{num}",
+        description=("spiral pair F = exp((alpha-2*gamma)*u)*theta1, "
+                     "G = exp((alpha-2*gamma)*u)*theta2, " + text),
+        params=(_P("gamma", 1.0), _P("alpha", 0.8, "positive")) + _LAURENT,
+        F=f"{_SPIRAL_DAMP}*({_theta(_SPIRAL_U, _SPIRAL_V)[0]})",
+        G=f"{_SPIRAL_DAMP}*({_theta(_SPIRAL_U, _SPIRAL_V)[1]})",
+        derived=center,
+        generators=(("extension", f"0, gamma, {c3}, 0, alpha, alpha, -1, 1"),),
+        checks=_T2_CHECKS + (("min", "alpha", _EPS, "alpha must be positive"),),
+        draws=_T2_DRAWS + (("alpha", "uniform", 0.3, 1.3),),
+        pushforward="spiral",
+        l8_family=4,
+    ) for num, (_, center, c3, _, text) in zip((4, 5, 6), _SPIRAL_CENTERS)),
+    CatalogEntry(
+        id="T2.7",
+        description=("F = (g(z)*u + f(z))*exp(-2*gamma*u), G = g(z)*exp(-2*gamma*u) "
+                     "with u = y/z"),
+        params=_T2_PARAMS,
+        F=f"(({_laurent('g', 'z')})*(y/z) + ({_laurent('f', 'z')}))*exp(-2*gamma*(y/z))",
+        G=f"({_laurent('g', 'z')})*exp(-2*gamma*(y/z))",
+        generators=(("extension", "0, gamma, 0, 0, 0, 0, 1, 0"),),
+        checks=_T2_CHECKS,
+        draws=_T2_DRAWS,
+        box={"y": (0.2, 1.5), "z": (0.5, 3.0)},
+        l8_family=5,
+    ),
+    CatalogEntry(
+        id="T2.8",
+        description=("F = (g(u)*z + f(u))*exp(-2*gamma*z), G = g(u)*exp(-2*gamma*z) "
+                     "with u = z^2 - 2*y"),
+        params=_T2_PARAMS,
+        F=f"(({_laurent('g', 'z*z - 2*y')})*z + ({_laurent('f', 'z*z - 2*y')}))*exp(-2*gamma*z)",
+        G=f"({_laurent('g', 'z*z - 2*y')})*exp(-2*gamma*z)",
+        generators=(("extension", "0, gamma, 0, 1, 0, 0, 1, 0"),),
+        checks=_T2_CHECKS,
+        draws=_T2_DRAWS,
+        box={"y": (0.2, 1.0), "z": (1.8, 3.0)},
+        l8_family=5,
+    ),
+    CatalogEntry(
+        id="T2.9",
+        description=("F = ((y/z)*g(u) + f(u))*exp((1-2*gamma)*y/z), "
+                     "G = g(u)*exp((1-2*gamma)*y/z) with u = z*exp(-y/z)"),
+        params=_T2_PARAMS,
+        F=(f"((y/z)*({_laurent('g', 'z*exp(-(y/z))')}) + ({_laurent('f', 'z*exp(-(y/z))')}))"
+           "*exp((1 - 2*gamma)*(y/z))"),
+        G=f"({_laurent('g', 'z*exp(-(y/z))')})*exp((1 - 2*gamma)*(y/z))",
+        generators=(("extension", "0, gamma, 0, 0, 1, 1, 1, 0"),),
+        checks=_T2_CHECKS,
+        draws=_T2_DRAWS,
+        box={"y": (0.2, 1.0), "z": (1.0, 3.0)},
+        l8_family=6,
+    ),
+    CatalogEntry(
+        id="T2.10",
+        description="F = f(z)*exp(-2*gamma*y), G = g(z)*exp(-2*gamma*y)",
+        params=_T2_PARAMS,
+        F=f"({_laurent('f', 'z')})*exp(-2*gamma*y)",
+        G=f"({_laurent('g', 'z')})*exp(-2*gamma*y)",
+        generators=(("extension", "0, gamma, 1, 0, 0, 0, 0, 0"),),
+        checks=_T2_CHECKS,
+        draws=_T2_DRAWS,
+        l8_family=7,
+    ),
+    CatalogEntry(
+        id="T3.S1a",
+        description="F = f0*z^beta*y^(1+gt), G = g0*z^(beta+1)*y^gt with gt = -2*gamma",
+        params=(_P("gamma", 0.7, "nonzero"), _P("beta", 0.8, "nonzero")) + _F0G0,
+        F="f0*z^beta*y^(1 + gt)",
+        G="g0*z^(beta + 1)*y^gt",
+        derived={"gt": "-2*gamma"},
+        generators=_pair("0, gamma, 0, 0, 1, 0, 0, 0", "0, 0, 0, 0, beta, 2*gamma, 0, 0"),
+        checks=(_NZ, _away0("gamma"), _away0("beta")),
+        draws=_pms("gamma beta f0 g0"),
+    ),
+    CatalogEntry(
+        id="T3.S1b",
+        description="F = f0*y^(1+gt)*exp(kappa*z), G = g0*y^gt*exp(kappa*z) with gt = -2*gamma",
+        params=(_P("gamma", 0.7, "nonzero"), _P("kappa", 0.8, "nonzero")) + _F0G0,
+        F="f0*y^(1 + gt)*exp(kappa*z)",
+        G="g0*y^gt*exp(kappa*z)",
+        derived={"gt": "-2*gamma"},
+        generators=_pair("0, gamma, 0, 0, 1, 0, 0, 0", "0, 0, 0, 2*gamma, kappa, 0, 0, 0"),
+        checks=(_NZ, _away0("gamma"), _away0("kappa")),
+        draws=_pms("gamma kappa f0 g0"),
+    ),
+    CatalogEntry(
+        id="T3.S1c",
+        description=("F = (f0*sqrt(y-z^2) + 2*g0*z)*(y-z^2)^gt, G = g0*(y-z^2)^gt "
+                     "with gt = (1-4*gamma)/2; sampled on y > z^2"),
+        params=(_P("gamma", 0.9, "away from 1/4"),) + _F0G0,
+        F="(f0*sqrt(y - z*z) + 2*g0*z)*(y - z*z)^gt",
+        G="g0*(y - z*z)^gt",
+        derived={"gt": "(1 - 4*gamma)/2"},
+        generators=_pair("0, gamma, 0, 0, 1, 0.5, 0, 0", "0, 0, 0, 1, 0, 0, 2, 0"),
+        checks=(_NZ, ("away", "gamma", (0.25,), "gamma must stay away from 1/4")),
+        draws=(("gamma - 0.25", "retry", 0.15, _pms("gamma")),) + _pms("f0 g0"),
+        box={"y": (1.1, 3.0), "z": (0.2, 0.9)},
+    ),
+    CatalogEntry(
+        id="T3.S1d",
+        description=("F = f0*z^-(kappa+1)*y^(gt+1), G = g0*z^-kappa*y^gt "
+                     "with gt = (kappa+1-4*gamma)/2"),
+        params=(_P("gamma", 0.9), _P("kappa", 0.8, "away from -1")) + _F0G0,
+        F="f0*z^(-(kappa + 1))*y^(gt + 1)",
+        G="g0*z^(-kappa)*y^gt",
+        derived={"gt": "(kappa + 1 - 4*gamma)/2"},
+        generators=_pair("0, gamma, 0, 0, 1, 0.5, 0, 0", "0, kappa + 1, 0, 0, 0, 2, 0, 0"),
+        checks=(_NZ, ("away", "kappa", (-1.0,), "kappa must differ from -1"),
+                ("away", "kappa + 1 - 4*gamma", (0.0,), 2.0 * _EPS,
+                 "kappa + 1 - 4*gamma must be nonzero")),
+        draws=(("kappa + 1 - 4*gamma", "retry", 0.2,
+                (("kappa", "uniform", 0.3, 1.3), ("gamma", "pm"))),) + _pms("f0 g0"),
+    ),
+    *(CatalogEntry(
+        id=f"T3.S1e{k}",
+        description=_S1E_COMMON + "; " + text,
+        params=(_P("gamma", 0.6), _P("alpha", 0.7, "nonzero"), _P("mu", 0.4),
+                _P("f0", 1.0, "nonzero")) + params,
+        F=f"f0*(z - alpha*y)*(({_S1E_Q})^(-gamma)*({psi}))",
+        G=f"-f0*(kappa*y + (lam + alpha)*z)*(({_S1E_Q})^(-gamma)*({psi}))",
+        derived=derived,
+        generators=_pair("0, gamma, 0, 0, 1, 1, 0, 0",
+                         "0, 0, 0, 0, lam*gamma - mu, -mu, gamma, -kappa*gamma"),
+        checks=(("nonzero", "f0"), _away0("alpha")) + checks,
+        draws=_pms("gamma alpha") + (("mu", "uniform", -1.0, 1.0), ("f0", "pm")) + draws,
+    ) for k, (text, psi, params, derived, checks, draws) in enumerate(_S1E_BRANCHES, 1)),
+    CatalogEntry(
+        id="T3.S1f",
+        description=("F = f0*w^kappa*y^(1-2*gamma), G = (g0 - f0*w)*w^(kappa-1)*y^(1-2*gamma) "
+                     "with w = y/(y+z)"),
+        params=(_P("gamma", 0.7, "nonzero"), _P("kappa", 0.8, "nonzero")) + _F0G0,
+        F="f0*(y/(y + z))^kappa*y^(1 - 2*gamma)",
+        G="(g0 - f0*(y/(y + z)))*(y/(y + z))^(kappa - 1)*y^(1 - 2*gamma)",
+        generators=_pair("0, gamma, 0, 0, 1, 1, 0, 0", "0, kappa, 0, 0, 0, 2, 0, 2"),
+        checks=(_NZ, _away0("gamma"), _away0("kappa")),
+        draws=_pms("gamma kappa f0 g0"),
+    ),
+    CatalogEntry(
+        id="T3.S1g",
+        description=("F = f0*z^-kappa*y^(gt+1), G = g0*z^(1-kappa)*y^gt "
+                     "with gt = alpha*kappa - 2*gamma"),
+        params=(_P("gamma", 0.7), _P("alpha", -0.7, "not in {0, 1/2, 1}"),
+                _P("kappa", 0.8, "nonzero")) + _F0G0,
+        F="f0*z^(-kappa)*y^(gt + 1)",
+        G="g0*z^(1 - kappa)*y^gt",
+        derived={"gt": "alpha*kappa - 2*gamma"},
+        generators=_pair("0, gamma, 0, 0, 1, alpha, 0, 0", "0, kappa, 0, 0, 0, 2, 0, 0"),
+        checks=(_NZ, _away0("kappa"),
+                ("away", "alpha", (0.0, 0.5, 1.0), "alpha must avoid 0, 1/2 and 1")),
+        draws=(("gamma", "pm"), ("alpha", "uniform", -1.3, -0.3)) + _pms("kappa f0 g0"),
+    ),
+    CatalogEntry(
+        id="T3.S2",
+        description=("F = f0*y^(kappa+1)*exp(-alpha*z), G = g0*y^kappa*exp(-alpha*z); "
+                     "the defining generator uses gamma = (alpha-kappa)/2"),
+        params=(_P("alpha", 0.9, "nonzero"), _P("kappa", 0.7, "nonzero")) + _F0G0
+               + (_P("gamma", 0.1, "(alpha-kappa)/2", derived=True),),
+        F="f0*y^(kappa + 1)*exp(-alpha*z)",
+        G="g0*y^kappa*exp(-alpha*z)",
+        derived={"gamma": "(alpha - kappa)/2"},
+        generators=_pair("0, gamma, 0, 1, 1, 0, 0, 0", "0, 0, 0, kappa, alpha, 0, 0, 0"),
+        checks=(_NZ, ("away", "alpha", (0.0,), "alpha and kappa must both be nonzero"),
+                ("away", "kappa", (0.0,), "alpha and kappa must both be nonzero")),
+        draws=_pms("alpha kappa f0 g0"),
+    ),
+    CatalogEntry(
+        id="T3.S3a",
+        description=("F = (f0*cos(u)+g0*sin(u))*v^kappa, G = (f0*sin(u)-g0*cos(u))*v^kappa "
+                     "with u = atan2(z,y), v = sqrt(y^2+z^2)"),
+        params=(_P("kappa", 0.8),) + _F0G0,
+        F=_polar(_POLAR_U, "(y*y + z*z)^(kappa/2)")[0],
+        G=_polar(_POLAR_U, "(y*y + z*z)^(kappa/2)")[1],
+        generators=_pair("0, 0, 0, 0, 0, 0, -1, 1", "0, (1 - kappa)/2, 0, 0, 1, 1, 0, 0"),
+        checks=(_NZ,),
+        draws=_pms("kappa f0 g0"),
+    ),
+    CatalogEntry(
+        id="T3.S3b",
+        description=("F = exp(gt*u)*(f0*cos(u)+g0*sin(u))*v^(-gt*kappa-3), G likewise with "
+                     "(f0*sin(u)-g0*cos(u)); u = atan2(z,y), v = sqrt(y^2+z^2), gt = -2*gamma"),
+        params=(_P("gamma", 0.7, "nonzero"), _P("kappa", 0.8)) + _F0G0,
+        F=f"exp(gt*{_POLAR_U})*({_polar(_POLAR_U, '(y*y + z*z)^((-gt*kappa - 3)/2)')[0]})",
+        G=f"exp(gt*{_POLAR_U})*({_polar(_POLAR_U, '(y*y + z*z)^((-gt*kappa - 3)/2)')[1]})",
+        derived={"gt": "-2*gamma"},
+        generators=_pair("0, gamma, 0, 0, 0, 0, -1, 1", "0, 2, 0, 0, 1, 1, -kappa, kappa"),
+        checks=(_NZ, _away0("gamma")),
+        draws=_pms("gamma kappa f0 g0"),
+    ),
+    *(CatalogEntry(
+        id=f"T3.S4{suffix}",
+        description=("spiral pair F = exp((alpha-2*gamma)*u)*(f0*cos(u)+g0*sin(u))*v^kappa, "
+                     "G likewise with (f0*sin(u)-g0*cos(u)); " + text),
+        params=(_P("gamma", 0.6), _P("alpha", 0.8, "positive"), _P("kappa", 0.7)) + _F0G0,
+        F=f"{_SPIRAL_DAMP}*({_polar(_SPIRAL_U, f'({_SPIRAL_V})^kappa')[0]})",
+        G=f"{_SPIRAL_DAMP}*({_polar(_SPIRAL_U, f'({_SPIRAL_V})^kappa')[1]})",
+        derived=center,
+        generators=_pair(f"0, gamma, {c3}, 0, alpha, alpha, -1, 1",
+                         f"0, (1 - kappa)/2, {shift}, 1, 1, 0, 0"),
+        checks=(_NZ, ("min", "alpha", _EPS, "alpha must be positive")),
+        draws=(("gamma", "pm"), ("alpha", "uniform", 0.3, 1.3)) + _pms("kappa f0 g0"),
+        box={"y": ("0.2 + chi1", "3 + chi1")} if suffix == "a" else {},
+    ) for suffix, center, c3, shift, text in _SPIRAL_CENTERS),
+    CatalogEntry(
+        id="T3.S5a",
+        description=("F = g0*z^(beta-1)*exp(-y/z)*(y + kappa*gt*z), G = g0*z^beta*exp(-y/z) "
+                     "with gt = 2*gamma"),
+        params=(_P("gamma", 0.5, "fixed at 1/2 (see notes)"), _P("beta", 0.8), _P("kappa", 1.0),
+                _P("g0", 1.0, "nonzero")),
+        F="g0*z^(beta - 1)*exp(-y/z)*(y + kappa*gt*z)",
+        G="g0*z^beta*exp(-y/z)",
+        derived={"gt": "2*gamma"},
+        generators=_pair("0, gamma, 0, 0, 0, 0, 1, 0", "0, 0, 0, 0, 1, 2*gamma, beta - 1, 0"),
+        checks=(("nonzero", "g0"),
+                ("pinned", "gamma", 0.5, "admitted only on the gamma = 1/2 subfamily; "
+                 "leave gamma at its default")),
+        draws=_pms("beta kappa g0"),
+        notes=("valid on a parameter subfamily: the listed generator pair is "
+               "admitted only at gamma = 1/2 (for any beta and kappa), so gamma "
+               "is pinned there"),
+    ),
+    CatalogEntry(
+        id="T3.S5b",
+        description=("F = (g0*z + f0)*exp(beta*u - 2*gamma*z), G = g0*exp(beta*u - 2*gamma*z) "
+                     "with u = z^2 - 2*y"),
+        params=(_P("gamma", 0.7), _P("beta", 0.8, "nonzero")) + _F0G0,
+        F="(g0*z + f0)*exp(beta*(z*z - 2*y) - 2*gamma*z)",
+        G="g0*exp(beta*(z*z - 2*y) - 2*gamma*z)",
+        generators=_pair("0, gamma, 0, 1, 0, 0, 1, 0", "0, beta, 1, 0, 0, 0, 0, 0"),
+        checks=(_NZ, _away0("beta")),
+        draws=_pms("gamma beta f0 g0"),
+    ),
+    CatalogEntry(
+        id="T3.S5c",
+        description=("F = (g0*z + f0*sqrt(S))*S^kappa, G = g0*S^kappa with "
+                     "S = beta + z^2 - 2*y; sampled where S > 0"),
+        params=(_P("kappa", 0.8, "nonzero"), _P("beta", 0.5, "> -0.9")) + _F0G0,
+        F="(g0*z + f0*sqrt(beta + z*z - 2*y))*(beta + z*z - 2*y)^kappa",
+        G="g0*(beta + z*z - 2*y)^kappa",
+        generators=_pair("0, 0, 0, 1, 0, 0, 1, 0", "0, 1 - 2*kappa, -2*beta, 0, 4, 2, 0, 0"),
+        checks=(_NZ, _away0("kappa"),
+                ("min", "beta", -0.9,
+                 "beta must exceed -0.9 so S stays positive on the sample box")),
+        draws=(("kappa", "pm"), ("beta", "uniform", 0.3, 1.3)) + _pms("f0 g0"),
+        box={"y": (0.2, 1.0), "z": (1.8, 3.0)},
+    ),
+    CatalogEntry(
+        id="T3.S6",
+        description=("F = (g0*y + f0*z)*z^(kappa-1)*exp(-gt*y/z), G = g0*z^kappa*exp(-gt*y/z) "
+                     "with gt = 2*gamma + kappa - 1"),
+        params=(_P("gamma", 0.7), _P("kappa", 0.8)) + _F0G0,
+        F="(g0*y + f0*z)*z^(kappa - 1)*exp(-gt*(y/z))",
+        G="g0*z^kappa*exp(-gt*(y/z))",
+        derived={"gt": "2*gamma + kappa - 1"},
+        generators=_pair("0, gamma, 0, 0, 1, 1, 1, 0", "0, kappa - 1, 0, 0, -2, -2, 0, 0"),
+        checks=(_NZ, ("away", "2*gamma + kappa - 1", (0.0,),
+                      "2*gamma + kappa - 1 must be nonzero")),
+        draws=(("2*gamma + kappa - 1", "retry", 0.2, _pms("gamma kappa")),) + _pms("f0 g0"),
+    ),
+    CatalogEntry(
+        id="T3.S7a",
+        description=("F = f0*z^(beta-1)*exp(kappa*z - gt*y)*(kappa*z + gt*phi1), "
+                     "G = g0*z^beta*exp(kappa*z - gt*y) with gt = 2*gamma and f0 = g0/gt"),
+        params=(_P("gamma", 0.7, "nonzero"), _P("beta", 0.8), _P("kappa", 0.6), _P("phi1", 0.5),
+                _P("g0", 1.0, "nonzero"), _P("f0", 1.0 / 1.4, "g0/(2*gamma)", derived=True)),
+        F="f0*z^(beta - 1)*exp(kappa*z - gt*y)*(kappa*z + gt*phi1)",
+        G="g0*z^beta*exp(kappa*z - gt*y)",
+        derived={"gt": "2*gamma", "f0": "g0/gt"},
+        generators=_pair("0, gamma, 1, 0, 0, 0, 0, 0", "0, 0, beta - 1, 0, 0, 2*gamma, kappa, 0"),
+        checks=(("nonzero", "g0"), _away0("gamma")),
+        draws=_pms("gamma beta kappa") + (("phi1", "uniform", -1.0, 1.0), ("g0", "pm")),
+    ),
+    CatalogEntry(
+        id="T3.S7b",
+        description=("F = g0*exp(beta*z + kappa*z^2 - gt*y)*(phi0*z + phi1), "
+                     "G = g0*exp(beta*z + kappa*z^2 - gt*y) with gt = 2*gamma and "
+                     "kappa = gt*phi0/2"),
+        params=(_P("gamma", 0.7, "nonzero"), _P("beta", 0.8), _P("phi0", 0.9, "nonzero"),
+                _P("phi1", 0.5), _P("g0", 1.0, "nonzero"),
+                _P("kappa", 0.63, "gamma*phi0", derived=True)),
+        F="g0*exp(beta*z + kappa*z*z - gt*y)*(phi0*z + phi1)",
+        G="g0*exp(beta*z + kappa*z*z - gt*y)",
+        derived={"gt": "2*gamma", "kappa": "gt*phi0/2"},
+        generators=_pair("0, gamma, 1, 0, 0, 0, 0, 0",
+                         "0, 0, beta, 2*gamma, 0, 0, 2*gamma*phi0, 0"),
+        checks=(("nonzero", "g0"), _away0("gamma"), _away0("phi0")),
+        draws=_pms("gamma beta phi0") + (("phi1", "uniform", -1.0, 1.0), ("g0", "pm")),
+    ),
+)
 
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
-ENTRIES: dict[str, CatalogEntry] = {}
-
-
-def _register(entry: CatalogEntry) -> None:
-    if entry.id in ENTRIES:
-        raise ValueError(f"duplicate catalog id {entry.id!r}")
-    ENTRIES[entry.id] = entry
+ENTRIES: dict[str, CatalogEntry] = {e.id: e for e in _ROWS}
 
 
 def entry_ids() -> list[str]:
@@ -263,11 +842,7 @@ def list_entries() -> list[dict]:
             "id": e.id,
             "description": e.description,
             "quarantined": e.quarantined,
-            "params": [
-                {"name": s.name, "default": s.default,
-                 "constraint": s.constraint, "derived": s.derived}
-                for s in e.params
-            ],
+            "params": [asdict(s) for s in e.params],
             **({"notes": e.notes} if e.notes else {}),
         })
     return out
@@ -276,11 +851,11 @@ def list_entries() -> list[dict]:
 def instantiate(entry_id: str, params: Mapping[str, float] | None = None):
     """(system, generators) for an entry; generators are fully expanded."""
     e = get_entry(entry_id)
-    p = e.resolve(params)
+    v = e._values(e.resolve(params))
     gens = []
-    for _, g in e._generators(p):
+    for _, g in e._labeled(v):
         gens.append(g.expand() if isinstance(g, LinearGenerator) else g)
-    return e._build(p), gens
+    return e._system(v), gens
 
 
 def draw_params(entry_id: str, rng=None) -> dict[str, float]:
@@ -304,10 +879,11 @@ def verify_entry(entry_id: str, params: Mapping[str, float] | None = None,
     """
     e = get_entry(entry_id)
     p = e.resolve(params)
-    system = e._build(p)
+    v = e._values(p)
+    system = e._system(v)
     pts = e.sample_points(p, n=n, seed=seed)
     checks = []
-    for label, gen in [("kernel", basis_generator(1))] + list(e._generators(p)):
+    for label, gen in [("kernel", basis_generator(1))] + e._labeled(v):
         r1, r2 = residual_expressions(system, gen)
         rep1 = zero_report_at(r1, pts, tol)
         rep2 = zero_report_at(r2, pts, tol)
@@ -318,1013 +894,6 @@ def verify_entry(entry_id: str, params: Mapping[str, float] | None = None,
     return EntryReport(
         entry_id=e.id, params=p, quarantined=e.quarantined,
         passed=all(c.ok for c in checks), checks=tuple(checks))
-
-
-# ---------------------------------------------------------------------------
-# Group T1: families with a five-dimensional symmetry group
-# ---------------------------------------------------------------------------
-#
-# Every T1 system has the shape F = kappa*y + P(y, z), G = kappa*z + Q(y, z)
-# with kappa in {0, -1, 1}.  The x-profile pair it admits solves
-# xi''' = 4*kappa*xi' (see xi_family); the third generator is a linear
-# action on (y, z) that fixes the family.
-
-
-def _t1_profiles(kappa: float) -> list:
-    if kappa == 0.0:
-        return [("dilation", determining_generator("x")),
-                ("projective", determining_generator("x^2/2"))]
-    if kappa == -1.0:
-        return [("cos-profile", determining_generator("cos(2*x)/2")),
-                ("sin-profile", determining_generator("sin(2*x)/2"))]
-    return [("growth-profile", determining_generator("exp(2*x)/2")),
-            ("decay-profile", determining_generator("exp(-2*x)/2"))]
-
-
-def _t1_validate(p: dict, extra=None) -> Optional[str]:
-    if p["kappa"] not in (0.0, -1.0, 1.0):
-        return "kappa must be one of 0, -1, 1"
-    bad = _nonzero(p, "f0", "f1")
-    if bad:
-        return bad
-    return extra(p) if extra else None
-
-
-def _t1_draw(rng: np.random.Generator) -> dict[str, float]:
-    return {"f0": _pm(rng), "f1": _pm(rng),
-            "kappa": float(rng.choice([0.0, -1.0, 1.0]))}
-
-
-def _t1j1_build(p: dict) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    m = -4.0 / (p["gamma"] - 1.0)
-    core = (z / y) ** m
-    F = p["kappa"] * y + p["f0"] * y * z ** (-4.0) * core
-    G = p["kappa"] * z + p["f1"] * z ** (-3.0) * core
-    return _sys(F, G)
-
-
-def _t1j1_gens(p: dict) -> list:
-    return _t1_profiles(p["kappa"]) + [("diag-action", _lg(c5=p["gamma"], c6=1.0))]
-
-
-_register(CatalogEntry(
-    id="T1.J1",
-    description=("diagonal action: F = kappa*y + f0*y*z^-4*(z/y)^m, "
-                 "G = kappa*z + f1*z^-3*(z/y)^m with m = -4/(gamma-1)"),
-    params=(
-        ParamSpec("gamma", 3.0, "away from 0 and 1"),
-        ParamSpec("f0", 1.0, "nonzero"),
-        ParamSpec("f1", 1.0, "nonzero"),
-        ParamSpec("kappa", 0.0, "one of 0, -1, 1"),
-    ),
-    _build=_t1j1_build,
-    _generators=_t1j1_gens,
-    _validate=lambda p: _t1_validate(p, lambda q: (
-        "gamma must stay away from 0 and 1"
-        if min(abs(q["gamma"]), abs(q["gamma"] - 1.0)) < _EPS else None)),
-    _draw=lambda rng: {**_t1_draw(rng), "gamma": float(rng.uniform(1.5, 3.5))},
-))
-
-
-def _t1j2_build(p: dict) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    tau = exp(4.0 * p["alpha"] * atan2(z, y)) * (y * y + z * z) ** (-2.0)
-    F = p["kappa"] * y + (p["f0"] * y - p["f1"] * z) * tau
-    G = p["kappa"] * z + (p["f0"] * z + p["f1"] * y) * tau
-    return _sys(F, G)
-
-
-def _t1j2_gens(p: dict) -> list:
-    a = p["alpha"]
-    return _t1_profiles(p["kappa"]) + [
-        ("rotation-action", _lg(c5=a, c6=a, c7=-1.0, c8=1.0))]
-
-
-_register(CatalogEntry(
-    id="T1.J2",
-    description=("rotation action: F = kappa*y + (f0*y - f1*z)*tau, "
-                 "G = kappa*z + (f0*z + f1*y)*tau with "
-                 "tau = exp(4*alpha*atan2(z,y))*(y^2+z^2)^-2"),
-    params=(
-        ParamSpec("alpha", 2.0, "different from 1"),
-        ParamSpec("f0", 1.0, "nonzero"),
-        ParamSpec("f1", 1.0, "nonzero"),
-        ParamSpec("kappa", 0.0, "one of 0, -1, 1"),
-    ),
-    _build=_t1j2_build,
-    _generators=_t1j2_gens,
-    _validate=lambda p: _t1_validate(p, lambda q: (
-        "alpha must differ from 1" if abs(q["alpha"] - 1.0) < _EPS else None)),
-    _draw=lambda rng: {**_t1_draw(rng), "alpha": _pm(rng, 0.3, 0.9)},
-))
-
-
-def _t1j3_build(p: dict) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    core = exp(y / z)
-    F = p["kappa"] * y + core * z ** (-4.0) * (p["f0"] * y + p["f1"] * z)
-    G = p["kappa"] * z + p["f0"] * z ** (-3.0) * core
-    return _sys(F, G)
-
-
-def _t1j3_gens(p: dict) -> list:
-    return _t1_profiles(p["kappa"]) + [("shear-action", _lg(c5=1.0, c6=1.0, c7=4.0))]
-
-
-_register(CatalogEntry(
-    id="T1.J3",
-    description=("shear action: F = kappa*y + exp(y/z)*z^-4*(f0*y + f1*z), "
-                 "G = kappa*z + f0*z^-3*exp(y/z)"),
-    params=(
-        ParamSpec("f0", 1.0, "nonzero"),
-        ParamSpec("f1", 1.0, "nonzero"),
-        ParamSpec("kappa", 0.0, "one of 0, -1, 1"),
-    ),
-    _build=_t1j3_build,
-    _generators=_t1j3_gens,
-    _validate=_t1_validate,
-    _draw=_t1_draw,
-))
-
-
-# ---------------------------------------------------------------------------
-# Group T2: one extension of the kernel, one entry per optimal-system class
-# ---------------------------------------------------------------------------
-#
-# The free profiles f and g are truncated Laurent polynomials
-#   c_m2*u^-2 + c_m1*u^-1 + c_p1*u + c_p2*u^2
-# in the row's invariant variable.  A degenerate profile pair (constant, or
-# mutually proportional) would drop the family into a simpler class, so it
-# is rejected at validation time.
-
-_LAURENT_F = (
-    ParamSpec("fm2", 0.4, "f-profile coefficient of u^-2"),
-    ParamSpec("fm1", -0.6, "f-profile coefficient of u^-1"),
-    ParamSpec("fp1", 0.8, "f-profile coefficient of u"),
-    ParamSpec("fp2", 0.3, "f-profile coefficient of u^2"),
-)
-_LAURENT_G = (
-    ParamSpec("gm2", -0.5, "g-profile coefficient of u^-2"),
-    ParamSpec("gm1", 0.7, "g-profile coefficient of u^-1"),
-    ParamSpec("gp1", -0.4, "g-profile coefficient of u"),
-    ParamSpec("gp2", 0.6, "g-profile coefficient of u^2"),
-)
-
-_PROFILE_DOM = SamplingDomain(intervals={"u": (0.3, 2.5)}, n=64, seed=7)
-
-
-def _laurent(p: dict, prefix: str, u: Expr) -> Expr:
-    return (p[prefix + "m2"] * u ** (-2.0) + p[prefix + "m1"] * u ** (-1.0)
-            + p[prefix + "p1"] * u + p[prefix + "p2"] * u ** 2.0)
-
-
-def _laurent_draw(rng: np.random.Generator) -> dict[str, float]:
-    return {nm: _pm(rng) for nm in
-            ("fm2", "fm1", "fp1", "fp2", "gm2", "gm1", "gp1", "gp2")}
-
-
-def _laurent_check(p: dict) -> Optional[str]:
-    u = sym("u")
-    f = fold_constants(_laurent(p, "f", u))
-    g = fold_constants(_laurent(p, "g", u))
-    hint = reducibility_hint(f, g, _PROFILE_DOM)
-    if hint is not ReducibilityHint.NoHint:
-        return (f"profile pair is degenerate ({hint.value}); "
-                "pick genuinely independent nonzero profiles")
-    return None
-
-
-def _t2_validate(extra=None):
-    def check(p: dict) -> Optional[str]:
-        msg = _laurent_check(p)
-        if msg:
-            return msg
-        return extra(p) if extra else None
-    return check
-
-
-def _chi(alpha: float) -> tuple[float, float]:
-    d = alpha * alpha + 1.0
-    return alpha / d, 1.0 / d
-
-
-def _theta_pair(p: dict, u: Expr, v: Expr) -> tuple[Expr, Expr]:
-    fv = _laurent(p, "f", v)
-    gv = _laurent(p, "g", v)
-    return cos(u) * fv + sin(u) * gv, sin(u) * fv - cos(u) * gv
-
-
-def _t2_1_build(p: dict) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    u = y ** p["alpha"] / z
-    F = _laurent(p, "f", u) * y ** (1.0 - 2.0 * p["gamma"])
-    G = _laurent(p, "g", u) * y ** (p["alpha"] - 2.0 * p["gamma"])
-    return _sys(F, G)
-
-
-_register(CatalogEntry(
-    id="T2.1",
-    description=("F = f(u)*y^(1-2*gamma), G = g(u)*y^(alpha-2*gamma) "
-                 "with u = y^alpha/z"),
-    params=(ParamSpec("gamma", 1.0), ParamSpec("alpha", 0.5, "in [-1, 1]"))
-           + _LAURENT_F + _LAURENT_G,
-    l8_family=1,
-    _build=_t2_1_build,
-    _generators=lambda p: [("extension", _lg(c2=p["gamma"], c5=1.0, c6=p["alpha"]))],
-    _validate=_t2_validate(lambda p: (
-        "alpha must lie in [-1, 1]" if abs(p["alpha"]) > 1.0 else None)),
-    _draw=lambda rng: {**_laurent_draw(rng), "gamma": _pm(rng),
-                       "alpha": float(rng.uniform(-0.9, 0.9))},
-))
-
-
-def _t2_2_build(p: dict) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    u = y * exp(-z)
-    F = _laurent(p, "f", u) * y ** (1.0 - 2.0 * p["gamma"])
-    G = _laurent(p, "g", u) * y ** (-2.0 * p["gamma"])
-    return _sys(F, G)
-
-
-_register(CatalogEntry(
-    id="T2.2",
-    description="F = f(u)*y^(1-2*gamma), G = g(u)*y^(-2*gamma) with u = y*exp(-z)",
-    params=(ParamSpec("gamma", 1.0),) + _LAURENT_F + _LAURENT_G,
-    l8_family=2,
-    _build=_t2_2_build,
-    _generators=lambda p: [("extension", _lg(c2=p["gamma"], c4=1.0, c5=1.0))],
-    _validate=_t2_validate(),
-    _draw=lambda rng: {**_laurent_draw(rng), "gamma": _pm(rng)},
-))
-
-
-def _t2_3_build(p: dict) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    u = atan2(z, y)
-    v = sqrt(y * y + z * z)
-    th1, th2 = _theta_pair(p, u, v)
-    damp = exp(-2.0 * p["gamma"] * u)
-    return _sys(damp * th1, -(damp * th2))
-
-
-_register(CatalogEntry(
-    id="T2.3",
-    description=("polar pair F = exp(-2*gamma*u)*theta1, G = -exp(-2*gamma*u)*theta2 "
-                 "with y = v*cos(u), z = v*sin(u)"),
-    params=(ParamSpec("gamma", 1.0),) + _LAURENT_F + _LAURENT_G,
-    quarantined=True,
-    notes=("fails verification as encoded: the listed generator sends the first "
-           "residual to -2*G, so the sign of the second component is inconsistent "
-           "with the first; kept for completeness with the failure reported"),
-    l8_family=3,
-    _build=_t2_3_build,
-    _generators=lambda p: [("extension", _lg(c2=p["gamma"], c7=-1.0, c8=1.0))],
-    _validate=_t2_validate(),
-    _draw=lambda rng: {**_laurent_draw(rng), "gamma": _pm(rng)},
-    _points=_pushed_points(lambda p, u, v: (v * np.cos(u), v * np.sin(u))),
-))
-
-
-def _t2_456_build(p: dict, s: int) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    a, g = p["alpha"], p["gamma"]
-    c1, c2 = _chi(a) if s else (0.0, 0.0)
-    Y = y - s * c1
-    Z = z + s * c2
-    u = atan2(Z, Y)
-    v = exp(-a * u) * sqrt(Y * Y + Z * Z)
-    th1, th2 = _theta_pair(p, u, v)
-    ebase = exp((a - 2.0 * g) * u)
-    return _sys(ebase * th1, ebase * th2)
-
-
-def _t2_456_push(s: int):
-    def push(p: dict, u: np.ndarray, v: np.ndarray):
-        a = p["alpha"]
-        c1, c2 = _chi(a) if s else (0.0, 0.0)
-        r = v * np.exp(a * u)
-        return r * np.cos(u) + s * c1, r * np.sin(u) - s * c2
-    return push
-
-
-def _t2_456_gens(s: int):
-    def gens(p: dict) -> list:
-        a = p["alpha"]
-        return [("extension",
-                 _lg(c2=p["gamma"], c3=-float(s), c5=a, c6=a, c7=-1.0, c8=1.0))]
-    return gens
-
-
-for _num, _s, _shift_text in ((4, 1, "center shifted by (+chi1, -chi2)"),
-                              (5, -1, "center shifted by (-chi1, +chi2)"),
-                              (6, 0, "center at the origin")):
-    _register(CatalogEntry(
-        id=f"T2.{_num}",
-        description=("spiral pair F = exp((alpha-2*gamma)*u)*theta1, "
-                     "G = exp((alpha-2*gamma)*u)*theta2, " + _shift_text),
-        params=(ParamSpec("gamma", 1.0), ParamSpec("alpha", 0.8, "positive"))
-               + _LAURENT_F + _LAURENT_G,
-        l8_family=4,
-        _build=(lambda s: lambda p: _t2_456_build(p, s))(_s),
-        _generators=_t2_456_gens(_s),
-        _validate=_t2_validate(lambda p: (
-            "alpha must be positive" if p["alpha"] < _EPS else None)),
-        _draw=lambda rng: {**_laurent_draw(rng), "gamma": _pm(rng),
-                           "alpha": float(rng.uniform(0.3, 1.3))},
-        _points=_pushed_points(_t2_456_push(_s)),
-    ))
-
-
-def _t2_7_build(p: dict) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    u = y / z
-    damp = exp(-2.0 * p["gamma"] * u)
-    gz = _laurent(p, "g", z)
-    F = (gz * u + _laurent(p, "f", z)) * damp
-    return _sys(F, gz * damp)
-
-
-_register(CatalogEntry(
-    id="T2.7",
-    description=("F = (g(z)*u + f(z))*exp(-2*gamma*u), G = g(z)*exp(-2*gamma*u) "
-                 "with u = y/z"),
-    params=(ParamSpec("gamma", 1.0),) + _LAURENT_F + _LAURENT_G,
-    l8_family=5,
-    _build=_t2_7_build,
-    _generators=lambda p: [("extension", _lg(c2=p["gamma"], c7=1.0))],
-    _validate=_t2_validate(),
-    _draw=lambda rng: {**_laurent_draw(rng), "gamma": _pm(rng)},
-    _domain=lambda p, n, seed: _box(n, seed, y=(0.2, 1.5), z=(0.5, 3.0)),
-))
-
-
-def _t2_8_build(p: dict) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    u = z * z - 2.0 * y
-    damp = exp(-2.0 * p["gamma"] * z)
-    gu = _laurent(p, "g", u)
-    return _sys((gu * z + _laurent(p, "f", u)) * damp, gu * damp)
-
-
-_register(CatalogEntry(
-    id="T2.8",
-    description=("F = (g(u)*z + f(u))*exp(-2*gamma*z), G = g(u)*exp(-2*gamma*z) "
-                 "with u = z^2 - 2*y"),
-    params=(ParamSpec("gamma", 1.0),) + _LAURENT_F + _LAURENT_G,
-    l8_family=5,
-    _build=_t2_8_build,
-    _generators=lambda p: [("extension", _lg(c2=p["gamma"], c4=1.0, c7=1.0))],
-    _validate=_t2_validate(),
-    _draw=lambda rng: {**_laurent_draw(rng), "gamma": _pm(rng)},
-    _domain=lambda p, n, seed: _box(n, seed, y=(0.2, 1.0), z=(1.8, 3.0)),
-))
-
-
-def _t2_9_build(p: dict) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    w = y / z
-    u = z * exp(-w)
-    damp = exp((1.0 - 2.0 * p["gamma"]) * w)
-    gu = _laurent(p, "g", u)
-    return _sys((w * gu + _laurent(p, "f", u)) * damp, gu * damp)
-
-
-_register(CatalogEntry(
-    id="T2.9",
-    description=("F = ((y/z)*g(u) + f(u))*exp((1-2*gamma)*y/z), "
-                 "G = g(u)*exp((1-2*gamma)*y/z) with u = z*exp(-y/z)"),
-    params=(ParamSpec("gamma", 1.0),) + _LAURENT_F + _LAURENT_G,
-    l8_family=6,
-    _build=_t2_9_build,
-    _generators=lambda p: [("extension", _lg(c2=p["gamma"], c5=1.0, c6=1.0, c7=1.0))],
-    _validate=_t2_validate(),
-    _draw=lambda rng: {**_laurent_draw(rng), "gamma": _pm(rng)},
-    _domain=lambda p, n, seed: _box(n, seed, y=(0.2, 1.0), z=(1.0, 3.0)),
-))
-
-
-def _t2_10_build(p: dict) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    damp = exp(-2.0 * p["gamma"] * y)
-    return _sys(_laurent(p, "f", z) * damp, _laurent(p, "g", z) * damp)
-
-
-_register(CatalogEntry(
-    id="T2.10",
-    description="F = f(z)*exp(-2*gamma*y), G = g(z)*exp(-2*gamma*y)",
-    params=(ParamSpec("gamma", 1.0),) + _LAURENT_F + _LAURENT_G,
-    l8_family=7,
-    _build=_t2_10_build,
-    _generators=lambda p: [("extension", _lg(c2=p["gamma"], c3=1.0))],
-    _validate=_t2_validate(),
-    _draw=lambda rng: {**_laurent_draw(rng), "gamma": _pm(rng)},
-))
-
-
-# ---------------------------------------------------------------------------
-# Group T3: two extensions of the kernel (defining generator + one more)
-# ---------------------------------------------------------------------------
-
-
-def _t3(entry_id, description, params, build, gens, validate=None, draw=None,
-        domain=None, quarantined=False, notes=""):
-    _register(CatalogEntry(
-        id=entry_id, description=description, params=params,
-        quarantined=quarantined, notes=notes,
-        _build=build, _generators=gens, _validate=validate, _draw=draw,
-        _domain=domain))
-
-
-def _s1a_build(p: dict) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    gt = -2.0 * p["gamma"]
-    F = p["f0"] * z ** p["beta"] * y ** (1.0 + gt)
-    G = p["g0"] * z ** (p["beta"] + 1.0) * y ** gt
-    return _sys(F, G)
-
-
-_t3(
-    "T3.S1a",
-    "F = f0*z^beta*y^(1+gt), G = g0*z^(beta+1)*y^gt with gt = -2*gamma",
-    (ParamSpec("gamma", 0.7, "nonzero"), ParamSpec("beta", 0.8, "nonzero"),
-     ParamSpec("f0", 1.0, "nonzero"), ParamSpec("g0", 1.0, "nonzero")),
-    _s1a_build,
-    lambda p: [("defining", _lg(c2=p["gamma"], c5=1.0)),
-               ("extension", _lg(c5=p["beta"], c6=2.0 * p["gamma"]))],
-    validate=lambda p: (_nonzero(p, "f0", "g0")
-                        or ("gamma must be nonzero" if abs(p["gamma"]) < _EPS else None)
-                        or ("beta must be nonzero" if abs(p["beta"]) < _EPS else None)),
-    draw=lambda rng: {"gamma": _pm(rng), "beta": _pm(rng),
-                      "f0": _pm(rng), "g0": _pm(rng)},
-)
-
-
-def _s1b_build(p: dict) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    gt = -2.0 * p["gamma"]
-    core = exp(p["kappa"] * z)
-    return _sys(p["f0"] * y ** (1.0 + gt) * core, p["g0"] * y ** gt * core)
-
-
-_t3(
-    "T3.S1b",
-    "F = f0*y^(1+gt)*exp(kappa*z), G = g0*y^gt*exp(kappa*z) with gt = -2*gamma",
-    (ParamSpec("gamma", 0.7, "nonzero"), ParamSpec("kappa", 0.8, "nonzero"),
-     ParamSpec("f0", 1.0, "nonzero"), ParamSpec("g0", 1.0, "nonzero")),
-    _s1b_build,
-    lambda p: [("defining", _lg(c2=p["gamma"], c5=1.0)),
-               ("extension", _lg(c4=2.0 * p["gamma"], c5=p["kappa"]))],
-    validate=lambda p: (_nonzero(p, "f0", "g0")
-                        or ("gamma must be nonzero" if abs(p["gamma"]) < _EPS else None)
-                        or ("kappa must be nonzero" if abs(p["kappa"]) < _EPS else None)),
-    draw=lambda rng: {"gamma": _pm(rng), "kappa": _pm(rng),
-                      "f0": _pm(rng), "g0": _pm(rng)},
-)
-
-
-def _s1c_build(p: dict) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    gt = (1.0 - 4.0 * p["gamma"]) / 2.0
-    S = y - z * z
-    F = (p["f0"] * sqrt(S) + 2.0 * p["g0"] * z) * S ** gt
-    return _sys(F, p["g0"] * S ** gt)
-
-
-_t3(
-    "T3.S1c",
-    ("F = (f0*sqrt(y-z^2) + 2*g0*z)*(y-z^2)^gt, G = g0*(y-z^2)^gt "
-     "with gt = (1-4*gamma)/2; sampled on y > z^2"),
-    (ParamSpec("gamma", 0.9, "away from 1/4"),
-     ParamSpec("f0", 1.0, "nonzero"), ParamSpec("g0", 1.0, "nonzero")),
-    _s1c_build,
-    lambda p: [("defining", _lg(c2=p["gamma"], c5=1.0, c6=0.5)),
-               ("extension", _lg(c4=1.0, c7=2.0))],
-    validate=lambda p: (_nonzero(p, "f0", "g0")
-                        or ("gamma must stay away from 1/4"
-                            if abs(p["gamma"] - 0.25) < _EPS else None)),
-    draw=lambda rng: {"gamma": _draw_away(rng, (0.25,), 0.15),
-                      "f0": _pm(rng), "g0": _pm(rng)},
-    domain=lambda p, n, seed: _box(n, seed, y=(1.1, 3.0), z=(0.2, 0.9)),
-)
-
-
-def _s1d_build(p: dict) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    gt = (p["kappa"] + 1.0 - 4.0 * p["gamma"]) / 2.0
-    F = p["f0"] * z ** (-(p["kappa"] + 1.0)) * y ** (gt + 1.0)
-    G = p["g0"] * z ** (-p["kappa"]) * y ** gt
-    return _sys(F, G)
-
-
-def _s1d_check(p: dict) -> Optional[str]:
-    bad = _nonzero(p, "f0", "g0")
-    if bad:
-        return bad
-    if abs(p["kappa"] + 1.0) < _EPS:
-        return "kappa must differ from -1"
-    if abs(p["kappa"] + 1.0 - 4.0 * p["gamma"]) < 2.0 * _EPS:
-        return "kappa + 1 - 4*gamma must be nonzero"
-    return None
-
-
-def _s1d_draw(rng: np.random.Generator) -> dict[str, float]:
-    while True:
-        kappa = float(rng.uniform(0.3, 1.3))
-        gamma = _pm(rng)
-        if abs(kappa + 1.0 - 4.0 * gamma) >= 0.2:
-            return {"kappa": kappa, "gamma": gamma,
-                    "f0": _pm(rng), "g0": _pm(rng)}
-
-
-_t3(
-    "T3.S1d",
-    ("F = f0*z^-(kappa+1)*y^(gt+1), G = g0*z^-kappa*y^gt "
-     "with gt = (kappa+1-4*gamma)/2"),
-    (ParamSpec("gamma", 0.9), ParamSpec("kappa", 0.8, "away from -1"),
-     ParamSpec("f0", 1.0, "nonzero"), ParamSpec("g0", 1.0, "nonzero")),
-    _s1d_build,
-    lambda p: [("defining", _lg(c2=p["gamma"], c5=1.0, c6=0.5)),
-               ("extension", _lg(c2=p["kappa"] + 1.0, c6=2.0))],
-    validate=_s1d_check,
-    draw=_s1d_draw,
-)
-
-
-def _s1e_kappa(p: dict, branch: int) -> float:
-    if branch == 3:
-        return p["lam"] * p["lam"] / 4.0
-    return p["kappa"]
-
-
-def _s1e_build(branch: int):
-    def build(p: dict) -> OdeSystem:
-        y, z = sym("y"), sym("z")
-        a, g, mu, lam = p["alpha"], p["gamma"], p["mu"], p["lam"]
-        kap = _s1e_kappa(p, branch)
-        Q = z * z + lam * y * z + kap * y * y
-        if branch == 1:
-            pe = math.sqrt(4.0 * kap - lam * lam)
-            psi = exp(((2.0 * lam * g - 4.0 * mu) / pe)
-                      * atan((lam * z + 2.0 * kap * y) / (pe * z)))
-        elif branch == 2:
-            pe = math.sqrt(lam * lam - 4.0 * kap)
-            base = ((2.0 * kap * y + (lam + pe) * z)
-                    / (2.0 * kap * y + (lam - pe) * z))
-            psi = base ** ((2.0 * mu - lam * g) / pe)
-        else:
-            psi = exp(-4.0 * (mu * y + g * z) / (lam * y + 2.0 * z))
-        core = Q ** (-g) * psi
-        F = p["f0"] * (z - a * y) * core
-        G = -p["f0"] * (kap * y + (lam + a) * z) * core
-        return _sys(F, G)
-    return build
-
-
-def _s1e_gens(branch: int):
-    def gens(p: dict) -> list:
-        g, mu = p["gamma"], p["mu"]
-        kap = _s1e_kappa(p, branch)
-        return [("defining", _lg(c2=g, c5=1.0, c6=1.0)),
-                ("extension", _lg(c5=p["lam"] * g - mu, c6=-mu,
-                                  c7=g, c8=-kap * g))]
-    return gens
-
-
-def _s1e_check(branch: int):
-    def check(p: dict) -> Optional[str]:
-        bad = _nonzero(p, "f0")
-        if bad:
-            return bad
-        if abs(p["alpha"]) < _EPS:
-            return "alpha must be nonzero"
-        lam = p["lam"]
-        if branch == 1:
-            if 4.0 * p["kappa"] - lam * lam < 0.01:
-                return "needs 4*kappa - lam^2 > 0 (complex-root quadratic)"
-        elif branch == 2:
-            if lam < _EPS or p["kappa"] < _EPS:
-                return "needs lam > 0 and kappa > 0 so the quadratic stays positive"
-            if lam * lam - 4.0 * p["kappa"] < 0.01:
-                return "needs lam^2 - 4*kappa > 0 (real-root quadratic)"
-        else:
-            if lam < _EPS:
-                return "needs lam > 0 so lam*y + 2*z stays positive"
-        return None
-    return check
-
-
-def _s1e_draw(branch: int):
-    def draw(rng: np.random.Generator) -> dict[str, float]:
-        common = {"gamma": _pm(rng), "alpha": _pm(rng),
-                  "mu": float(rng.uniform(-1.0, 1.0)), "f0": _pm(rng)}
-        if branch == 1:
-            lam = _pm(rng)
-            pe = float(rng.uniform(1.5, 2.5))
-            return {**common, "lam": lam, "kappa": (lam * lam + pe * pe) / 4.0}
-        if branch == 2:
-            lam = float(rng.uniform(2.0, 3.0))
-            t = float(rng.uniform(0.4, 0.8))
-            return {**common, "lam": lam, "kappa": lam * lam * (1.0 - t * t) / 4.0}
-        return {**common, "lam": float(rng.uniform(0.5, 1.5))}
-    return draw
-
-
-_S1E_COMMON = (
-    "F = f0*(z - alpha*y)*Q^-gamma*psi, "
-    "G = -f0*(kappa*y + (lam+alpha)*z)*Q^-gamma*psi "
-    "with Q = z^2 + lam*y*z + kappa*y^2")
-
-for _branch, _psi_text, _extra in (
-        (1, "psi = exp(((2*lam*gamma-4*mu)/p)*atan((lam*z+2*kappa*y)/(p*z))), "
-            "p^2 = 4*kappa - lam^2", (ParamSpec("lam", 1.0),
-                                      ParamSpec("kappa", 1.25, "4*kappa > lam^2"))),
-        (2, "psi = ((2*kappa*y+(lam+p)*z)/(2*kappa*y+(lam-p)*z))^((2*mu-lam*gamma)/p), "
-            "p^2 = lam^2 - 4*kappa", (ParamSpec("lam", 3.0, "positive"),
-                                      ParamSpec("kappa", 1.0, "positive, lam^2 > 4*kappa"))),
-        (3, "psi = exp(-4*(mu*y+gamma*z)/(lam*y+2*z)), kappa = lam^2/4",
-            (ParamSpec("lam", 2.0, "positive"),
-             ParamSpec("kappa", 1.0, "lam^2/4", derived=True)))):
-    _t3(
-        f"T3.S1e{_branch}",
-        _S1E_COMMON + "; " + _psi_text,
-        (ParamSpec("gamma", 0.6), ParamSpec("alpha", 0.7, "nonzero"),
-         ParamSpec("mu", 0.4), ParamSpec("f0", 1.0, "nonzero")) + _extra,
-        _s1e_build(_branch),
-        _s1e_gens(_branch),
-        validate=_s1e_check(_branch),
-        draw=_s1e_draw(_branch),
-    )
-
-
-def _s1f_build(p: dict) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    w = y / (y + z)
-    damp = y ** (1.0 - 2.0 * p["gamma"])
-    F = p["f0"] * w ** p["kappa"] * damp
-    G = (const(p["g0"]) - p["f0"] * w) * w ** (p["kappa"] - 1.0) * damp
-    return _sys(F, G)
-
-
-_t3(
-    "T3.S1f",
-    ("F = f0*w^kappa*y^(1-2*gamma), G = (g0 - f0*w)*w^(kappa-1)*y^(1-2*gamma) "
-     "with w = y/(y+z)"),
-    (ParamSpec("gamma", 0.7, "nonzero"), ParamSpec("kappa", 0.8, "nonzero"),
-     ParamSpec("f0", 1.0, "nonzero"), ParamSpec("g0", 1.0, "nonzero")),
-    _s1f_build,
-    lambda p: [("defining", _lg(c2=p["gamma"], c5=1.0, c6=1.0)),
-               ("extension", _lg(c2=p["kappa"], c6=2.0, c8=2.0))],
-    validate=lambda p: (_nonzero(p, "f0", "g0")
-                        or ("gamma must be nonzero" if abs(p["gamma"]) < _EPS else None)
-                        or ("kappa must be nonzero" if abs(p["kappa"]) < _EPS else None)),
-    draw=lambda rng: {"gamma": _pm(rng), "kappa": _pm(rng),
-                      "f0": _pm(rng), "g0": _pm(rng)},
-)
-
-
-def _s1g_build(p: dict) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    gt = p["alpha"] * p["kappa"] - 2.0 * p["gamma"]
-    F = p["f0"] * z ** (-p["kappa"]) * y ** (gt + 1.0)
-    G = p["g0"] * z ** (1.0 - p["kappa"]) * y ** gt
-    return _sys(F, G)
-
-
-_t3(
-    "T3.S1g",
-    ("F = f0*z^-kappa*y^(gt+1), G = g0*z^(1-kappa)*y^gt "
-     "with gt = alpha*kappa - 2*gamma"),
-    (ParamSpec("gamma", 0.7), ParamSpec("alpha", -0.7, "not in {0, 1/2, 1}"),
-     ParamSpec("kappa", 0.8, "nonzero"),
-     ParamSpec("f0", 1.0, "nonzero"), ParamSpec("g0", 1.0, "nonzero")),
-    _s1g_build,
-    lambda p: [("defining", _lg(c2=p["gamma"], c5=1.0, c6=p["alpha"])),
-               ("extension", _lg(c2=p["kappa"], c6=2.0))],
-    validate=lambda p: (_nonzero(p, "f0", "g0")
-                        or ("kappa must be nonzero" if abs(p["kappa"]) < _EPS else None)
-                        or ("alpha must avoid 0, 1/2 and 1"
-                            if min(abs(p["alpha"]), abs(p["alpha"] - 0.5),
-                                   abs(p["alpha"] - 1.0)) < _EPS else None)),
-    draw=lambda rng: {"gamma": _pm(rng), "alpha": float(rng.uniform(-1.3, -0.3)),
-                      "kappa": _pm(rng), "f0": _pm(rng), "g0": _pm(rng)},
-)
-
-
-def _s2_build(p: dict) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    core = exp(-p["alpha"] * z)
-    F = p["f0"] * y ** (p["kappa"] + 1.0) * core
-    G = p["g0"] * y ** p["kappa"] * core
-    return _sys(F, G)
-
-
-_t3(
-    "T3.S2",
-    ("F = f0*y^(kappa+1)*exp(-alpha*z), G = g0*y^kappa*exp(-alpha*z); "
-     "the defining generator uses gamma = (alpha-kappa)/2"),
-    (ParamSpec("alpha", 0.9, "nonzero"), ParamSpec("kappa", 0.7, "nonzero"),
-     ParamSpec("f0", 1.0, "nonzero"), ParamSpec("g0", 1.0, "nonzero"),
-     ParamSpec("gamma", 0.1, "(alpha-kappa)/2", derived=True)),
-    _s2_build,
-    lambda p: [("defining", _lg(c2=(p["alpha"] - p["kappa"]) / 2.0, c4=1.0, c5=1.0)),
-               ("extension", _lg(c4=p["kappa"], c5=p["alpha"]))],
-    validate=lambda p: (_nonzero(p, "f0", "g0")
-                        or ("alpha and kappa must both be nonzero"
-                            if min(abs(p["alpha"]), abs(p["kappa"])) < _EPS else None)),
-    draw=lambda rng: {"alpha": _pm(rng), "kappa": _pm(rng),
-                      "f0": _pm(rng), "g0": _pm(rng)},
-)
-
-
-def _polar_pair(p: dict, u: Expr, vpow: Expr) -> tuple[Expr, Expr]:
-    F = (p["f0"] * cos(u) + p["g0"] * sin(u)) * vpow
-    G = (p["f0"] * sin(u) - p["g0"] * cos(u)) * vpow
-    return F, G
-
-
-def _s3a_build(p: dict) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    u = atan2(z, y)
-    vpow = (y * y + z * z) ** (p["kappa"] / 2.0)
-    return _sys(*_polar_pair(p, u, vpow))
-
-
-_t3(
-    "T3.S3a",
-    ("F = (f0*cos(u)+g0*sin(u))*v^kappa, G = (f0*sin(u)-g0*cos(u))*v^kappa "
-     "with u = atan2(z,y), v = sqrt(y^2+z^2)"),
-    (ParamSpec("kappa", 0.8),
-     ParamSpec("f0", 1.0, "nonzero"), ParamSpec("g0", 1.0, "nonzero")),
-    _s3a_build,
-    lambda p: [("defining", _lg(c7=-1.0, c8=1.0)),
-               ("extension", _lg(c2=(1.0 - p["kappa"]) / 2.0, c5=1.0, c6=1.0))],
-    validate=lambda p: _nonzero(p, "f0", "g0"),
-    draw=lambda rng: {"kappa": _pm(rng), "f0": _pm(rng), "g0": _pm(rng)},
-)
-
-
-def _s3b_build(p: dict) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    gt = -2.0 * p["gamma"]
-    u = atan2(z, y)
-    vpow = (y * y + z * z) ** ((-gt * p["kappa"] - 3.0) / 2.0)
-    F, G = _polar_pair(p, u, vpow)
-    damp = exp(gt * u)
-    return _sys(damp * F, damp * G)
-
-
-_t3(
-    "T3.S3b",
-    ("F = exp(gt*u)*(f0*cos(u)+g0*sin(u))*v^(-gt*kappa-3), G likewise with "
-     "(f0*sin(u)-g0*cos(u)); u = atan2(z,y), v = sqrt(y^2+z^2), gt = -2*gamma"),
-    (ParamSpec("gamma", 0.7, "nonzero"), ParamSpec("kappa", 0.8),
-     ParamSpec("f0", 1.0, "nonzero"), ParamSpec("g0", 1.0, "nonzero")),
-    _s3b_build,
-    lambda p: [("defining", _lg(c2=p["gamma"], c7=-1.0, c8=1.0)),
-               ("extension", _lg(c2=2.0, c5=1.0, c6=1.0,
-                                 c7=-p["kappa"], c8=p["kappa"]))],
-    validate=lambda p: (_nonzero(p, "f0", "g0")
-                        or ("gamma must be nonzero" if abs(p["gamma"]) < _EPS else None)),
-    draw=lambda rng: {"gamma": _pm(rng), "kappa": _pm(rng),
-                      "f0": _pm(rng), "g0": _pm(rng)},
-)
-
-
-def _s4_build(s: int):
-    def build(p: dict) -> OdeSystem:
-        y, z = sym("y"), sym("z")
-        a, g = p["alpha"], p["gamma"]
-        c1, c2 = _chi(a) if s else (0.0, 0.0)
-        Y = y - s * c1
-        Z = z + s * c2
-        u = atan2(Z, Y)
-        v = exp(-a * u) * sqrt(Y * Y + Z * Z)
-        damp = exp((a - 2.0 * g) * u)
-        F, G = _polar_pair(p, u, v ** p["kappa"])
-        return _sys(damp * F, damp * G)
-    return build
-
-
-def _s4_gens(s: int):
-    def gens(p: dict) -> list:
-        a = p["alpha"]
-        c1, c2 = _chi(a) if s else (0.0, 0.0)
-        return [("defining", _lg(c2=p["gamma"], c3=-float(s),
-                                 c5=a, c6=a, c7=-1.0, c8=1.0)),
-                ("extension", _lg(c2=(1.0 - p["kappa"]) / 2.0,
-                                  c3=-s * c1, c4=s * c2, c5=1.0, c6=1.0))]
-    return gens
-
-
-def _s4_domain(s: int):
-    def domain(p: dict, n: int, seed: int) -> SamplingDomain:
-        if s != 1:
-            return _box(n, seed)
-        c1, _ = _chi(p["alpha"])
-        return _box(n, seed, y=(0.2 + c1, 3.0 + c1))
-    return domain
-
-
-for _branch, _s, _shift_text in ((("a", 1, "center shifted by (+chi1, -chi2)")),
-                                 (("b", -1, "center shifted by (-chi1, +chi2)")),
-                                 (("c", 0, "center at the origin"))):
-    _t3(
-        f"T3.S4{_branch}",
-        ("spiral pair F = exp((alpha-2*gamma)*u)*(f0*cos(u)+g0*sin(u))*v^kappa, "
-         "G likewise with (f0*sin(u)-g0*cos(u)); " + _shift_text),
-        (ParamSpec("gamma", 0.6), ParamSpec("alpha", 0.8, "positive"),
-         ParamSpec("kappa", 0.7),
-         ParamSpec("f0", 1.0, "nonzero"), ParamSpec("g0", 1.0, "nonzero")),
-        _s4_build(_s),
-        _s4_gens(_s),
-        validate=lambda p: (_nonzero(p, "f0", "g0")
-                            or ("alpha must be positive" if p["alpha"] < _EPS else None)),
-        draw=lambda rng: {"gamma": _pm(rng), "alpha": float(rng.uniform(0.3, 1.3)),
-                          "kappa": _pm(rng), "f0": _pm(rng), "g0": _pm(rng)},
-        domain=_s4_domain(_s),
-    )
-
-
-def _s5a_build(p: dict) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    gt = 2.0 * p["gamma"]
-    core = exp(-y / z)
-    F = p["g0"] * z ** (p["beta"] - 1.0) * core * (y + p["kappa"] * gt * z)
-    G = p["g0"] * z ** p["beta"] * core
-    return _sys(F, G)
-
-
-_t3(
-    "T3.S5a",
-    ("F = g0*z^(beta-1)*exp(-y/z)*(y + kappa*gt*z), G = g0*z^beta*exp(-y/z) "
-     "with gt = 2*gamma"),
-    (ParamSpec("gamma", 0.5, "fixed at 1/2 (see notes)"),
-     ParamSpec("beta", 0.8), ParamSpec("kappa", 1.0),
-     ParamSpec("g0", 1.0, "nonzero")),
-    _s5a_build,
-    lambda p: [("defining", _lg(c2=p["gamma"], c7=1.0)),
-               ("extension", _lg(c5=1.0, c6=2.0 * p["gamma"],
-                                 c7=p["beta"] - 1.0))],
-    validate=lambda p: (_nonzero(p, "g0")
-                        or ("admitted only on the gamma = 1/2 subfamily; "
-                            "leave gamma at its default"
-                            if abs(p["gamma"] - 0.5) > 1e-9 else None)),
-    draw=lambda rng: {"beta": _pm(rng), "kappa": _pm(rng), "g0": _pm(rng)},
-    notes=("valid on a parameter subfamily: the listed generator pair is "
-           "admitted only at gamma = 1/2 (for any beta and kappa), so gamma "
-           "is pinned there"),
-)
-
-
-def _s5b_build(p: dict) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    u = z * z - 2.0 * y
-    core = exp(p["beta"] * u - 2.0 * p["gamma"] * z)
-    return _sys((p["g0"] * z + p["f0"]) * core, p["g0"] * core)
-
-
-_t3(
-    "T3.S5b",
-    ("F = (g0*z + f0)*exp(beta*u - 2*gamma*z), G = g0*exp(beta*u - 2*gamma*z) "
-     "with u = z^2 - 2*y"),
-    (ParamSpec("gamma", 0.7), ParamSpec("beta", 0.8, "nonzero"),
-     ParamSpec("f0", 1.0, "nonzero"), ParamSpec("g0", 1.0, "nonzero")),
-    _s5b_build,
-    lambda p: [("defining", _lg(c2=p["gamma"], c4=1.0, c7=1.0)),
-               ("extension", _lg(c2=p["beta"], c3=1.0))],
-    validate=lambda p: (_nonzero(p, "f0", "g0")
-                        or ("beta must be nonzero" if abs(p["beta"]) < _EPS else None)),
-    draw=lambda rng: {"gamma": _pm(rng), "beta": _pm(rng),
-                      "f0": _pm(rng), "g0": _pm(rng)},
-)
-
-
-def _s5c_build(p: dict) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    S = p["beta"] + z * z - 2.0 * y
-    F = (p["g0"] * z + p["f0"] * sqrt(S)) * S ** p["kappa"]
-    return _sys(F, p["g0"] * S ** p["kappa"])
-
-
-_t3(
-    "T3.S5c",
-    ("F = (g0*z + f0*sqrt(S))*S^kappa, G = g0*S^kappa with "
-     "S = beta + z^2 - 2*y; sampled where S > 0"),
-    (ParamSpec("kappa", 0.8, "nonzero"), ParamSpec("beta", 0.5, "> -0.9"),
-     ParamSpec("f0", 1.0, "nonzero"), ParamSpec("g0", 1.0, "nonzero")),
-    _s5c_build,
-    lambda p: [("defining", _lg(c4=1.0, c7=1.0)),
-               ("extension", _lg(c2=1.0 - 2.0 * p["kappa"], c3=-2.0 * p["beta"],
-                                 c5=4.0, c6=2.0))],
-    validate=lambda p: (_nonzero(p, "f0", "g0")
-                        or ("kappa must be nonzero" if abs(p["kappa"]) < _EPS else None)
-                        or ("beta must exceed -0.9 so S stays positive on the "
-                            "sample box" if p["beta"] < -0.9 else None)),
-    draw=lambda rng: {"kappa": _pm(rng), "beta": float(rng.uniform(0.3, 1.3)),
-                      "f0": _pm(rng), "g0": _pm(rng)},
-    domain=lambda p, n, seed: _box(n, seed, y=(0.2, 1.0), z=(1.8, 3.0)),
-)
-
-
-def _s6_build(p: dict) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    gt = 2.0 * p["gamma"] + p["kappa"] - 1.0
-    core = exp(-gt * (y / z))
-    F = (p["g0"] * y + p["f0"] * z) * z ** (p["kappa"] - 1.0) * core
-    return _sys(F, p["g0"] * z ** p["kappa"] * core)
-
-
-def _s6_draw(rng: np.random.Generator) -> dict[str, float]:
-    while True:
-        gamma, kappa = _pm(rng), _pm(rng)
-        if abs(2.0 * gamma + kappa - 1.0) >= 0.2:
-            return {"gamma": gamma, "kappa": kappa,
-                    "f0": _pm(rng), "g0": _pm(rng)}
-
-
-_t3(
-    "T3.S6",
-    ("F = (g0*y + f0*z)*z^(kappa-1)*exp(-gt*y/z), G = g0*z^kappa*exp(-gt*y/z) "
-     "with gt = 2*gamma + kappa - 1"),
-    (ParamSpec("gamma", 0.7), ParamSpec("kappa", 0.8),
-     ParamSpec("f0", 1.0, "nonzero"), ParamSpec("g0", 1.0, "nonzero")),
-    _s6_build,
-    lambda p: [("defining", _lg(c2=p["gamma"], c5=1.0, c6=1.0, c7=1.0)),
-               ("extension", _lg(c2=p["kappa"] - 1.0, c5=-2.0, c6=-2.0))],
-    validate=lambda p: (_nonzero(p, "f0", "g0")
-                        or ("2*gamma + kappa - 1 must be nonzero"
-                            if abs(2.0 * p["gamma"] + p["kappa"] - 1.0) < _EPS
-                            else None)),
-    draw=_s6_draw,
-)
-
-
-def _s7a_build(p: dict) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    gt = 2.0 * p["gamma"]
-    f0 = p["g0"] / gt
-    core = exp(p["kappa"] * z - gt * y)
-    F = f0 * z ** (p["beta"] - 1.0) * core * (p["kappa"] * z + gt * p["phi1"])
-    G = p["g0"] * z ** p["beta"] * core
-    return _sys(F, G)
-
-
-_t3(
-    "T3.S7a",
-    ("F = f0*z^(beta-1)*exp(kappa*z - gt*y)*(kappa*z + gt*phi1), "
-     "G = g0*z^beta*exp(kappa*z - gt*y) with gt = 2*gamma and f0 = g0/gt"),
-    (ParamSpec("gamma", 0.7, "nonzero"), ParamSpec("beta", 0.8),
-     ParamSpec("kappa", 0.6), ParamSpec("phi1", 0.5),
-     ParamSpec("g0", 1.0, "nonzero"),
-     ParamSpec("f0", 1.0 / 1.4, "g0/(2*gamma)", derived=True)),
-    _s7a_build,
-    lambda p: [("defining", _lg(c2=p["gamma"], c3=1.0)),
-               ("extension", _lg(c3=p["beta"] - 1.0, c6=2.0 * p["gamma"],
-                                 c7=p["kappa"]))],
-    validate=lambda p: (_nonzero(p, "g0")
-                        or ("gamma must be nonzero" if abs(p["gamma"]) < _EPS else None)),
-    draw=lambda rng: {"gamma": _pm(rng), "beta": _pm(rng), "kappa": _pm(rng),
-                      "phi1": float(rng.uniform(-1.0, 1.0)), "g0": _pm(rng)},
-)
-
-
-def _s7b_build(p: dict) -> OdeSystem:
-    y, z = sym("y"), sym("z")
-    gt = 2.0 * p["gamma"]
-    kap = gt * p["phi0"] / 2.0
-    core = exp(p["beta"] * z + kap * z * z - gt * y)
-    return _sys(p["g0"] * core * (p["phi0"] * z + p["phi1"]), p["g0"] * core)
-
-
-_t3(
-    "T3.S7b",
-    ("F = g0*exp(beta*z + kappa*z^2 - gt*y)*(phi0*z + phi1), "
-     "G = g0*exp(beta*z + kappa*z^2 - gt*y) with gt = 2*gamma and "
-     "kappa = gt*phi0/2"),
-    (ParamSpec("gamma", 0.7, "nonzero"), ParamSpec("beta", 0.8),
-     ParamSpec("phi0", 0.9, "nonzero"), ParamSpec("phi1", 0.5),
-     ParamSpec("g0", 1.0, "nonzero"),
-     ParamSpec("kappa", 0.63, "gamma*phi0", derived=True)),
-    _s7b_build,
-    lambda p: [("defining", _lg(c2=p["gamma"], c3=1.0)),
-               ("extension", _lg(c3=p["beta"], c4=2.0 * p["gamma"],
-                                 c7=2.0 * p["gamma"] * p["phi0"]))],
-    validate=lambda p: (_nonzero(p, "g0")
-                        or ("gamma must be nonzero" if abs(p["gamma"]) < _EPS else None)
-                        or ("phi0 must be nonzero" if abs(p["phi0"]) < _EPS else None)),
-    draw=lambda rng: {"gamma": _pm(rng), "beta": _pm(rng), "phi0": _pm(rng),
-                      "phi1": float(rng.uniform(-1.0, 1.0)), "g0": _pm(rng)},
-)
-
-
-def _draw_away(rng: np.random.Generator, avoid: tuple[float, ...],
-               margin: float, lo: float = 0.3, hi: float = 1.3) -> float:
-    """A signed draw keeping at least ``margin`` from every value in ``avoid``."""
-    while True:
-        v = _pm(rng, lo, hi)
-        if all(abs(v - a) >= margin for a in avoid):
-            return v
 
 
 # ---------------------------------------------------------------------------
@@ -1376,4 +945,4 @@ def general_solution_system(a: float, b: float, c: float, f, g) -> OdeSystem:
     v = z / y
     F = const(b / 3.0) + (a / 4.0) * y + y ** (-3.0) * substitute(fe, {"u": v})
     G = const(c / 3.0) + (a / 4.0) * z + z ** (-3.0) * substitute(ge, {"u": v})
-    return _sys(F, G)
+    return OdeSystem(fold_constants(F), fold_constants(G))

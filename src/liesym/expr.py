@@ -52,7 +52,7 @@ __all__ = [
     "const", "sym", "call", "sin", "cos", "exp", "ln", "sqrt", "atan", "atan2",
     "parse", "to_string", "evaluate", "differentiate", "fold_constants",
     "substitute", "free_symbols", "top_level_terms", "compile_evaluator",
-    "sample", "zero_report", "zero_report_at", "is_zero_numeric",
+    "sample", "zero_report", "zero_report_at",
 ]
 
 # Node kinds.
@@ -356,8 +356,9 @@ def parse(text: str) -> Expr:
     """Parse ``text`` into an expression tree.
 
     Raises :class:`ParseError` with a position on syntax errors, unknown
-    function names, and wrong call arities.  Operator precedence and nesting
-    are handled with explicit stacks, so deep input costs no Python frames.
+    function names, wrong call arities, and numbers beyond the float range.
+    Operator precedence and nesting are handled with explicit stacks, so
+    deep input costs no Python frames.
     """
     tokens = _tokenize(text)
     i = 0
@@ -379,6 +380,8 @@ def parse(text: str) -> Expr:
             groups.append(_Group(tok, pos))
             continue
         if kind == "num":
+            if not math.isfinite(float(tok)):
+                raise ParseError(f"number {tok!r} is out of the float range", pos)
             base = const(float(tok))
         elif kind == "name":
             base = sym(tok)
@@ -696,9 +699,11 @@ def _fold_node(e: Expr) -> Expr:
     args = tuple([_folded(a) for a in e.args])
     if all(a.kind == CONSTANT for a in args):
         try:
-            return const(_apply(k, e.value, [a.value for a in args]))
+            v = _apply(k, e.value, [a.value for a in args])
         except EvalError:
             return Expr(k, e.value, args)
+        # an overflow stays unfolded, so evaluation reports the written subtree
+        return const(v) if math.isfinite(v) else Expr(k, e.value, args)
     if k == SUM:
         a, b = args
         if _is_const(a, 0.0):
@@ -739,7 +744,8 @@ def fold_constants(e: Expr) -> Expr:
     identities ``0*e``, ``e*1``, ``e+0``, ``e^1``, ``e^0``, ``0/e``, ``e/1``,
     ``neg(neg(e))`` are dropped.  Idempotent; preserves values everywhere the
     input evaluates.  A constant subtree whose evaluation fails (say ``1/0``)
-    is kept as-is so the error still surfaces at evaluation time.  The result
+    or overflows (``1e308*10``) is kept as-is so the error still surfaces at
+    evaluation time, naming what the input wrote.  The result
     is cached on every node it visits.
     """
     for n in _postorder(e, lambda n: n._fold is not None):
@@ -1026,13 +1032,3 @@ def zero_report(e: Expr, dom: SamplingDomain, tol: float = 1e-9,
             f"expression has unbound symbols {sorted(extra)}; bind them via params or the domain")
     pts = sample(dom, params)
     return zero_report_at(ee, pts, tol)
-
-
-def is_zero_numeric(e: Expr, dom: SamplingDomain, tol: float = 1e-9,
-                    params: Mapping[str, float] | None = None) -> bool:
-    """Is ``e`` numerically zero on ``dom``?
-
-    The relative test of :func:`zero_report_at` on the points of ``dom``.
-    Raises :class:`EvalError` if ``e`` fails to evaluate at a sampled point.
-    """
-    return zero_report(e, dom, tol, params).ok

@@ -114,9 +114,10 @@ def reference_fold(e: Expr) -> Expr:
     args = tuple(reference_fold(a) for a in e.args)
     if all(a.kind == "constant" for a in args):
         try:
-            return _c(evaluate(Expr(k, e.value, args), {}))
+            v = evaluate(Expr(k, e.value, args), {})
         except EvalError:
             return Expr(k, e.value, args)
+        return _c(v) if math.isfinite(v) else Expr(k, e.value, args)
     a, b = args[0], args[-1]
     if k == "sum" and (_is(a, 0.0) or _is(b, 0.0)):
         return b if _is(a, 0.0) else a

@@ -167,13 +167,13 @@ def test_c03_kernel_extension_rows():
                 assert rep.passed, (entry_id, d, rep.worst())
         # rows parameterized implicitly sample their (u, v) boxes directly
         for entry_id in ("T2.3", "T2.4", "T2.5", "T2.6"):
-            assert get_entry(entry_id)._points is not None
+            assert get_entry(entry_id).pushforward is not None
         # the quarantined row: generator listed, residuals provably wrong
         entry = get_entry("T2.3")
         assert entry.quarantined
         p = entry.resolve()
-        system = entry._build(p)
-        ((_, gen),) = entry._generators(p)
+        system = entry.build(p)
+        ((_, gen),) = entry.labeled_generators(p)
         r1, r2 = residual_expressions(system, gen)
         pts = entry.sample_points(p, n=150, seed=1)
         assert zero_report_at(fold_constants(r1 + 2.0 * system.G), pts).ok
@@ -251,7 +251,7 @@ def test_c06_x_profile_basis():
         for kappa, a in ((-1.0, -4.0), (1.0, 4.0)):
             p = entry.resolve({"kappa": kappa})
             fam = [col(m) for m in xi_family(a)[1:]]
-            profile_gens = [g for lbl, g in entry._generators(p)
+            profile_gens = [g for lbl, g in entry.labeled_generators(p)
                             if lbl != "shear-action"]
             assert len(profile_gens) == 2
             for g in profile_gens:
@@ -388,7 +388,7 @@ def test_c11_residual_route_equality():
 def _control_rejected(entry_id: str, gen, seed: int):
     entry = get_entry(entry_id)
     p = entry.resolve()
-    system = entry._build(p)
+    system = entry.build(p)
     pts = entry.sample_points(p, n=120, seed=seed)
     worst, witness = 0.0, None
     for r in residual_expressions(system, gen):
@@ -424,7 +424,7 @@ def test_c12_negative_controls():
         for entry_id, slot in bumps.items():
             entry = get_entry(entry_id)
             p = entry.resolve()
-            label, gen = entry._generators(p)[-1]
+            label, gen = entry.labeled_generators(p)[-1]
             c = list(gen.to_coefficients())
             c[slot] += 0.1
             worst, witness = _control_rejected(

@@ -26,6 +26,8 @@ from liesym.expr import (
     differentiate,
     evaluate,
     fold_constants,
+    free_symbols,
+    parse,
     sym,
     substitute,
     zero_report_at,
@@ -70,7 +72,7 @@ def transformed_worst(entry_id, P: Mat2, params=None, n=150, seed=0) -> float:
     whole picture (system, generators, sample points) by P."""
     e = get_entry(entry_id)
     p = e.resolve(params)
-    new_sys = linear_change(e._build(p), P)
+    new_sys = linear_change(e.build(p), P)
     pts = e.sample_points(p, n=n, seed=seed)
     arr = P.to_array()
     new_pts = {
@@ -81,7 +83,7 @@ def transformed_worst(entry_id, P: Mat2, params=None, n=150, seed=0) -> float:
         "zp": arr[1, 0] * pts["yp"] + arr[1, 1] * pts["zp"],
     }
     worst = 0.0
-    for _, g in [("kernel", basis_generator(1))] + e._generators(p):
+    for _, g in [("kernel", basis_generator(1))] + e.labeled_generators(p):
         tg = pushforward_generator(g, P)
         for r in residual_expressions(new_sys, tg):
             worst = max(worst, zero_report_at(r, new_pts).max_ratio)
@@ -140,6 +142,65 @@ class TestRegistry:
         system, gens = instantiate("T3.S2")
         assert system.is_autonomous
         assert gens and all(type(g) is Generator for g in gens)
+
+
+def _names(text: str) -> set:
+    return set(free_symbols(parse(text)))
+
+
+def _flat_draws(specs):
+    """Each draw spec, the specs inside a ``retry`` included."""
+    for spec in specs:
+        yield spec
+        if spec[1] == "retry":
+            yield from _flat_draws(spec[3])
+
+
+class TestTable:
+    """Each row is data; its formulas, generators, checks and draws must fit
+    its own parameter schema."""
+
+    @pytest.mark.parametrize("entry_id", ALL_IDS)
+    def test_row_is_consistent(self, entry_id):
+        e = get_entry(entry_id)
+        free = set(e.defaults())
+        declared = free | set(e.derived)
+        assert {s.name for s in e.params if s.derived} <= set(e.derived)
+        known = set(free)
+        for name, text in e.derived.items():  # each from the names before it
+            assert _names(text) <= known, (name, text)
+            known.add(name)
+        used = set().union(*map(_names, e.derived.values()))
+        for text in (e.F, e.G):
+            assert _names(text) <= {"y", "z"} | declared, text
+            used |= _names(text)
+        for label, coefficients in e.generators:
+            formulas = coefficients.split(",")
+            assert len(formulas) == 8, label
+            for text in formulas:
+                assert _names(text) <= declared, (label, text)
+                used |= _names(text)
+        if e.profiles is not None:
+            used.add("kappa")
+            for kappa, pairs in e.profiles.items():
+                assert all(_names(xi) <= {"x"} for _, xi in pairs), kappa
+        for bounds in e.box.values():
+            assert all(_names(b) <= declared for b in bounds if isinstance(b, str))
+        assert free <= used, f"unused parameters {free - used}"
+        for kind, *args in e.checks:
+            names = set(args) if kind == "nonzero" else _names(args[0]) if args else set()
+            assert names <= free, (kind, args)
+        drawn, read = set(), set()
+        for name, kind, *args in _flat_draws(e.draws):
+            if kind == "retry":
+                read |= _names(name)
+                continue
+            drawn.add(name)
+            if kind == "=":
+                read |= _names(args[0])
+        assert drawn - free <= read, f"drawn but unused {drawn - free - read}"
+        for seed in range(10):
+            assert set(draw_params(entry_id, seed)) == free
 
 
 class TestVerifyDefaults:
@@ -267,7 +328,7 @@ class TestT2:
     def test_extension_normalizes_to_declared_family(self, entry_id):
         e = get_entry(entry_id)
         for rng_seed in (0, 1):
-            p = e.resolve(e._draw(np.random.default_rng(rng_seed)))
+            p = e.draw(np.random.default_rng(rng_seed))
             ((_, g),) = e.labeled_generators(p)
             res = normalize_L8(AlgebraElement.from_coeffs(g.to_coefficients()))
             assert res.family == e.l8_family, (entry_id, res.family)
@@ -365,13 +426,13 @@ class TestXiFamily:
         for kappa, a in ((-1.0, -4.0), (1.0, 4.0)):
             p = entry.resolve({"kappa": kappa})
             fam = [col(m) for m in xi_family(a)[1:]]
-            for lbl, g in entry._generators(p):
+            for lbl, g in entry.labeled_generators(p):
                 if lbl == "shear-action":
                     continue
                 assert any(np.max(np.abs(col(g.xi) - f)) < 1e-12 for f in fam), lbl
         # kappa = 0: the d/dx coefficients 2x and x^2 span the same space as
         # the polynomial members x and x^2
-        gens = dict(entry._generators(entry.resolve({"kappa": 0.0})))
+        gens = dict(entry.labeled_generators(entry.resolve({"kappa": 0.0})))
         assert np.allclose(col(gens["dilation"].xi), 2.0 * xs)
         assert np.allclose(col(gens["projective"].xi), xs ** 2)
 

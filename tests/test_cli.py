@@ -260,6 +260,22 @@ class TestCheck:
         assert err.startswith("liesym: error: non-finite value in 'ln(y - 1)' near {")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("rhs, message", [
+        ("1e400 * y", "number '1e400' is out of the float range (at position 0)"),
+        ("(1e400 - 1e400) * y", "number '1e400' is out of the float range (at position 1)"),
+        # the overflowing product stays as written, and the error names it
+        ("1e308 * 10 * y", "non-finite value in '1e+308 * 10' near {"),
+    ])
+    def test_out_of_range_numbers_are_reported(self, capsys, sysfile, clean_seed_env,
+                                               rhs, message):
+        s = sysfile({"F": rhs, "G": "z"})
+        g = sysfile({"xi": "x/2", "eta1": "y", "eta2": "z"}, "gen.json")
+        code, out, err = run(capsys, "check", s, g)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("liesym: error:") and message in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("n", [500, 5000])
     def test_long_sum_gets_a_verdict(self, capsys, sysfile, clean_seed_env, n):
         # degree-0 homogeneous F = G, so the scaling field (x/2, y, z) is

@@ -18,7 +18,7 @@ import liesym.expr as ex
 from liesym.expr import (
     EvalError, ParseError, SamplingDomain, SamplingError,
     compile_evaluator, differentiate, evaluate, fold_constants, free_symbols,
-    is_zero_numeric, parse, sample, substitute, to_string, top_level_terms,
+    parse, sample, substitute, to_string, top_level_terms,
     zero_report,
 )
 
@@ -145,6 +145,27 @@ def test_parse_errors(bad):
     with pytest.raises(ParseError) as err:
         parse(bad)
     assert err.value.pos >= 0
+
+
+def test_parse_rejects_numbers_beyond_float_range():
+    # a literal that overflows to inf (or makes a nan) is a ParseError at its
+    # position, not a constant that cannot be printed
+    for text, pos in (("1e400 * y", 0), ("(1e400 - 1e400) * y", 1), ("y - 2e999", 4)):
+        with pytest.raises(ParseError, match="out of the float range") as err:
+            parse(text)
+        assert err.value.pos == pos
+    assert parse("1.7e308 * y").args[0].value == 1.7e308
+
+
+def test_fold_keeps_an_overflowing_subtree():
+    # folding 1e308 * 10 would make an inf constant that prints as a symbol;
+    # the subtree stays as written, prints and parses back to the same node
+    e = parse("1e308 * 10 * y")
+    folded = fold_constants(e)
+    assert folded is e
+    assert parse(to_string(folded)) is e
+    with pytest.raises(EvalError, match=re.escape("non-finite value in '1e+308 * 10'")):
+        compile_evaluator(folded, ("y",))(np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +568,7 @@ def test_sampling_insufficient_raises():
 
 def test_is_zero_numeric_trig_identity():
     dom = SamplingDomain(intervals={"y": (-3.0, 3.0)}, n=200, seed=1)
-    assert is_zero_numeric(parse("sin(y)^2 + cos(y)^2 - 1"), dom, tol=1e-9)
+    assert zero_report(parse("sin(y)^2 + cos(y)^2 - 1"), dom, tol=1e-9).ok
 
 
 def test_is_zero_numeric_relative_to_cancellation_scale():
@@ -555,7 +576,7 @@ def test_is_zero_numeric_relative_to_cancellation_scale():
     # relative to the 1e8-sized terms, so it passes.
     dom = SamplingDomain(intervals={"y": (0.2, 3.0)}, n=100, seed=2)
     e = parse("(y + 100000000) - 100000000 - y")
-    assert is_zero_numeric(e, dom, tol=1e-9)
+    assert zero_report(e, dom, tol=1e-9).ok
 
 
 def test_is_zero_numeric_rejects_nonzero():
@@ -564,15 +585,15 @@ def test_is_zero_numeric_rejects_nonzero():
     assert not rep.ok
     assert set(rep.witness) == {"y", "z"}
     assert rep.value == pytest.approx(rep.witness["y"] - rep.witness["z"])
-    assert not is_zero_numeric(ex.const(1e-6), dom, tol=1e-9)
-    assert is_zero_numeric(ex.const(0.0) * ex.sym("y"), dom, tol=1e-9)
+    assert not zero_report(ex.const(1e-6), dom, tol=1e-9).ok
+    assert zero_report(ex.const(0.0) * ex.sym("y"), dom, tol=1e-9).ok
 
 
 def test_zero_report_with_params():
     dom = SamplingDomain(intervals={"y": (0.2, 3.0)}, n=100, seed=0)
     e = parse("gamma * y - 2 * y")
-    assert is_zero_numeric(e, dom, tol=1e-9, params={"gamma": 2.0})
-    assert not is_zero_numeric(e, dom, tol=1e-9, params={"gamma": 2.5})
+    assert zero_report(e, dom, tol=1e-9, params={"gamma": 2.0}).ok
+    assert not zero_report(e, dom, tol=1e-9, params={"gamma": 2.5}).ok
 
 
 def test_zero_report_at_compiles_once(monkeypatch):

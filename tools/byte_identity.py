@@ -12,9 +12,13 @@ the one next to this script), so one copy of the script serves both sides:
 
 The inputs are fixed by seeds; the ``check`` and ``covariance`` inputs come
 from the benchmark's generators in ``bench/workloads.py`` next to this
-script.  264 files:
+script.  436 files:
 
-- ``catalog/``: ``liesym catalog verify --all --json`` at seeds 0 and 1;
+- ``catalog/``: ``liesym catalog verify --all --json`` at seeds 0 and 1, and
+  ``liesym catalog list`` with and without ``--json``;
+- ``rows/``: for all 34 rows at the defaults and at ``draw_params(id, s)``
+  for s = 0..3, the printed F and G and ``generator_to_json`` of every
+  listed generator;
 - ``verify_entry/``: ``verify_entry`` on all 34 rows at ``draw_params(id, s)``
   for s = 0..3, as the report's repr;
 - ``check/``: ``liesym check --json`` on the 40 inputs of round 0 of the
@@ -34,6 +38,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -62,7 +67,7 @@ def write_outputs(out: Path, work: Path) -> int:
     """Write every output under ``out``; returns the number of files."""
     # imported here: main() puts the package under test on sys.path first
     import workloads
-    from liesym import catalog, cli, odesys
+    from liesym import catalog, cli, odesys, symmetry
     from liesym.expr import (SamplingDomain, compile_evaluator, evaluate,
                              parse, sample, to_string, zero_report)
 
@@ -78,6 +83,19 @@ def write_outputs(out: Path, work: Path) -> int:
         code, stdout, stderr = _cli(cli, ["catalog", "verify", "--all", "--json",
                                           "--seed", str(seed)])
         emit(f"catalog/verify-all-seed{seed}.txt", f"exit {code}\n{stdout}{stderr}")
+    for flags in ((), ("--json",)):
+        code, stdout, stderr = _cli(cli, ["catalog", "list", *flags])
+        emit(f"catalog/list{''.join(flags)}.txt", f"exit {code}\n{stdout}{stderr}")
+
+    for eid in catalog.entry_ids():
+        entry = catalog.get_entry(eid)
+        for tag, params in [("defaults", None)] + [
+                (f"draw{s}", catalog.draw_params(eid, s)) for s in range(4)]:
+            system = entry.build(params)
+            lines = [f"F = {to_string(system.F)}", f"G = {to_string(system.G)}"]
+            lines += [f"{label}: {json.dumps(symmetry.generator_to_json(g))}"
+                      for label, g in entry.labeled_generators(params)]
+            emit(f"rows/{eid}-{tag}.txt", "\n".join(lines) + "\n")
 
     for eid in catalog.entry_ids():
         for s in range(4):
