@@ -36,13 +36,7 @@ from .liealg import (
     rep_violations,
 )
 from .odesys import Mat2, OdeSystem, SamplingDomain
-from .symmetry import (
-    Generator,
-    LinearGenerator,
-    admits,
-    commutator_vf,
-    default_domain,
-)
+from .symmetry import admits, commutator_vf, default_domain, generator_from_json
 
 
 class CliError(Exception):
@@ -76,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="test whether a system admits a generator")
     p.add_argument("system", help="JSON file with F, G and optional params")
     p.add_argument("generator",
-                   help="JSON file with xi/eta1/eta2 or an 8-coefficient vector")
+                   help="JSON generator file: {\"coefficients\": [c1..c8]}, "
+                        "{\"linear\": {...}}, or xi/eta1/eta2 (missing ones are 0)")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=None)
@@ -150,20 +145,9 @@ def _load_system(path: str) -> OdeSystem:
 
 def _load_generator(path: str):
     data = _load_json(path)
-    if "coefficients" in data:
-        c = data["coefficients"]
-        try:
-            return LinearGenerator.from_coefficients(c)
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"{path}: {exc}") from exc
-    if not any(k in data for k in ("xi", "eta1", "eta2")):
-        raise CliError(f"{path}: need either 'coefficients' or at least one "
-                       "of xi, eta1, eta2")
     try:
-        return Generator(parse(str(data.get("xi", "0"))),
-                         parse(str(data.get("eta1", "0"))),
-                         parse(str(data.get("eta2", "0"))))
-    except ValueError as exc:
+        return generator_from_json(data)
+    except (TypeError, ValueError) as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 

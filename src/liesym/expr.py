@@ -28,8 +28,9 @@ Design notes:
 - Printing parenthesizes so that ``parse(to_string(e))`` reproduces the tree
   node-for-node for any parser- or fold-produced tree.
 - Domain errors (log of a non-positive number, division by zero, fractional
-  power of a negative base) raise :class:`EvalError` — never a silent NaN.
-  The vectorized path enforces the same policy with a finiteness check.
+  power of a negative base) and any other result that is not finite (an
+  overflow) raise :class:`EvalError` — never a silent NaN or infinity.  The
+  vectorized path enforces the same policy with a finiteness check.
 - :func:`compile_evaluator` lays expressions out as one tape with a slot per
   distinct node and one numpy call per slot; a zero test reads the value and
   its cancellation-scale terms from that single pass.
@@ -435,7 +436,7 @@ _LEVEL = {SUM: 1, PRODUCT: 2, QUOTIENT: 2, NEG: 2, POWER: 4,
 
 
 def _fmt_number(v: float) -> str:
-    if v == int(v) and abs(v) <= 1e15:
+    if abs(v) <= 1e15 and v == int(v):  # inf and NaN fall through to repr
         # int() drops the sign of -0.0, which atan2 tells apart from 0.0
         return "-0" if v == 0 and math.copysign(1.0, v) < 0 else str(int(v))
     return repr(v)
@@ -505,34 +506,41 @@ _SCALAR_FNS: dict[str, Callable] = {
 }
 
 
-def _apply(k: str, fn: str | None, vals: list[float]) -> float:
-    """One node's operation on its children's values."""
+def _apply(n: Expr, vals: list[float]) -> float:
+    """Node ``n``'s operation on its children's values; a result that is not
+    finite raises, naming ``n``."""
+    k = n.kind
     if k == SUM:
-        return vals[0] + vals[1]
-    if k == PRODUCT:
-        return vals[0] * vals[1]
-    if k == QUOTIENT:
+        v = vals[0] + vals[1]
+    elif k == PRODUCT:
+        v = vals[0] * vals[1]
+    elif k == QUOTIENT:
         if vals[1] == 0.0:
             raise EvalError("division by zero")
-        return vals[0] / vals[1]
-    if k == NEG:
-        return -vals[0]
-    if k == POWER:
+        v = vals[0] / vals[1]
+    elif k == NEG:
+        v = -vals[0]
+    elif k == POWER:
         b, p = vals
         try:
-            return math.pow(b, p)
+            v = math.pow(b, p)
         except (ValueError, OverflowError) as exc:
             raise EvalError(f"pow({b!r}, {p!r}): {exc}") from None
-    if k == CALL:
+    elif k == CALL:
         try:
-            return _SCALAR_FNS[fn](*vals)
+            v = _SCALAR_FNS[n.value](*vals)
         except (ValueError, OverflowError) as exc:
-            raise EvalError(f"{fn}({vals!r}): {exc}") from None
-    raise ValueError(f"unknown node kind {k!r}")  # pragma: no cover
+            raise EvalError(f"{n.value}({vals!r}): {exc}") from None
+    else:
+        raise ValueError(f"unknown node kind {k!r}")  # pragma: no cover
+    if not math.isfinite(v):
+        raise EvalError(f"non-finite value in {to_string(n)!r}")
+    return v
 
 
 def evaluate(e: Expr, binding: Mapping[str, float]) -> float:
-    """Evaluate at a point.  Raises :class:`EvalError` on any failure.
+    """Evaluate at a point.  Raises :class:`EvalError` on any failure,
+    a result that is not finite included.
 
     Children are evaluated left to right before their parent, and a shared
     node once, so the first failure is the one a plain tree walk meets.
@@ -548,7 +556,7 @@ def evaluate(e: Expr, binding: Mapping[str, float]) -> float:
             except KeyError:
                 raise EvalError(f"unbound symbol {n.value!r}") from None
         else:
-            vals[n] = _apply(k, n.value, [vals[a] for a in n.args])
+            vals[n] = _apply(n, [vals[a] for a in n.args])
     return vals[e]
 
 
@@ -699,26 +707,17 @@ def _fold_node(e: Expr) -> Expr:
     args = tuple([_folded(a) for a in e.args])
     if all(a.kind == CONSTANT for a in args):
         try:
-            v = _apply(k, e.value, [a.value for a in args])
+            # an overflow raises too, so it stays as written, like 1/0
+            return const(_apply(e, [a.value for a in args]))
         except EvalError:
             return Expr(k, e.value, args)
-        # an overflow stays unfolded, so evaluation reports the written subtree
-        return const(v) if math.isfinite(v) else Expr(k, e.value, args)
     if k == SUM:
-        a, b = args
-        if _is_const(a, 0.0):
-            return b
-        if _is_const(b, 0.0):
-            return a
-    elif k == PRODUCT:
-        a, b = args
-        if _is_const(a, 0.0) or _is_const(b, 0.0):
-            return _ZERO
-        if _is_const(a, 1.0):
-            return b
-        if _is_const(b, 1.0):
-            return a
-    elif k == QUOTIENT:
+        return _add(*args)
+    if k == PRODUCT:
+        return _mul(*args)
+    if k == NEG:
+        return _neg(args[0])
+    if k == QUOTIENT:
         a, b = args
         if _is_const(a, 0.0) and not _is_const(b, 0.0):
             return _ZERO
@@ -730,12 +729,6 @@ def _fold_node(e: Expr) -> Expr:
             return a
         if _is_const(b, 0.0):
             return _ONE
-    elif k == NEG:
-        (a,) = args
-        if a.kind == CONSTANT:
-            return const(-a.value)
-        if a.kind == NEG:
-            return a.args[0]
     return Expr(k, e.value, args)
 
 

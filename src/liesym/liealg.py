@@ -15,7 +15,10 @@ adjoint maps (with a fixed orientation table).  The normalizers conjugate an
 element onto the published representative of its class inside the relevant
 subalgebra — the scaling part X5..X8 ("L4"), the scalings plus translations
 X3..X8 ("L6"), or everything except the unreachable d/dx direction ("L8") —
-and return the move word so the reduction can be replayed and audited.
+and return the move word so the reduction can be replayed and audited.  The
+representatives themselves, with the ranges of their parameters, are stated
+once, in the table ``_REPS`` that ``canonical_vector`` and ``rep_violations``
+read.
 
 A handy mental model for the X5..X8 block: arrange it as the matrix
 M = [[c5, c7], [c8, c6]] acting on (y, z).  The shear automorphisms conjugate
@@ -164,7 +167,6 @@ def automorphism(i: int, a: float, e: AlgebraElement) -> AlgebraElement:
     """The i-th one-parameter family of inner automorphisms, in closed form
     on coordinates.  Composition with the adjoint flows: see ADJOINT_SIGNS."""
     c1, c2, c3, c4, c5, c6, c7, c8 = e.c
-    ea = None
     if i == 1:
         c1 = c1 - a * c2
     elif i == 2:
@@ -294,119 +296,77 @@ def apply_word(word: Sequence[Move], e: AlgebraElement) -> AlgebraElement:
     return e
 
 
+_KERNEL_C1 = ("kernel_c1", "kernel_c1 must be 0 or 1", lambda v: v in (0.0, 1.0))
+
+#: The optimal-system representatives, keyed by (algebra, family): the
+#: coefficients c1..c8, each a number or a parameter name (``kernel_c1`` is
+#: the field of that name), and the range checks (name, message, test) on the
+#: parameters.  canonical_vector and rep_violations read this table only.
+_REPS = {
+    ("L6", 1): ((0, 0, 0, 0, 1, "alpha", 0, 0),
+                (("alpha", "family 1 needs alpha in [-1, 1]",
+                  lambda v: -1.0 <= v <= 1.0),)),
+    ("L6", 2): ((0, 0, 0, 1, 1, 0, 0, 0), ()),
+    ("L6", 3): ((0, 0, 0, 0, 0, 0, -1, 1), ()),
+    ("L6", 4): ((0, 0, "beta", 0, "alpha", "alpha", -1, 1),
+                (("alpha", "family 4 needs alpha > 0", lambda v: v > 0.0),
+                 ("beta", "family 4 needs beta in {-1, 0, 1}",
+                  lambda v: v in (-1.0, 0.0, 1.0)))),
+    ("L6", 5): ((0, 0, 0, "beta", 0, 0, 1, 0),
+                (("beta", "family 5 needs beta in {0, 1}", lambda v: v in (0.0, 1.0)),)),
+    ("L6", 6): ((0, 0, 0, 0, 1, 1, 1, 0), ()),
+    ("L6", 7): ((0, 0, 1, 0, 0, 0, 0, 0), ()),
+    ("L6", 8): ((0,) * DIM, ()),
+    ("L4", 2): ((0, 0, 0, 0, "alpha", "alpha", -1, 1),
+                (("alpha", "family 2 needs alpha >= 0", lambda v: v >= 0.0),)),
+    ("L4", 3): ((0, 0, 0, 0, "beta", "beta", 1, 0),
+                (("beta", "family 3 needs beta in {0, 1}", lambda v: v in (0.0, 1.0)),)),
+    ("L8", "kernel"): ((1,) + (0,) * 7, (_KERNEL_C1,)),
+    ("L8", 0): (("kernel_c1",) + (0,) * 7, (_KERNEL_C1,)),
+    ("L8", 8): (("kernel_c1", 1) + (0,) * 6, (_KERNEL_C1,)),
+}
+_REPS["L4", 1] = _REPS["L6", 1]
+_REPS["L4", 4] = _REPS["L6", 8]
+# families 1..7 of the full algebra: the L6 row plus gamma on x d/dx
+_REPS.update({("L8", fam): (("kernel_c1", "gamma") + c[2:], checks + (_KERNEL_C1,))
+              for (alg, fam), (c, checks) in _REPS.items() if alg == "L6" and fam != 8})
+# each row also lists the (index, name) of its parameter slots
+_REPS = {key: (c, tuple((i, v) for i, v in enumerate(c) if isinstance(v, str)), checks)
+         for key, (c, checks) in _REPS.items()}
+
+
+def _rep_row(rep: OptimalRep) -> tuple:
+    """The table row of ``rep`` and the values its parameter names read."""
+    row = _REPS.get((rep.algebra, rep.family))
+    if row is None:
+        if rep.algebra not in ("L4", "L6", "L8"):
+            raise ValueError(f"unknown algebra {rep.algebra}")
+        raise ValueError(f"unknown family {rep.family}")
+    return row, {**rep.params, "kernel_c1": rep.kernel_c1}
+
+
 def canonical_vector(rep: OptimalRep) -> AlgebraElement:
     """The representative element (unit scale) described by ``rep``."""
-    p = dict(rep.params)
-    c = [0.0] * DIM
-
-    def l6_fill(family: int):
-        if family == 1:
-            c[4] = 1.0
-            c[5] = p["alpha"]
-        elif family == 2:
-            c[3] = 1.0
-            c[4] = 1.0
-        elif family == 3:
-            c[6] = -1.0
-            c[7] = 1.0
-        elif family == 4:
-            c[2] = p.get("beta", 0.0)
-            c[4] = p["alpha"]
-            c[5] = p["alpha"]
-            c[6] = -1.0
-            c[7] = 1.0
-        elif family == 5:
-            c[3] = p["beta"]
-            c[6] = 1.0
-        elif family == 6:
-            c[4] = 1.0
-            c[5] = 1.0
-            c[6] = 1.0
-        elif family == 7:
-            c[2] = 1.0
-        elif family == 8:
-            pass
-        else:
-            raise ValueError(f"unknown family {family}")
-
-    if rep.algebra == "L4":
-        if rep.family == 1:
-            c[4] = 1.0
-            c[5] = p["alpha"]
-        elif rep.family == 2:
-            c[4] = p["alpha"]
-            c[5] = p["alpha"]
-            c[6] = -1.0
-            c[7] = 1.0
-        elif rep.family == 3:
-            c[4] = p["beta"]
-            c[5] = p["beta"]
-            c[6] = 1.0
-        elif rep.family == 4:
-            pass
-        else:
-            raise ValueError(f"unknown L4 family {rep.family}")
-    elif rep.algebra == "L6":
-        l6_fill(rep.family)
-    elif rep.algebra == "L8":
-        if rep.family == "kernel":
-            pass
-        elif rep.family == 8:
-            c[1] = 1.0
-        elif rep.family == 0:
-            pass
-        else:
-            c[1] = p.get("gamma", 0.0)
-            l6_fill(rep.family)
-        c[0] = rep.kernel_c1
-    else:
-        raise ValueError(f"unknown algebra {rep.algebra}")
-    if rep.algebra == "L8" and rep.family == "kernel":
-        c[0] = 1.0
+    (coeffs, slots, _), values = _rep_row(rep)
+    c = list(coeffs)
+    for i, name in slots:
+        if name not in values:
+            raise ValueError(f"{rep.algebra} family {rep.family} needs {name}")
+        c[i] = values[name]
     return AlgebraElement(tuple(c))
 
 
 def rep_violations(rep: OptimalRep) -> list[str]:
     """Check the representative's parameters against the published ranges."""
-    out = []
-    p = dict(rep.params)
-
-    def l6_check(family):
-        if family == 1 and not -1.0 <= p.get("alpha", 0.0) <= 1.0:
-            out.append("family 1 needs alpha in [-1, 1]")
-        if family == 4:
-            if not p.get("alpha", 0.0) > 0.0:
-                out.append("family 4 needs alpha > 0")
-            if p.get("beta", 0.0) not in (-1.0, 0.0, 1.0):
-                out.append("family 4 needs beta in {-1, 0, 1}")
-        if family == 5 and p.get("beta") not in (0.0, 1.0):
-            out.append("family 5 needs beta in {0, 1}")
-
-    if rep.algebra == "L4":
-        if rep.family == 1 and not -1.0 <= p.get("alpha", 0.0) <= 1.0:
-            out.append("family 1 needs alpha in [-1, 1]")
-        if rep.family == 2 and not p.get("alpha", 0.0) >= 0.0:
-            out.append("family 2 needs alpha >= 0")
-        if rep.family == 3 and p.get("beta") not in (0.0, 1.0):
-            out.append("family 3 needs beta in {0, 1}")
-        if rep.family not in (1, 2, 3, 4):
-            out.append(f"unknown family {rep.family}")
-    elif rep.algebra == "L6":
-        if rep.family not in range(1, 9):
-            out.append(f"unknown family {rep.family}")
-        else:
-            l6_check(rep.family)
-    elif rep.algebra == "L8":
-        if rep.family == "kernel" or rep.family in (0, 8):
-            pass
-        elif rep.family in range(1, 8):
-            l6_check(rep.family)
-        else:
-            out.append(f"unknown family {rep.family}")
-        if rep.kernel_c1 not in (0.0, 1.0):
-            out.append("kernel_c1 must be 0 or 1")
-    else:
-        out.append(f"unknown algebra {rep.algebra}")
+    try:
+        (_, slots, checks), values = _rep_row(rep)
+    except ValueError as exc:
+        return [str(exc)]
+    missing = dict.fromkeys(name for _, name in slots if name not in values)
+    out = [f"family {rep.family} needs {name}" for name in missing]
+    for name, text, test in checks:
+        if name in values and not test(values[name]):
+            out.append(text)
     return out
 
 

@@ -20,6 +20,7 @@ and the vector-field commutator (`commutator_vf`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from sys import float_info
 from typing import Mapping, Sequence
 
 from .expr import (Expr, SamplingDomain, ZeroReport, const, differentiate,
@@ -41,8 +42,10 @@ def _coerce(v, what: str) -> Expr:
         return v
     if isinstance(v, str):
         return parse(v)
-    if isinstance(v, (int, float)):
-        return const(v)
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        if abs(v) <= float_info.max:  # false for inf, NaN and ints beyond floats
+            return const(v)
+        raise ValueError(f"{what} must be a finite number in the float range")
     raise TypeError(f"{what} must be an Expr, a string, or a number; "
                     f"got {type(v).__name__}")
 
@@ -122,6 +125,9 @@ class LinearGenerator:
         object.__setattr__(self, "k1", float(self.k1))
         object.__setattr__(self, "k2", float(self.k2))
         A = self.A if isinstance(self.A, Mat2) else Mat2.from_rows(self.A)
+        if not all(abs(v) <= float_info.max  # false for inf and NaN
+                   for v in (self.k1, self.k2, A.a11, A.a12, A.a21, A.a22)):
+            raise ValueError("k1, k2 and A must be finite numbers")
         object.__setattr__(self, "A", A)
         z1, z2 = self.zeta
         z1 = _coerce(z1, "zeta[0]")
@@ -456,18 +462,39 @@ def commutator_vf(g1, g2) -> Generator:
 # JSON interchange
 # ---------------------------------------------------------------------------
 
+_COMPONENTS = ("xi", "eta1", "eta2")
+
+
 def generator_from_json(obj: Mapping) -> Generator | LinearGenerator:
-    """Parse the file format for generators.
+    """Parse the generator file format: an object of exactly one of three
+    shapes::
 
-    Two shapes are accepted::
-
-        {"xi": "sin(x)", "eta1": "x*y", "eta2": "0"}
+        {"coefficients": [0, 1, 0, 0, 1, 0.5, 0, 0]}
         {"linear": {"k1": 0, "k2": 0.5, "A": [[1, 0], [0, 0.5]], "zeta": [0, 0]}}
+        {"xi": "sin(x)", "eta1": "x*y", "eta2": "0"}
 
-    Coefficient values may be numbers or expression strings.
+    ``coefficients`` are c1..c8 in the basis X1..X8 (see
+    :meth:`LinearGenerator.from_coefficients`).  In the last shape a missing
+    component is 0, but at least one must be given.  Keys of two shapes, or a
+    key outside the chosen shape, raise ValueError.  Coefficient values may be
+    numbers or expression strings.
     """
     if not isinstance(obj, Mapping):
         raise ValueError("generator JSON must be an object")
+    shapes = [key for key in ("coefficients", "linear") if key in obj]
+    if any(key in obj for key in _COMPONENTS):
+        shapes.append("xi/eta1/eta2")
+    if len(shapes) != 1:
+        raise ValueError("generator JSON needs exactly one of 'coefficients', 'linear' "
+                         f"or xi/eta1/eta2; got {' and '.join(shapes) or 'none'}")
+    allowed = {shapes[0]} if shapes[0] in obj else set(_COMPONENTS)
+    unknown = set(obj) - allowed
+    if unknown:
+        raise ValueError(f"unknown keys in generator JSON: {sorted(unknown)}")
+    if "coefficients" in obj:
+        if not isinstance(obj["coefficients"], (list, tuple)):
+            raise ValueError("'coefficients' must be a list of 8 numbers")
+        return LinearGenerator.from_coefficients(obj["coefficients"])
     if "linear" in obj:
         spec = obj["linear"]
         if not isinstance(spec, Mapping):
@@ -477,18 +504,16 @@ def generator_from_json(obj: Mapping) -> Generator | LinearGenerator:
             raise ValueError(f"unknown keys in 'linear': {sorted(unknown)}")
         if "A" not in spec:
             raise ValueError("'linear' requires the matrix 'A'")
+        try:
+            A = Mat2.from_rows(spec["A"])
+        except (TypeError, ValueError):
+            raise ValueError("'A' must be two rows of two numbers") from None
         zeta = spec.get("zeta", (0.0, 0.0))
-        if len(zeta) != 2:
+        if not isinstance(zeta, (list, tuple)) or len(zeta) != 2:
             raise ValueError("'zeta' must have exactly two entries")
-        return LinearGenerator(spec.get("k1", 0.0), spec.get("k2", 0.0),
-                               Mat2.from_rows(spec["A"]), tuple(zeta))
-    missing = {"xi", "eta1", "eta2"} - set(obj)
-    if missing:
-        raise ValueError(f"generator JSON missing keys {sorted(missing)}")
-    unknown = set(obj) - {"xi", "eta1", "eta2"}
-    if unknown:
-        raise ValueError(f"unknown keys in generator JSON: {sorted(unknown)}")
-    return Generator(obj["xi"], obj["eta1"], obj["eta2"])
+        return LinearGenerator(spec.get("k1", 0.0), spec.get("k2", 0.0), A,
+                               tuple(zeta))
+    return Generator(*(obj.get(key, "0") for key in _COMPONENTS))
 
 
 def generator_to_json(g) -> dict:

@@ -8,6 +8,8 @@ import subprocess
 import pytest
 
 from liesym.cli import main
+from liesym.odesys import Mat2
+from liesym.symmetry import LinearGenerator, generator_to_json
 
 
 def run(capsys, *argv):
@@ -275,6 +277,39 @@ class TestCheck:
         assert out == ""
         assert err.startswith("liesym: error:") and message in err
         assert "Traceback" not in err
+
+    def test_linear_generator_file(self, capsys, sysfile, clean_seed_env):
+        # the file generator_to_json writes for an affine field: the scaling
+        # 2 (x / 4) d/dx + y d/dy + z d/dz of a degree-0 homogeneous system
+        lg = LinearGenerator(0.0, 0.25, Mat2.diag(1.0, 1.0))
+        g = sysfile(generator_to_json(lg), "linear.json")
+        s = sysfile({"F": "y / z", "G": "z / y"})
+        code, out, err = run(capsys, "check", s, g)
+        assert (code, err) == (0, "")
+        assert out.startswith("admitted")
+        kernel = sysfile({"xi": "1"}, "kernel.json")
+        expanded = sysfile({"xi": "x / 2", "eta1": "y", "eta2": "z"}, "expanded.json")
+        code, out, err = run(capsys, "commutator", g, kernel)
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "commutator", expanded, kernel)[1]
+        assert out.splitlines()[0] == "xi   = -0.5"
+
+    @pytest.mark.parametrize("generator", [
+        {"xi": "1", "eta9": "y"},
+        {"xi": "1", "coefficients": [1, 0, 0, 0, 0, 0, 0, 0]},
+        {"linear": {"A": 5}},
+        {"coefficients": [float("nan"), 0, 0, 0, 0, 0, 0, 0]},
+    ], ids=["unknown-key", "mixed-shapes", "bad-matrix", "nan-coefficient"])
+    def test_malformed_generator_file(self, capsys, sysfile, clean_seed_env,
+                                      generator):
+        s = sysfile({"F": "exp(y)", "G": "exp(z)"})
+        g = sysfile(generator, "gen.json")
+        for argv in (("check", s, g), ("commutator", g, g)):
+            code, out, err = run(capsys, *argv)
+            assert code == 1
+            assert out == ""
+            assert err.startswith(f"liesym: error: {g}: ")
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("n", [500, 5000])
     def test_long_sum_gets_a_verdict(self, capsys, sysfile, clean_seed_env, n):

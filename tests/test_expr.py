@@ -31,24 +31,31 @@ _REF_FNS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log,
 
 
 def reference_eval(e, b):
+    """Plain recursive evaluation; an operation whose result is not finite
+    raises, as :func:`evaluate` documents."""
     k = e.kind
     if k == "constant":
         return e.value
     if k == "symbol":
         return float(b[e.value])
+    v = [reference_eval(a, b) for a in e.args]
     if k == "sum":
-        return reference_eval(e.args[0], b) + reference_eval(e.args[1], b)
-    if k == "product":
-        return reference_eval(e.args[0], b) * reference_eval(e.args[1], b)
-    if k == "quotient":
-        return reference_eval(e.args[0], b) / reference_eval(e.args[1], b)
-    if k == "neg":
-        return -reference_eval(e.args[0], b)
-    if k == "power":
-        return math.pow(reference_eval(e.args[0], b), reference_eval(e.args[1], b))
-    if k == "call":
-        return _REF_FNS[e.value](*[reference_eval(a, b) for a in e.args])
-    raise AssertionError(f"unknown kind {k}")
+        r = v[0] + v[1]
+    elif k == "product":
+        r = v[0] * v[1]
+    elif k == "quotient":
+        r = v[0] / v[1]
+    elif k == "neg":
+        r = -v[0]
+    elif k == "power":
+        r = math.pow(v[0], v[1])
+    elif k == "call":
+        r = _REF_FNS[e.value](*v)
+    else:
+        raise AssertionError(f"unknown kind {k}")
+    if not math.isfinite(r):
+        raise EvalError("non-finite value")
+    return r
 
 
 def _run(thunk):
@@ -231,6 +238,29 @@ def test_evaluate_matches_reference_bit_for_bit(t, b):
 def test_evaluate_domain_errors(text, binding):
     with pytest.raises(EvalError):
         evaluate(parse(text), binding)
+
+
+@pytest.mark.parametrize("text, y, culprit", [
+    # float division and multiplication overflow without raising
+    ("(1 / y) ^ 0", 2.225073858507e-311, "1 / y"),
+    ("1e308 * 10 * y", 1.0, "1e+308 * 10"),
+])
+def test_overflowing_intermediate_raises(text, y, culprit):
+    # an infinity that a later operation would wash out must not get through
+    message = re.escape(f"non-finite value in '{culprit}'")
+    with pytest.raises(EvalError, match=message):
+        evaluate(parse(text), {"y": y})
+    with pytest.raises(EvalError, match=message):
+        compile_evaluator(parse(text), ("y",))(np.array([y]))
+
+
+def test_non_finite_constant_stays_and_raises():
+    # const() takes any float; a fold must keep such a subtree, and the error
+    # must be able to print it
+    e = ex.const(math.inf) + 1.0
+    assert fold_constants(e) is e
+    with pytest.raises(EvalError, match=re.escape("non-finite value in 'inf + 1'")):
+        evaluate(e, {})
 
 
 def test_evaluate_plain():

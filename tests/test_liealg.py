@@ -531,3 +531,80 @@ class TestCanonicalVectors:
         assert rep_violations(OptimalRep("L6", 4, {"alpha": -1.0, "beta": 0.0}))
         assert rep_violations(OptimalRep("L6", 5, {"beta": 2.0}))
         assert rep_violations(OptimalRep("L8", 3, {"gamma": 1e9})) == []
+
+
+def _row_params(rng, algebra, family, kernel_c1):
+    """Parameters of a valid representative of the row, by the published
+    ranges: alpha in [-1, 1] (family 1), alpha >= 0 (L4 family 2), alpha > 0
+    and beta in {-1, 0, 1} (L6 family 4), beta in {0, 1} (L4 family 3, L6
+    family 5), and gamma free in the full algebra, 0 next to kernel_c1 = 1."""
+    if algebra == "L4":
+        return [{"alpha": rng.uniform(-1.0, 1.0)}, {"alpha": rng.uniform(0.0, 2.0)},
+                {"beta": float(rng.integers(2))}, {}][family - 1]
+    p = {1: {"alpha": rng.uniform(-1.0, 1.0)},
+         4: {"alpha": rng.uniform(0.1, 2.0), "beta": float(rng.integers(-1, 2))},
+         5: {"beta": float(rng.integers(2))}}.get(family, {})
+    if algebra == "L8" and family in range(1, 8):
+        p["gamma"] = rng.uniform(-2.0, 2.0) if kernel_c1 == 0.0 else 0.0
+    return p
+
+
+#: Every row of the representative table, with kernel_c1 = 1 where a class
+#: can carry it.
+TABLE_ROWS = ([("L4", f, 0.0) for f in range(1, 5)]
+              + [("L6", f, 0.0) for f in range(1, 9)]
+              + [("L8", f, 0.0) for f in ("kernel", 0, *range(1, 9))]
+              + [("L8", f, 1.0) for f in range(1, 8)])
+
+
+class TestRepresentativeTable:
+    def test_rows_cover_the_table(self):
+        from liesym.liealg import _REPS
+        assert {(a, f) for a, f, _ in TABLE_ROWS} == set(_REPS)
+
+    @pytest.mark.parametrize("algebra, family, kernel_c1", TABLE_ROWS,
+                             ids=[f"{a}-{f}-{int(k)}" for a, f, k in TABLE_ROWS])
+    def test_row_is_reached_and_round_trips(self, algebra, family, kernel_c1):
+        # a conjugate of the row's representative, by integer shears (exact
+        # on integer entries, so the equal-eigenvalue classes stay exact),
+        # involutions and a scale, normalizes back onto the row
+        normalize = {"L4": normalize_L4, "L6": normalize_L6, "L8": normalize_L8}[algebra]
+        shears = {"L4": (7, 8), "L6": (3, 4, 7, 8), "L8": (1, 3, 4, 7, 8)}[algebra]
+        flips = (1, 2, 4, 3) if algebra == "L8" else (1, 2, 4)
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            rep = OptimalRep(algebra, family, _row_params(rng, algebra, family, kernel_c1),
+                             kernel_c1=kernel_c1)
+            assert rep_violations(rep) == []
+            e = canonical_vector(rep)
+            for _ in range(4):
+                e = automorphism(int(rng.choice(shears)), float(rng.integers(-2, 3)), e)
+                e = involution(int(rng.choice(flips)), e)
+            got = normalize(float(rng.choice([2.0, -0.5, 3.0])) * e)
+            assert (got.family, got.kernel_c1) == (family, kernel_c1)
+            assert rep_violations(got) == []
+            again = normalize(canonical_vector(got))
+            assert (again.family, again.kernel_c1) == (family, kernel_c1)
+            assert rep_violations(again) == []
+
+    @pytest.mark.parametrize("algebra, family, params, name", [
+        ("L4", 1, {}, "alpha"),
+        ("L4", 3, {}, "beta"),
+        ("L6", 1, {}, "alpha"),
+        ("L6", 4, {"beta": 0.0}, "alpha"),
+        ("L6", 5, {}, "beta"),
+        ("L8", 2, {}, "gamma"),
+    ])
+    def test_missing_parameter_is_named(self, algebra, family, params, name):
+        rep = OptimalRep(algebra, family, params)
+        with pytest.raises(ValueError, match=f"^{algebra} family {family} needs {name}$"):
+            canonical_vector(rep)
+        assert rep_violations(rep) == [f"family {family} needs {name}"]
+
+    def test_unknown_rows(self):
+        for rep, text in [(OptimalRep("L4", 5), "unknown family 5"),
+                          (OptimalRep("L8", 9), "unknown family 9"),
+                          (OptimalRep("L5", 1), "unknown algebra L5")]:
+            with pytest.raises(ValueError, match=text):
+                canonical_vector(rep)
+            assert rep_violations(rep) == [text]

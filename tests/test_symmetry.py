@@ -139,13 +139,39 @@ class TestGeneratorConstruction:
         assert isinstance(back, LinearGenerator)
         _assert_gen_close(back.expand(), lg.expand())
 
+    def test_json_coefficient_and_partial_shapes(self):
+        g = generator_from_json({"coefficients": [1, 0, 0, 0, 1, 0.5, 0, 0]})
+        assert isinstance(g, LinearGenerator)
+        assert g.to_coefficients() == (1.0, 0.0, 0.0, 0.0, 1.0, 0.5, 0.0, 0.0)
+        # missing components are 0
+        _assert_gen_close(generator_from_json({"eta1": "y"}), Generator("0", "y", "0"))
+        _assert_gen_close(generator_from_json({"xi": "x", "eta2": 2}),
+                          Generator("x", "0", "2"))
+
     def test_json_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            generator_from_json({"xi": "0", "eta1": "0"})
+        with pytest.raises(ValueError, match=r"unknown keys .*\['eta9'\]"):
+            generator_from_json({"xi": "1", "eta9": "y"})
+        with pytest.raises(ValueError, match="exactly one of"):
+            generator_from_json({"xi": "1", "coefficients": [0.0] * 8})
+        with pytest.raises(ValueError, match="exactly one of"):
+            generator_from_json({"linear": {"A": [[1, 0], [0, 1]]},
+                                 "coefficients": [0.0] * 8})
+        with pytest.raises(ValueError, match="exactly one of"):
+            generator_from_json({})
         with pytest.raises(ValueError):
             generator_from_json({"xi": "0", "eta1": "0", "eta2": "0", "extra": 1})
         with pytest.raises(ValueError):
             generator_from_json({"linear": {"k1": 0.0}})
+        with pytest.raises(ValueError, match="'A' must be two rows of two numbers"):
+            generator_from_json({"linear": {"A": 5}})
+        with pytest.raises(ValueError, match="list of 8 numbers"):
+            generator_from_json({"coefficients": "12345678"})
+        with pytest.raises(TypeError, match="got bool"):
+            generator_from_json({"xi": True})
+        with pytest.raises(ValueError, match="finite"):
+            generator_from_json({"xi": float("nan")})
+        with pytest.raises(ValueError, match="finite"):
+            generator_from_json({"linear": {"k1": float("inf"), "A": [[0, 0], [0, 0]]}})
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ the one next to this script), so one copy of the script serves both sides:
 
 The inputs are fixed by seeds; the ``check`` and ``covariance`` inputs come
 from the benchmark's generators in ``bench/workloads.py`` next to this
-script.  436 files:
+script.  626 files:
 
 - ``catalog/``: ``liesym catalog verify --all --json`` at seeds 0 and 1, and
   ``liesym catalog list`` with and without ``--json``;
@@ -25,6 +25,13 @@ script.  436 files:
   ``check`` workload at seeds 1 and 2, with the temporary directory masked;
 - ``covariance/``: the 33 rows of round 0 of the ``covariance`` workload at
   seed 1, with the printed transformed system and the generators' ratios;
+- ``normalize/``: ``liesym normalize --json`` on two seeded conjugates of a
+  representative of every optimal-system row (L4, L6, L8, with kernel_c1 = 1
+  where a class carries it) and on twelve seeded vectors per algebra;
+- ``jordan/``: ``liesym jordan --json`` on five matrices, one per shape;
+- ``commutator/``: ``liesym commutator --json`` on all 64 pairs of basis
+  indices and all 25 pairs of five generator files (xi/eta and
+  ``coefficients`` shapes);
 - ``errors/``: eight ``EvalError`` texts;
 - ``sample.txt`` and ``reducibility/``: ``sample`` with excluded loci and four
   ``reducibility_hint`` calls.
@@ -63,11 +70,77 @@ def _error_text(thunk) -> str:
     return "no error\n"
 
 
+#: One representative per row of the optimal-system table (c1..c8), with
+#: kernel_c1 = 1 on the L8 families that can carry it.
+_L6_REPS = [(0, 0, 0, 0, 1, -0.5, 0, 0), (0, 0, 0, 1, 1, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, -1, 1), (0, 0, 1, 0, 0.5, 0.5, -1, 1),
+            (0, 0, 0, 1, 0, 0, 1, 0), (0, 0, 0, 0, 1, 1, 1, 0),
+            (0, 0, 1, 0, 0, 0, 0, 0), (0,) * 8]
+_ROW_REPS = (
+    [("L4", c) for c in [(0, 0, 0, 0, 1, 0.5, 0, 0), (0, 0, 0, 0, 0.5, 0.5, -1, 1),
+                         (0, 0, 0, 0, 1, 1, 1, 0), (0, 0, 0, 0, 0, 0, 1, 0), (0,) * 8]]
+    + [("L6", c) for c in _L6_REPS]
+    + [("L8", c) for c in [(1,) + (0,) * 7, (0,) * 8, (0, 1) + (0,) * 6]]
+    + [("L8", (0, 0.5) + c[2:]) for c in _L6_REPS[:7]]
+    + [("L8", (1, 0) + c[2:]) for c in _L6_REPS[:7]])
+
+_GENERATOR_FILES = [
+    {"xi": "1"},
+    {"xi": "x", "eta1": "y"},
+    {"xi": "sin(x)", "eta1": "x * y", "eta2": "z ^ 2"},
+    {"coefficients": [0, 1, 0, 0, 1, 0.5, 0, 0]},
+    {"coefficients": [1, 0, 2, 0, 0, 0, 1, -1]},
+]
+
+
+def _algebra_runs(liealg, work: Path):
+    """(output name, argv) of the ``normalize``, ``jordan`` and ``commutator``
+    runs: each table row conjugated by two seeded words, twelve seeded
+    vectors per algebra, five matrices and all pairs of basis indices and of
+    generator files."""
+    def text(c) -> str:
+        return ",".join(repr(float(v)) for v in c)
+
+    for i, (alg, c) in enumerate(_ROW_REPS):
+        # integer shears keep integer entries exact, so the equal-eigenvalue
+        # classes stay what they are
+        shears = {"L4": (7, 8), "L6": (3, 4, 7, 8), "L8": (1, 3, 4, 7, 8)}[alg]
+        for s in range(2):
+            rng = np.random.default_rng([i, s])
+            e = liealg.AlgebraElement.from_coeffs(c)
+            for _ in range(3):
+                e = liealg.automorphism(int(rng.choice(shears)), float(rng.integers(-2, 3)), e)
+                e = liealg.involution(int(rng.choice((1, 2, 4))), e)
+            e = float(rng.choice([2.0, -0.5, 3.0])) * e
+            yield (f"normalize/row{i:02d}-{s}.txt",
+                   ["normalize", "--algebra", alg, "--json", "--", text(e.c)])
+    rng = np.random.default_rng(7)
+    for alg, zeros in (("L4", 4), ("L6", 2), ("L8", 0)):
+        for j in range(12):
+            c = rng.integers(-2, 3, 8) * (rng.random(8) < 0.5) * rng.uniform(0.5, 2.0, 8)
+            c[:zeros] = 0.0
+            yield (f"normalize/{alg}-{j:02d}.txt",
+                   ["normalize", "--algebra", alg, "--json", "--", text(c)])
+    for name, m in [("J1", "1,2,3,4"), ("J2", "0,-1,1,0"), ("J3", "1,1,0,1"),
+                    ("scalar", "2,0,0,2"), ("zero", "0,0,0,0")]:
+        yield f"jordan/{name}.txt", ["jordan", "--matrix", m, "--json"]
+    for i in range(1, 9):
+        for j in range(1, 9):
+            yield f"commutator/X{i}-X{j}.txt", ["commutator", str(i), str(j), "--json"]
+    paths = []
+    for k, obj in enumerate(_GENERATOR_FILES):
+        paths.append(work / f"generator-{k}.json")
+        paths[-1].write_text(json.dumps(obj))
+    for a, pa in enumerate(paths):
+        for b, pb in enumerate(paths):
+            yield f"commutator/g{a}-g{b}.txt", ["commutator", str(pa), str(pb), "--json"]
+
+
 def write_outputs(out: Path, work: Path) -> int:
     """Write every output under ``out``; returns the number of files."""
     # imported here: main() puts the package under test on sys.path first
     import workloads
-    from liesym import catalog, cli, odesys, symmetry
+    from liesym import catalog, cli, liealg, odesys, symmetry
     from liesym.expr import (SamplingDomain, compile_evaluator, evaluate,
                              parse, sample, to_string, zero_report)
 
@@ -117,6 +190,10 @@ def write_outputs(out: Path, work: Path) -> int:
         emit(f"covariance/{op[0]}.txt",
              f"F = {to_string(system.F)}\nG = {to_string(system.G)}\n"
              f"ratios = {ratios!r}\n")
+
+    for rel, argv in _algebra_runs(liealg, work):
+        code, stdout, stderr = _cli(cli, argv)
+        emit(rel, f"exit {code}\n{stdout}{stderr}".replace(str(work), "<work>"))
 
     dom = SamplingDomain(intervals={"y": (0.2, 3.0)}, n=20, seed=0)
     errors = {
