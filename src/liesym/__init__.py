@@ -32,10 +32,10 @@ from .expr import (
     fold_constants,
     free_symbols,
     parse,
+    sample,
     substitute,
     sym,
     to_string,
-    zero_report,
     zero_report_at,
 )
 from .jordan import Jordan2Result, classify2x2, kind_to_L4_rep
@@ -121,13 +121,13 @@ __all__ = [
     "reducibility_hint",
     "rep_violations",
     "residual_expressions",
+    "sample",
     "substitute",
     "sym",
     "to_string",
     "transform_generator",
     "verify_entry",
     "xi_family",
-    "zero_report",
     "zero_report_at",
     "__version__",
 ]

@@ -21,7 +21,7 @@ Entries come in three groups:
 
 One entry (``T2.3``) is flagged ``quarantined``: as encoded here its second
 component fails verification (the sign of G is inconsistent with the listed
-generator); it is kept, and reported, but excluded from any pass gate.
+generator); it is kept, and reported, but counts toward no pass gate.
 ``T3.S5a`` is admissible only on the gamma = 1/2 subfamily, so its gamma is
 pinned there.  Quarantine status travels with the verification report.
 
@@ -58,6 +58,7 @@ from .expr import (
 )
 from .odesys import OdeSystem, ReducibilityHint, reducibility_hint
 from .symmetry import (
+    BOX,
     LinearGenerator,
     basis_generator,
     determining_generator,
@@ -160,10 +161,6 @@ def _pms(names: str) -> tuple:
 
 def _away0(name: str) -> tuple:
     return ("away", name, (0.0,), f"{name} must be nonzero")
-
-
-_BOX = {"x": (0.2, 3.0), "y": (0.2, 3.0), "z": (0.2, 3.0),
-        "yp": (-1.5, 1.5), "zp": (-1.5, 1.5)}
 
 
 def _polar_push(v, u, w):
@@ -305,9 +302,9 @@ class CatalogEntry:
             rng = np.random.default_rng(seed)
             u, w = rng.uniform(-1.2, 1.2, n), rng.uniform(0.2, 2.0, n)
             yv, zv = _PUSHFORWARDS[self.pushforward](v, u, w)
-            return {"x": rng.uniform(0.2, 3.0, n), "y": yv, "z": zv,
-                    "yp": rng.uniform(-1.5, 1.5, n), "zp": rng.uniform(-1.5, 1.5, n)}
-        intervals = dict(_BOX)
+            return {"x": rng.uniform(*BOX["x"], n), "y": yv, "z": zv,
+                    "yp": rng.uniform(*BOX["yp"], n), "zp": rng.uniform(*BOX["zp"], n)}
+        intervals = dict(BOX)
         for name, bounds in self.box.items():
             intervals[name] = tuple(_value(b, v) if isinstance(b, str) else b for b in bounds)
         return sample(SamplingDomain(intervals=intervals, n=n, seed=seed))

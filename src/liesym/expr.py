@@ -5,8 +5,8 @@ right-hand sides symbolically, so this module keeps the expression language
 deliberately small: constants, symbols, binary sum/product/quotient/power,
 unary negation, and calls to a fixed set of elementary functions.  On top of
 the trees it provides a parser, differentiation, constant folding,
-substitution, one vectorized numpy evaluator, and rejection-sampled domains
-for deciding "is this expression numerically zero".
+substitution, one vectorized numpy evaluator, and seeded uniform draws from
+a box for deciding "is this expression numerically zero".
 
 Design notes:
 
@@ -48,12 +48,12 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 __all__ = [
-    "Expr", "ParseError", "EvalError", "SamplingError", "SamplingDomain",
+    "Expr", "ParseError", "EvalError", "SamplingDomain",
     "ZeroReport", "RESERVED_NAMES", "FUNCTIONS",
     "const", "sym", "call", "sin", "cos", "exp", "ln", "sqrt", "atan", "atan2",
     "parse", "to_string", "evaluate", "differentiate", "fold_constants",
     "substitute", "free_symbols", "top_level_terms", "compile_evaluator",
-    "sample", "zero_report", "zero_report_at",
+    "sample", "zero_report_at",
 ]
 
 # Node kinds.
@@ -87,10 +87,6 @@ class ParseError(ValueError):
 
 class EvalError(ArithmeticError):
     """Evaluation failed: unbound symbol, domain error, or overflow."""
-
-
-class SamplingError(RuntimeError):
-    """Rejection sampling could not collect enough admissible points."""
 
 
 #: The live nodes, keyed on (kind, value, child ids); constants on
@@ -850,18 +846,16 @@ def _tape(roots: Sequence[Expr], idx: Mapping[str, int]):
     return steps, [seen[r] for r in roots]
 
 
-def compile_evaluator(e: Expr, names: Sequence[str], terms: Sequence[Expr] = (),
-                      strict: bool = True):
+def compile_evaluator(e: Expr, names: Sequence[str], terms: Sequence[Expr] = ()):
     """Compile ``e`` to a callable over equal-length numpy arrays.
 
     The returned callable takes one array per name (in order) and returns the
     elementwise values of ``e``; with ``terms`` it returns ``(value, [value
     of each term])`` from the same pass, and terms that are subtrees of ``e``
-    cost nothing extra.  With ``strict`` (the default) any non-finite value —
-    in the result or at any intermediate step — raises :class:`EvalError`
-    naming the first such sub-expression and the point, so the vectorized
-    path enforces the same no-silent-NaN policy as :func:`evaluate`.  Without
-    it non-finite entries stay NaN/inf.
+    cost nothing extra.  Any non-finite value — in the result or at any
+    intermediate step — raises :class:`EvalError` naming the first such
+    sub-expression and the point, so the vectorized path enforces the same
+    no-silent-NaN policy as :func:`evaluate`.
     """
     names = tuple(names)
     steps, outs = _tape((e, *terms), {n: i for i, n in enumerate(names)})
@@ -878,7 +872,7 @@ def compile_evaluator(e: Expr, names: Sequence[str], terms: Sequence[Expr] = (),
                     v = arrs[arg]
                 else:
                     v = op(*[vals[j] for j in arg])
-                if strict and not np.isfinite(v).all():
+                if not np.isfinite(v).all():
                     i = int(np.argmax(np.ravel(~np.isfinite(v))))
                     point = {n: float(a.ravel()[i % a.size]) if a.size else float("nan")
                              for n, a in zip(names, arrs)}
@@ -892,24 +886,19 @@ def compile_evaluator(e: Expr, names: Sequence[str], terms: Sequence[Expr] = (),
 
 
 # --------------------------------------------------------------------------
-# Sampling domains and numeric zero tests
+# Sampling boxes and the numeric zero test
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SamplingDomain:
-    """A box of variable ranges with excluded loci.
+    """A box of variable ranges to draw ``n`` points from.
 
-    ``excluded`` expressions mark places to stay away from: a sampled point is
-    kept only if every excluded expression has magnitude above ``guard``
-    there (non-finite values also reject the point).  Draws are uniform per
-    coordinate from ``numpy.random.default_rng(seed)``, so sampling is
-    reproducible.  Raises ``ValueError`` unless ``n >= 1`` and every interval
-    is finite with ``lo < hi``.
+    Draws are uniform per coordinate from ``numpy.random.default_rng(seed)``,
+    so sampling is reproducible.  Raises ``ValueError`` unless ``n >= 1`` and
+    every interval is finite with ``lo < hi``.
     """
 
     intervals: Mapping[str, tuple[float, float]]
-    excluded: tuple[Expr, ...] = ()
-    guard: float = 1e-3
     n: int = 200
     seed: int = 0
 
@@ -925,49 +914,19 @@ class SamplingDomain:
         return tuple(self.intervals)
 
 
-def sample(dom: SamplingDomain, params: Mapping[str, float] | None = None) -> dict[str, np.ndarray]:
-    """Draw ``dom.n`` admissible points; raises :class:`SamplingError` if the
-    rejection loop cannot collect them within ``200 * dom.n`` draws."""
+def sample(dom: SamplingDomain) -> dict[str, np.ndarray]:
+    """Draw ``dom.n`` points: one ``(n, k)`` uniform draw over the box, one
+    column per name."""
     names = dom.names()
     lows = np.array([dom.intervals[nm][0] for nm in names], dtype=float)
     highs = np.array([dom.intervals[nm][1] for nm in names], dtype=float)
-    filters = []
-    for e in dom.excluded:
-        ee = fold_constants(substitute(e, dict(params or {})))
-        extra = free_symbols(ee) - set(names)
-        if extra:
-            raise SamplingError(
-                f"excluded locus has unbound symbols {sorted(extra)}; bind them via params")
-        filters.append(compile_evaluator(ee, names, strict=False))
-
-    rng = np.random.default_rng(dom.seed)
-    kept: list[np.ndarray] = []
-    total = 0
-    drawn = 0
-    cap = 200 * dom.n
-    while total < dom.n and drawn < cap:
-        m = min(max(dom.n, 64), cap - drawn)
-        batch = rng.uniform(lows, highs, size=(m, len(names)))
-        drawn += m
-        mask = np.ones(m, dtype=bool)
-        for f in filters:
-            vals = f(*batch.T)
-            mask &= np.isfinite(vals) & (np.abs(vals) > dom.guard)
-        good = batch[mask]
-        if good.size:
-            kept.append(good)
-            total += good.shape[0]
-    if total < dom.n:
-        raise SamplingError(
-            f"collected {total}/{dom.n} admissible points after {drawn} draws; "
-            "widen the intervals or shrink the guard")
-    pts = np.concatenate(kept, axis=0)[: dom.n]
+    pts = np.random.default_rng(dom.seed).uniform(lows, highs, size=(dom.n, len(names)))
     return {nm: pts[:, i].copy() for i, nm in enumerate(names)}
 
 
 @dataclass(frozen=True)
 class ZeroReport:
-    """Outcome of a numeric zero test over a sampling domain.
+    """Outcome of a numeric zero test at a set of sample points.
 
     ``max_ratio`` is the worst value of |e| / (1 + scale) seen, where the
     scale at a point is the largest top-level additive term there.
@@ -987,11 +946,11 @@ def zero_report_at(e: Expr, pts: Mapping[str, np.ndarray],
 
     At each point the test is |e| <= tol * (1 + scale), the scale being the
     largest of the :func:`top_level_terms` there; ``e`` and its terms come
-    from one compiled pass.  Every other zero test in the package ends here;
-    call it directly when the points come from somewhere other than a box —
-    e.g. pushed through a change of coordinates whose inverse is only valid on
-    a slice.  Raises ``ValueError`` unless ``tol`` is finite and positive and
-    there is at least one point.
+    from one compiled pass.  This is the package's one zero test: bind
+    parameters with :func:`substitute` first; the points come from
+    :func:`sample` or, e.g., a change of coordinates pushed onto a slice.
+    Raises ``ValueError`` unless ``tol`` is finite and positive and there is
+    at least one point.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number > 0, got {tol}")
@@ -1012,16 +971,3 @@ def zero_report_at(e: Expr, pts: Mapping[str, np.ndarray],
     return ZeroReport(ok=bool(ratio[i] <= tol), max_ratio=float(ratio[i]),
                       witness=witness, value=float(vals[i]))
 
-
-def zero_report(e: Expr, dom: SamplingDomain, tol: float = 1e-9,
-                params: Mapping[str, float] | None = None) -> ZeroReport:
-    """:func:`zero_report_at` on the points :func:`sample` draws from ``dom``,
-    after binding ``params``; unbound symbols raise before any sampling."""
-    ee = fold_constants(substitute(e, dict(params or {})))
-    names = dom.names()
-    extra = free_symbols(ee) - set(names)
-    if extra:
-        raise EvalError(
-            f"expression has unbound symbols {sorted(extra)}; bind them via params or the domain")
-    pts = sample(dom, params)
-    return zero_report_at(ee, pts, tol)

@@ -259,13 +259,13 @@ class ReducibilityHint(enum.Enum):
 
 
 def reducibility_hint(f: Expr, g: Expr, dom: SamplingDomain,
-                      tol: float = 1e-9,
-                      params: Mapping[str, float] | None = None) -> ReducibilityHint:
+                      tol: float = 1e-9) -> ReducibilityHint:
     """Screen a profile pair for degeneracy on ``dom`` (a one-variable box).
 
     The tests are numeric-probabilistic: f' ≡ 0 or g' ≡ 0, then the
     proportionality Wronskian f·g' − f'·g ≡ 0, all at one set of points drawn
-    from ``dom``.
+    from ``dom``.  Bind any parameters in ``f`` and ``g`` with
+    :func:`~liesym.expr.substitute` first.
     """
     names = dom.names()
     if len(names) != 1:
@@ -273,13 +273,9 @@ def reducibility_hint(f: Expr, g: Expr, dom: SamplingDomain,
     u = names[0]
     fp = fold_constants(differentiate(f, u))
     gp = fold_constants(differentiate(g, u))
-    pts = sample(dom, params)
-
-    def vanishes(e: Expr) -> bool:
-        return zero_report_at(substitute(e, dict(params or {})), pts, tol).ok
-
-    if vanishes(fp) or vanishes(gp):
+    pts = sample(dom)
+    if zero_report_at(fp, pts, tol).ok or zero_report_at(gp, pts, tol).ok:
         return ReducibilityHint.ReducibleFPrimeGPrimeZero
-    if vanishes(f * gp - fp * g):
+    if zero_report_at(f * gp - fp * g, pts, tol).ok:
         return ReducibilityHint.ReducibleProportional
     return ReducibilityHint.NoHint

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from sys import float_info
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .expr import (Expr, SamplingDomain, ZeroReport, const, differentiate,
+from .expr import (Expr, SamplingDomain, const, differentiate,
                    evaluate, fold_constants, free_symbols, parse, sample, sym,
                    to_string, zero_report_at)
 from .odesys import Mat2, OdeSystem
@@ -32,9 +33,15 @@ __all__ = [
     "Generator", "LinearGenerator", "Verdict", "basis_generator",
     "determining_generator", "residual_expressions", "prolong2_residual",
     "determining_residual", "autonomous_residual", "admits",
-    "default_domain", "transform_generator", "commutator_vf",
+    "BOX", "default_domain", "transform_generator", "commutator_vf",
     "generator_from_json", "generator_to_json",
 ]
+
+
+def _numbers(v, n: int) -> bool:
+    """True for a list of ``n`` ints or floats; a bool or a string is not one."""
+    return (isinstance(v, (list, tuple)) and len(v) == n
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v))
 
 
 def _coerce(v, what: str) -> Expr:
@@ -361,16 +368,16 @@ def autonomous_residual(sys: OdeSystem, k2: float, A: Mat2, k, point) -> tuple[f
 # Sampling verdicts
 # ---------------------------------------------------------------------------
 
-_FIVE = ("x", "y", "z", "yp", "zp")
+#: The default admissibility test bed, which the catalog's boxes start from:
+#: positive-quadrant positions with modest velocities.
+BOX: Mapping[str, tuple[float, float]] = MappingProxyType(
+    {"x": (0.2, 3.0), "y": (0.2, 3.0), "z": (0.2, 3.0),
+     "yp": (-1.5, 1.5), "zp": (-1.5, 1.5)})
 
 
 def default_domain(n: int = 200, seed: int = 0) -> SamplingDomain:
-    """The default admissibility test bed: positive-quadrant positions with
-    modest velocities."""
-    return SamplingDomain(
-        intervals={"x": (0.2, 3.0), "y": (0.2, 3.0), "z": (0.2, 3.0),
-                   "yp": (-1.5, 1.5), "zp": (-1.5, 1.5)},
-        n=n, seed=seed)
+    """:data:`BOX` with ``n`` points and ``seed``."""
+    return SamplingDomain(intervals=BOX, n=n, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -402,9 +409,9 @@ def admits(sys: OdeSystem, g, dom: SamplingDomain | None = None,
     """
     if dom is None:
         dom = default_domain()
-    missing = set(_FIVE) - set(dom.names())
+    missing = set(BOX) - set(dom.names())
     if missing:
-        raise ValueError(f"domain must bound all of {_FIVE}; missing {sorted(missing)}")
+        raise ValueError(f"domain must bound all of {tuple(BOX)}; missing {sorted(missing)}")
     r1, r2 = residual_expressions(sys, g)
     pts = sample(dom)
     rep1 = zero_report_at(r1, pts, tol)
@@ -476,8 +483,9 @@ def generator_from_json(obj: Mapping) -> Generator | LinearGenerator:
     ``coefficients`` are c1..c8 in the basis X1..X8 (see
     :meth:`LinearGenerator.from_coefficients`).  In the last shape a missing
     component is 0, but at least one must be given.  Keys of two shapes, or a
-    key outside the chosen shape, raise ValueError.  Coefficient values may be
-    numbers or expression strings.
+    key outside the chosen shape, raise ValueError.  The xi/eta1/eta2 and
+    ``zeta`` values may be numbers or expression strings; ``coefficients``,
+    ``k1``, ``k2`` and ``A`` take numbers only (a bool or a string raises).
     """
     if not isinstance(obj, Mapping):
         raise ValueError("generator JSON must be an object")
@@ -492,7 +500,7 @@ def generator_from_json(obj: Mapping) -> Generator | LinearGenerator:
     if unknown:
         raise ValueError(f"unknown keys in generator JSON: {sorted(unknown)}")
     if "coefficients" in obj:
-        if not isinstance(obj["coefficients"], (list, tuple)):
+        if not _numbers(obj["coefficients"], 8):
             raise ValueError("'coefficients' must be a list of 8 numbers")
         return LinearGenerator.from_coefficients(obj["coefficients"])
     if "linear" in obj:
@@ -504,15 +512,17 @@ def generator_from_json(obj: Mapping) -> Generator | LinearGenerator:
             raise ValueError(f"unknown keys in 'linear': {sorted(unknown)}")
         if "A" not in spec:
             raise ValueError("'linear' requires the matrix 'A'")
-        try:
-            A = Mat2.from_rows(spec["A"])
-        except (TypeError, ValueError):
-            raise ValueError("'A' must be two rows of two numbers") from None
+        if not _numbers([spec.get("k1", 0.0), spec.get("k2", 0.0)], 2):
+            raise ValueError("'k1' and 'k2' must be numbers")
+        A = spec["A"]
+        if not (isinstance(A, (list, tuple)) and len(A) == 2
+                and all(_numbers(row, 2) for row in A)):
+            raise ValueError("'A' must be two rows of two numbers")
         zeta = spec.get("zeta", (0.0, 0.0))
         if not isinstance(zeta, (list, tuple)) or len(zeta) != 2:
             raise ValueError("'zeta' must have exactly two entries")
-        return LinearGenerator(spec.get("k1", 0.0), spec.get("k2", 0.0), A,
-                               tuple(zeta))
+        return LinearGenerator(spec.get("k1", 0.0), spec.get("k2", 0.0),
+                               Mat2.from_rows(A), tuple(zeta))
     return Generator(*(obj.get(key, "0") for key in _COMPONENTS))
 
 

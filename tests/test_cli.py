@@ -119,6 +119,18 @@ class TestNormalize:
         assert code == 1
         assert "8 comma-separated" in err
 
+    @pytest.mark.parametrize("vector", ["-0.5,0,0,0,1,0,0,0", "-.5,0,0,0,1,0,0,0"])
+    def test_leading_negative_number_is_a_value(self, capsys, vector):
+        code, out, err = run(capsys, "normalize", vector, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["input"][0] == -0.5
+        assert run(capsys, "normalize", "--json", "--", vector) == (0, out, "")
+
+    def test_unknown_option_is_still_an_error(self, capsys):
+        code, out, err = run(capsys, "normalize", "--bogus", "1,0,0,0,0,0,0,0")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --bogus" in err
+
 
 class TestJordan:
     def test_rotation_like(self, capsys):
@@ -138,6 +150,11 @@ class TestJordan:
         code, _, err = run(capsys, "jordan", "--matrix", "1,2,3")
         assert code == 1
         assert "4 comma-separated" in err
+
+    def test_leading_negative_entry(self, capsys):
+        code, out, err = run(capsys, "jordan", "--matrix", "-1,2,3,4", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["matrix"] == [[-1.0, 2.0], [3.0, 4.0]]
 
 
 class TestCheck:
@@ -299,7 +316,14 @@ class TestCheck:
         {"xi": "1", "coefficients": [1, 0, 0, 0, 0, 0, 0, 0]},
         {"linear": {"A": 5}},
         {"coefficients": [float("nan"), 0, 0, 0, 0, 0, 0, 0]},
-    ], ids=["unknown-key", "mixed-shapes", "bad-matrix", "nan-coefficient"])
+        {"coefficients": [True, 0, 0, 0, 0, 0, 0, 0]},
+        {"coefficients": ["1", 0, 0, 0, 0, 0, 0, 0]},
+        {"linear": {"k1": True, "A": [[0, 0], [0, 0]]}},
+        {"linear": {"k2": "1", "A": [[0, 0], [0, 0]]}},
+        {"linear": {"A": [[True, 0], [0, 1]]}},
+    ], ids=["unknown-key", "mixed-shapes", "bad-matrix", "nan-coefficient",
+            "bool-coefficient", "string-coefficient", "bool-k1", "string-k2",
+            "bool-matrix-entry"])
     def test_malformed_generator_file(self, capsys, sysfile, clean_seed_env,
                                       generator):
         s = sysfile({"F": "exp(y)", "G": "exp(z)"})
@@ -386,6 +410,12 @@ class TestCatalogCli:
         payload = json.loads(out)
         assert payload["summary"] == {"pass": 33, "fail": 0, "quarantined": 1}
         assert len(payload["entries"]) == 34
+
+    @pytest.mark.parametrize("flag", ["--json", "--timings"])
+    def test_flags_go_after_list_or_verify(self, capsys, flag):
+        code, out, err = run(capsys, "catalog", flag, "list")
+        assert (code, out) == (1, "")
+        assert f"unrecognized arguments: {flag}" in err
 
     def test_selection_usage_errors(self, capsys):
         code, _, err = run(capsys, "catalog", "verify")

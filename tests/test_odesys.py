@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from liesym.expr import (
-    EvalError, SamplingDomain, const, evaluate, fold_constants, parse, sym,
+    EvalError, SamplingDomain, const, evaluate, fold_constants, parse,
+    substitute, sym,
 )
 from liesym.odesys import (
     Mat2, OdeSystem, ReducibilityHint, linear_change, reducibility_hint,
@@ -215,7 +216,7 @@ def test_reparam_identity():
 def test_reparam_constraint_identity():
     # psi = sqrt(phi') satisfies phi''/phi' = 2 psi'/psi; spot-check the
     # exponential case where both sides are the constant 2.
-    from liesym.expr import differentiate, sqrt, zero_report
+    from liesym.expr import differentiate, sample, sqrt, zero_report_at
     phi = parse("exp(2*x)")
     d1 = differentiate(phi, "x")
     d2 = differentiate(d1, "x")
@@ -223,7 +224,7 @@ def test_reparam_constraint_identity():
     psi1 = differentiate(psi, "x")
     resid = d2 / d1 - 2.0 * psi1 / psi
     dom = SamplingDomain(intervals={"x": (0.2, 1.5)}, n=100, seed=0)
-    assert zero_report(resid, dom, tol=1e-9).ok
+    assert zero_report_at(resid, sample(dom), tol=1e-9).ok
 
 
 def test_reparam_requires_inverse_for_nonaffine():
@@ -300,7 +301,7 @@ def test_reducibility_hint_none():
 
 
 def test_reducibility_hint_with_params():
-    got = reducibility_hint(parse("c*u^3"), parse("u^3"), U_DOM, params={"c": 2.0})
+    got = reducibility_hint(substitute(parse("c*u^3"), {"c": 2.0}), parse("u^3"), U_DOM)
     assert got is ReducibilityHint.ReducibleProportional
 
 

@@ -172,6 +172,15 @@ class TestGeneratorConstruction:
             generator_from_json({"xi": float("nan")})
         with pytest.raises(ValueError, match="finite"):
             generator_from_json({"linear": {"k1": float("inf"), "A": [[0, 0], [0, 0]]}})
+        for bad in ([True] + [0] * 7, ["1"] + [0] * 7, [0] * 7):
+            with pytest.raises(ValueError, match="list of 8 numbers"):
+                generator_from_json({"coefficients": bad})
+        for name, bad in (("k1", True), ("k2", "0.5")):
+            with pytest.raises(ValueError, match="'k1' and 'k2' must be numbers"):
+                generator_from_json({"linear": {name: bad, "A": [[0, 0], [0, 0]]}})
+        for A in ([[True, 0], [0, 1]], [["1", 0], [0, 1]]):
+            with pytest.raises(ValueError, match="'A' must be two rows of two numbers"):
+                generator_from_json({"linear": {"A": A}})
 
 
 # ---------------------------------------------------------------------------

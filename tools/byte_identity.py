@@ -33,8 +33,8 @@ script.  626 files:
   indices and all 25 pairs of five generator files (xi/eta and
   ``coefficients`` shapes);
 - ``errors/``: eight ``EvalError`` texts;
-- ``sample.txt`` and ``reducibility/``: ``sample`` with excluded loci and four
-  ``reducibility_hint`` calls.
+- ``sample.txt`` and ``reducibility/``: ``sample`` on a two-variable box and
+  four ``reducibility_hint`` calls on parameter-free profile pairs.
 
 Needs only the standard library and numpy; writes nothing outside ``OUT``
 but the benchmark's input files, which go to a temporary directory.
@@ -142,7 +142,7 @@ def write_outputs(out: Path, work: Path) -> int:
     import workloads
     from liesym import catalog, cli, liealg, odesys, symmetry
     from liesym.expr import (SamplingDomain, compile_evaluator, evaluate,
-                             parse, sample, to_string, zero_report)
+                             parse, sample, to_string, zero_report_at)
 
     files = 0
 
@@ -207,27 +207,25 @@ def write_outputs(out: Path, work: Path) -> int:
         "evaluate-division": lambda: evaluate(parse("2 + 1 / y"), {"y": 0.0}),
         "evaluate-power": lambda: evaluate(parse("y ^ 0.5"), {"y": -2.0}),
         "evaluate-call": lambda: evaluate(parse("sin(y) + ln(y)"), {"y": -1.0}),
-        "zero-report-unbound": lambda: zero_report(parse("gamma * y"), dom),
+        "zero-report-unbound": lambda: zero_report_at(parse("gamma * y"), sample(dom)),
     }
     for name, thunk in errors.items():
         emit(f"errors/{name}.txt", _error_text(thunk))
 
-    loci = SamplingDomain(intervals={"y": (-1.0, 1.0), "z": (-1.0, 1.0)},
-                          excluded=(parse("y - z"), parse("y - c")),
-                          guard=0.05, n=50, seed=3)
-    pts = sample(loci, params={"c": 0.5})
+    box = SamplingDomain(intervals={"y": (-1.0, 1.0), "z": (-1.0, 1.0)}, n=50, seed=3)
+    pts = sample(box)
     emit("sample.txt", "".join(f"{k} = {[float(v) for v in pts[k]]!r}\n" for k in pts))
 
     xdom = SamplingDomain(intervals={"x": (0.2, 3.0)}, n=50, seed=1)
     hints = {
         "constant": (parse("3"), parse("x")),
-        "proportional": (parse("x ^ 2"), parse("c * x ^ 2")),
+        "proportional": (parse("x ^ 2"), parse("3 * x ^ 2")),
         "none": (parse("sin(x)"), parse("cos(x)")),
         "exp": (parse("exp(2 * x)"), parse("x * exp(x)")),
     }
     for name, (f, g) in hints.items():
         emit(f"reducibility/{name}.txt",
-             repr(odesys.reducibility_hint(f, g, xdom, params={"c": 3.0})) + "\n")
+             repr(odesys.reducibility_hint(f, g, xdom)) + "\n")
     return files
 
 
