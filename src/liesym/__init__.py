@@ -38,7 +38,7 @@ from .expr import (
     to_string,
     zero_report_at,
 )
-from .jordan import Jordan2Result, classify2x2, kind_to_L4_rep
+from .jordan import Jordan2Result, classify2x2
 from .liealg import (
     AlgebraElement,
     OptimalRep,
@@ -48,6 +48,7 @@ from .liealg import (
     bracket,
     canonical_vector,
     involution,
+    kind_to_L4_rep,
     normalize_L4,
     normalize_L6,
     normalize_L8,

@@ -25,19 +25,22 @@ import sys
 import time
 
 from .catalog import entry_ids, get_entry, list_entries, verify_entry
-from .expr import EvalError, fold_constants, parse, to_string
-from .jordan import classify2x2, kind_to_L4_rep
+from .expr import EvalError, fold_constants, to_string
+from .jordan import classify2x2
 from .liealg import (
     AlgebraElement,
     bracket,
     canonical_vector,
+    kind_to_L4_rep,
     normalize_L4,
     normalize_L6,
     normalize_L8,
     rep_violations,
 )
 from .odesys import Mat2, OdeSystem, SamplingDomain
-from .symmetry import admits, commutator_vf, default_domain, generator_from_json
+from .symmetry import (
+    _coerce, _numbers, admits, commutator_vf, default_domain, generator_from_json,
+)
 
 
 class CliError(Exception):
@@ -143,10 +146,13 @@ def _load_system(path: str) -> OdeSystem:
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise CliError(f"{path}: params must be an object of name: number")
+    for name, v in params.items():
+        if not (_numbers([v], 1) and abs(v) <= sys.float_info.max):
+            raise CliError(f"{path}: param {name!r} must be a finite number, "
+                           f"got {json.dumps(v)}")
     try:
-        return OdeSystem(parse(str(data["F"])), parse(str(data["G"])),
-                         {k: float(v) for k, v in params.items()})
-    except ValueError as exc:
+        return OdeSystem(_coerce(data["F"], "F"), _coerce(data["G"], "G"), params)
+    except (TypeError, ValueError) as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 
@@ -307,10 +313,7 @@ def _cmd_check(args, started: float) -> int:
 def _cmd_normalize(args, started: float) -> int:
     c = _parse_vector(args.vector, 8, "coefficient vector")
     fn = {"L4": normalize_L4, "L6": normalize_L6, "L8": normalize_L8}[args.algebra]
-    try:
-        rep = fn(AlgebraElement.from_coeffs(c))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    rep = fn(AlgebraElement.from_coeffs(c))
     canon = canonical_vector(rep)
     payload = {
         "command": "normalize",

@@ -950,7 +950,7 @@ def zero_report_at(e: Expr, pts: Mapping[str, np.ndarray],
     parameters with :func:`substitute` first; the points come from
     :func:`sample` or, e.g., a change of coordinates pushed onto a slice.
     Raises ``ValueError`` unless ``tol`` is finite and positive and there is
-    at least one point.
+    at least one point, with one column shape for all symbols.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number > 0, got {tol}")
@@ -961,8 +961,11 @@ def zero_report_at(e: Expr, pts: Mapping[str, np.ndarray],
         raise EvalError(
             f"expression has unbound symbols {sorted(extra)}; supply a column for each")
     cols = [np.asarray(pts[nm], dtype=float) for nm in names]
-    if any(c.size == 0 for c in cols):
+    if not cols or any(c.size == 0 for c in cols):
         raise ValueError("need at least one sample point, got none")
+    if len({c.shape for c in cols}) > 1:
+        raise ValueError("sample columns differ in shape: "
+                         + ", ".join(f"{nm} {c.shape}" for nm, c in zip(names, cols)))
     vals, terms = compile_evaluator(ee, names, top_level_terms(ee))(*cols)
     scale = np.maximum.reduce([np.abs(t) for t in terms])
     ratio = np.abs(vals) / (1.0 + scale)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .odesys import Mat2
 
-__all__ = ["Jordan2Result", "classify2x2", "kind_to_L4_rep"]
+__all__ = ["Jordan2Result", "classify2x2"]
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,8 @@ def classify2x2(A: Mat2, tol_defect: float | None = None) -> Jordan2Result:
     Deterministic conventions: an exactly diagonal input keeps its entry
     order with P = I; otherwise the diagonal shape lists the larger
     eigenvalue first.  Inputs already in a template shape get P = I.
+    Raises ValueError for an entry that is not finite or so large that the
+    discriminant overflows.
     """
     a = A.to_array()
     norm = float(np.max(np.abs(a)))
@@ -85,6 +87,9 @@ def classify2x2(A: Mat2, tol_defect: float | None = None) -> Jordan2Result:
     tr = A.trace
     det = A.det
     disc = tr * tr - 4.0 * det
+    if not (math.isfinite(disc) and math.isfinite(norm * norm)):
+        raise ValueError(f"cannot classify {a.tolist()}: entries must be finite "
+                         "and below about 1e154 in magnitude")
     m = tr / 2.0
 
     if abs(disc) <= (2.0 * tol_defect) ** 2:
@@ -129,33 +134,3 @@ def classify2x2(A: Mat2, tol_defect: float | None = None) -> Jordan2Result:
     P = Mat2.from_array(np.linalg.inv(S))
     return Jordan2Result("J1", {"a11": lam1, "a22": lam2}, P, 1.0,
                          Mat2.diag(lam1, lam2))
-
-
-def kind_to_L4_rep(r: Jordan2Result, tol: float = 1e-12):
-    """Map a classified shape to its scaling-subalgebra representative.
-
-    The four families: diagonal with eigenvalue ratio alpha in [-1, 1];
-    rotation-like with alpha >= 0; defective with beta in {0, 1}; and the
-    zero matrix.  The returned representative carries the overall scale; the
-    sign/swap bookkeeping needed to *reach* it is the normalizer's job (the
-    word here is empty).
-    """
-    from .liealg import OptimalRep  # deferred: liealg depends on this module
-
-    if r.kind == "J1":
-        l1, l2 = r.params["a11"], r.params["a22"]
-        big, small = (l1, l2) if abs(l1) >= abs(l2) else (l2, l1)
-        if abs(big) <= tol:
-            return OptimalRep(algebra="L4", family=4, params={}, word=(), scale=1.0)
-        return OptimalRep(algebra="L4", family=1,
-                          params={"alpha": small / big}, word=(), scale=big)
-    if r.kind == "J2":
-        return OptimalRep(algebra="L4", family=2,
-                          params={"alpha": abs(r.params["a11"])}, word=(),
-                          scale=r.scale)
-    m = r.params["a11"]
-    if abs(m) <= tol * (1.0 + abs(m)):
-        return OptimalRep(algebra="L4", family=3, params={"beta": 0.0},
-                          word=(), scale=1.0)
-    return OptimalRep(algebra="L4", family=3, params={"beta": 1.0},
-                      word=(), scale=m)

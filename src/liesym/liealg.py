@@ -36,13 +36,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .jordan import classify2x2
+from .jordan import Jordan2Result, classify2x2
 from .odesys import Mat2
 
 __all__ = [
     "AlgebraElement", "OptimalRep", "DIM", "STRUCTURE_CONSTANTS",
     "ADJOINT_SIGNS", "bracket", "automorphism", "involution", "adjoint_exp",
-    "apply_word", "canonical_vector", "rep_violations",
+    "apply_word", "canonical_vector", "rep_violations", "kind_to_L4_rep",
     "normalize_L4", "normalize_L6", "normalize_L8",
 ]
 
@@ -109,23 +109,6 @@ class AlgebraElement:
     @staticmethod
     def from_coeffs(vals: Iterable[float]) -> "AlgebraElement":
         return AlgebraElement(tuple(float(v) for v in vals))
-
-    @staticmethod
-    def from_string(text: str) -> "AlgebraElement":
-        parts = text.split(",")
-        if len(parts) != DIM:
-            raise ValueError(f"expected {DIM} comma-separated numbers, got {len(parts)}")
-        try:
-            return AlgebraElement(tuple(float(p) for p in parts))
-        except ValueError as exc:
-            raise ValueError(f"bad coefficient list {text!r}: {exc}") from None
-
-    def to_string(self) -> str:
-        def fmt(v: float) -> str:
-            if v == int(v) and abs(v) <= 1e15:
-                return str(int(v))
-            return repr(v)
-        return ",".join(fmt(v) for v in self.c)
 
     def as_array(self) -> np.ndarray:
         return np.array(self.c, dtype=float)
@@ -402,9 +385,10 @@ class _Reducer:
 
 def _smaller_root(a: float, b: float, c: float) -> float:
     """The smaller-magnitude real root of a x^2 + b x + c = 0 (a may be 0),
-    via the cancellation-safe split."""
+    via the cancellation-safe split.  With a = b = 0 no root exists and the
+    shear is 0: the c8 residue stays, as a lone c7 residue does."""
     if a == 0.0:
-        return -c / b
+        return -c / b if b != 0.0 else 0.0
     disc = b * b - 4.0 * a * c
     disc = max(disc, 0.0)
     r = math.sqrt(disc)
@@ -428,7 +412,8 @@ def _reduce_scaling_part(red: _Reducer, tol: float) -> tuple:
     normM = float(np.max(np.abs(M.to_array())))
     if normM <= tol:
         return (4, {}, 1.0)
-    kind = classify2x2(M).kind
+    # scale-free gap tolerance, so that a tiny block is not read as scalar
+    kind = classify2x2(M, tol_defect=1e-6 * normM).kind
 
     if kind == "J1":
         # Shear away c8 (smaller root keeps the word tame), then c7, then
@@ -438,8 +423,7 @@ def _reduce_scaling_part(red: _Reducer, tol: float) -> tuple:
         tiny = 1e-15 * (1.0 + normM)
         for _ in range(3):
             c5, c6, c7, c8 = red.c(5), red.c(6), red.c(7), red.c(8)
-            if c8 != 0.0:
-                red.A(8, _smaller_root(c7, -(c5 - c6), -c8))
+            red.A(8, _smaller_root(c7, -(c5 - c6), -c8))
             c5, c6, c7 = red.c(5), red.c(6), red.c(7)
             if c7 != 0.0 and c5 != c6:
                 red.A(7, c7 / (c5 - c6))
@@ -453,8 +437,7 @@ def _reduce_scaling_part(red: _Reducer, tol: float) -> tuple:
 
     if kind == "J2":
         c5, c6, c8 = red.c(5), red.c(6), red.c(8)
-        if c5 != c6:
-            red.A(7, (c6 - c5) / (2.0 * c8))
+        red.A(7, (c6 - c5) / (2.0 * c8))
         p, q = red.c(7), red.c(8)
         t = 0.5 * math.log(abs(q / p))
         red.A(5, t)
@@ -492,37 +475,47 @@ def _reduce_scaling_part(red: _Reducer, tol: float) -> tuple:
 
 def _kill_translations(red: _Reducer):
     """Solve M (a3, a4) = (c3, c4) and shear the translation slots away;
-    assumes the current M is invertible.  One step of iterative refinement
+    a singular M raises ValueError.  One step of iterative refinement
     keeps the residual at rounding level even for unlucky conditioning."""
     M = _scaling_matrix(red.cur).to_array()
     t = np.array([red.c(3), red.c(4)])
-    a = np.linalg.solve(M, t)
+    try:
+        a = np.linalg.solve(M, t)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"scaling block {M.tolist()} is singular to working "
+                         "precision; cannot remove the translations") from None
     a = a + np.linalg.solve(M, t - M @ a)
     red.A(3, float(a[0]))
     red.A(4, float(a[1]))
 
 
-def _check_support(e: AlgebraElement, zero_idx: Iterable[int], what: str, tol: float):
-    bad = [i for i in zero_idx if abs(e.c[i - 1]) > tol]
+def _normalize(algebra: str, e: AlgebraElement, zero_idx: tuple, reduce) -> OptimalRep:
+    """The one normalizer path: check ``e`` (finite, zero at ``zero_idx``),
+    run ``reduce(reducer, atol)`` -> (family, params, scale[, kernel_c1]) and
+    wrap the result with the reducer's word."""
+    what = f"normalize_{algebra}"
+    if not all(math.isfinite(v) for v in e.c):
+        raise ValueError(f"{what} needs finite coefficients, got {list(e.c)}")
+    atol = 1e-12 * (1.0 + e.norm())
+    bad = [i for i in zero_idx if abs(e.c[i - 1]) > atol]
     if bad:
-        raise ValueError(
-            f"{what} expects zero coefficients at {sorted(bad)} "
-            f"(support restricted to the subalgebra)")
+        raise ValueError(f"{what} expects zero coefficients at {bad} "
+                         f"(support restricted to the subalgebra)")
+    red = _Reducer(e)
+    family, params, scale, *kernel = reduce(red, atol)
+    return OptimalRep(algebra=algebra, family=family, params=params,
+                      word=tuple(red.word), scale=scale,
+                      kernel_c1=kernel[0] if kernel else 0.0)
 
 
-def normalize_L4(e: AlgebraElement, tol: float = 1e-12) -> OptimalRep:
+def normalize_L4(e: AlgebraElement) -> OptimalRep:
     """Representative of span(e) inside the scaling subalgebra X5..X8.
 
     Families: 1 diagonal (X5 + alpha X6, -1 <= alpha <= 1), 2 rotation-like
     (alpha(X5+X6) + X8 - X7, alpha >= 0), 3 shear (beta(X5+X6) + X7, beta in
     {0,1}), 4 zero.
     """
-    atol = tol * (1.0 + e.norm())
-    _check_support(e, (1, 2, 3, 4), "normalize_L4", atol)
-    red = _Reducer(e)
-    family, params, scale = _reduce_scaling_part(red, atol)
-    return OptimalRep(algebra="L4", family=family, params=params,
-                      word=tuple(red.word), scale=scale)
+    return _normalize("L4", e, (1, 2, 3, 4), _reduce_scaling_part)
 
 
 def _l6_families(red: _Reducer, atol: float) -> tuple:
@@ -535,8 +528,7 @@ def _l6_families(red: _Reducer, atol: float) -> tuple:
         if abs(red.c(3)) <= atol and abs(red.c(4)) <= atol:
             return (8, {}, 1.0)
         if abs(red.c(3)) > atol:
-            if red.c(4) != 0.0:
-                red.A(8, -red.c(4) / red.c(3))
+            red.A(8, -red.c(4) / red.c(3))
         else:
             red.E(4)
         return (7, {}, red.c(3))
@@ -548,8 +540,7 @@ def _l6_families(red: _Reducer, atol: float) -> tuple:
             return (1, params, scale)
         # alpha == 0: the z-scaling slot is empty, so only c3 can be killed
         # by shears; a leftover c4 rescales onto X4 + X5.
-        if red.c(3) != 0.0:
-            red.A(3, red.c(3) / red.c(5))
+        red.A(3, red.c(3) / red.c(5))
         c4 = red.c(4)
         if abs(c4) <= atol:
             return (1, {"alpha": 0.0}, scale)
@@ -571,8 +562,7 @@ def _l6_families(red: _Reducer, atol: float) -> tuple:
         _kill_translations(red)
         return (6, {}, scale)
     # beta == 0: M is the pure shear; c3 dies through c7, c4 is stuck.
-    if red.c(3) != 0.0:
-        red.A(4, red.c(3) / red.c(7))
+    red.A(4, red.c(3) / red.c(7))
     c4 = red.c(4)
     if abs(c4) <= atol:
         return (5, {"beta": 0.0}, scale)
@@ -583,7 +573,7 @@ def _l6_families(red: _Reducer, atol: float) -> tuple:
     return (5, {"beta": 1.0}, red.c(4))
 
 
-def normalize_L6(e: AlgebraElement, tol: float = 1e-12) -> OptimalRep:
+def normalize_L6(e: AlgebraElement) -> OptimalRep:
     """Representative of span(e) inside the scalings-plus-translations
     subalgebra X3..X8.
 
@@ -592,15 +582,42 @@ def normalize_L6(e: AlgebraElement, tol: float = 1e-12) -> OptimalRep:
     7 X3; 8 zero.  The translation shears can always reach beta = 0 in
     family 4, so that is what comes out.
     """
-    atol = tol * (1.0 + e.norm())
-    _check_support(e, (1, 2), "normalize_L6", atol)
-    red = _Reducer(e)
+    return _normalize("L6", e, (1, 2), _l6_families)
+
+
+def _l8_families(red: _Reducer, atol: float) -> tuple:
+    """The full-algebra reduction behind normalize_L8.  Returns (family,
+    params, scale), plus kernel_c1 = 1 for a mixed element."""
+    c1, c2 = red.c(1), red.c(2)
+    if abs(c2) > atol:
+        red.A(1, c1 / c2)
+        family, params, scale = _l6_families(red, atol)
+        if family == 8:
+            # Nothing outside the x-direction: the element is c2 * X2.
+            return (8, {}, c2)
+        return (family, {**params, "gamma": c2 / scale}, scale)
+
+    if all(abs(v) <= atol for v in red.cur.c[2:]):
+        if abs(c1) <= atol:
+            return (0, {}, 1.0)
+        if c1 < 0.0:
+            red.E(3)
+        return ("kernel", {}, abs(c1))
+
+    # Some |c3..c8| > atol, so the L6 family is never 8 here.
     family, params, scale = _l6_families(red, atol)
-    return OptimalRep(algebra="L6", family=family, params=params,
-                      word=tuple(red.word), scale=scale)
+    params = {**params, "gamma": 0.0}
+    if abs(c1) <= atol:
+        return (family, params, scale)
+    # Mixed: reduce the removable part, then scale the stuck c1 onto the
+    # representative's overall scale.
+    if red.c(1) / scale < 0.0:
+        red.E(3)
+    red.A(2, math.log(scale / red.c(1)))
+    return (family, params, scale, 1.0)
 
 
-def normalize_L8(e: AlgebraElement, tol: float = 1e-12) -> OptimalRep:
+def normalize_L8(e: AlgebraElement) -> OptimalRep:
     """Representative of span(e) in the full coefficient space.
 
     With c2 != 0 the c1 slot is removable and the rest reduces as in the
@@ -610,49 +627,29 @@ def normalize_L8(e: AlgebraElement, tol: float = 1e-12) -> OptimalRep:
     "kernel", a mixed element keeps its reduced representative plus the
     flag kernel_c1 = 1.  The zero element reports family 0.
     """
-    atol = tol * (1.0 + e.norm())
-    red = _Reducer(e)
-    c1, c2 = red.c(1), red.c(2)
+    return _normalize("L8", e, (), _l8_families)
 
-    if abs(c2) > atol:
-        if c1 != 0.0:
-            red.A(1, c1 / c2)
-        family, params, scale = _l6_families(red, atol)
-        if family == 8:
-            # Nothing outside the x-direction: the element is c2 * X2.
-            return OptimalRep(algebra="L8", family=8, params={},
-                              word=tuple(red.word), scale=c2)
-        params = dict(params)
-        params["gamma"] = c2 / scale
-        return OptimalRep(algebra="L8", family=family, params=params,
-                          word=tuple(red.word), scale=scale)
 
-    rest = any(abs(v) > atol for v in e.c[2:])
-    if abs(c1) <= atol:
-        if not rest:
-            return OptimalRep(algebra="L8", family=0, params={}, word=(), scale=1.0)
-        family, params, scale = _l6_families(red, atol)
-        if family == 8:
-            return OptimalRep(algebra="L8", family=0, params={},
-                              word=tuple(red.word), scale=1.0)
-        params = dict(params)
-        params["gamma"] = 0.0
-        return OptimalRep(algebra="L8", family=family, params=params,
-                          word=tuple(red.word), scale=scale)
+def kind_to_L4_rep(r: Jordan2Result) -> OptimalRep:
+    """Map a classified shape to its scaling-subalgebra representative.
 
-    if not rest:
-        if c1 < 0.0:
-            red.E(3)
-        return OptimalRep(algebra="L8", family="kernel", params={},
-                          word=tuple(red.word), scale=abs(c1))
-
-    # Mixed: reduce the removable part, then scale the stuck c1 onto the
-    # representative's overall scale.
-    family, params, scale = _l6_families(red, atol)
-    if red.c(1) / scale < 0.0:
-        red.E(3)
-    red.A(2, math.log(scale / red.c(1)))
-    params = dict(params)
-    params["gamma"] = 0.0
-    return OptimalRep(algebra="L8", family=family, params=params,
-                      word=tuple(red.word), scale=scale, kernel_c1=1.0)
+    The four families: diagonal with eigenvalue ratio alpha in [-1, 1];
+    rotation-like with alpha >= 0; defective with beta in {0, 1}; and the
+    zero matrix.  The returned representative carries the overall scale; the
+    sign/swap bookkeeping needed to *reach* it is the normalizer's job (the
+    word here is empty).
+    """
+    if r.kind == "J1":
+        l1, l2 = r.params["a11"], r.params["a22"]
+        big, small = (l1, l2) if abs(l1) >= abs(l2) else (l2, l1)
+        if abs(big) <= 1e-12:
+            return OptimalRep(algebra="L4", family=4)
+        return OptimalRep(algebra="L4", family=1,
+                          params={"alpha": small / big}, scale=big)
+    if r.kind == "J2":
+        return OptimalRep(algebra="L4", family=2,
+                          params={"alpha": abs(r.params["a11"])}, scale=r.scale)
+    m = r.params["a11"]
+    if abs(m) <= 1e-12 * (1.0 + abs(m)):
+        return OptimalRep(algebra="L4", family=3, params={"beta": 0.0})
+    return OptimalRep(algebra="L4", family=3, params={"beta": 1.0}, scale=m)

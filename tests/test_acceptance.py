@@ -34,7 +34,7 @@ from liesym.expr import (
     sym,
     zero_report_at,
 )
-from liesym.jordan import classify2x2, kind_to_L4_rep
+from liesym.jordan import classify2x2
 from liesym.liealg import (
     ADJOINT_SIGNS,
     AlgebraElement,
@@ -43,6 +43,7 @@ from liesym.liealg import (
     automorphism,
     bracket,
     canonical_vector,
+    kind_to_L4_rep,
     normalize_L4,
     normalize_L6,
     normalize_L8,

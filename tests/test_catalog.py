@@ -327,8 +327,7 @@ class TestT2:
     @pytest.mark.parametrize("entry_id", [f"T2.{k}" for k in range(1, 11)])
     def test_extension_normalizes_to_declared_family(self, entry_id):
         e = get_entry(entry_id)
-        for rng_seed in (0, 1):
-            p = e.draw(np.random.default_rng(rng_seed))
+        for p in [e.defaults()] + [draw_params(entry_id, s) for s in range(6)]:
             ((_, g),) = e.labeled_generators(p)
             res = normalize_L8(AlgebraElement.from_coeffs(g.to_coefficients()))
             assert res.family == e.l8_family, (entry_id, res.family)

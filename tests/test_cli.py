@@ -131,6 +131,37 @@ class TestNormalize:
         assert (code, out) == (1, "")
         assert "unrecognized arguments: --bogus" in err
 
+    def test_non_number_entry(self, capsys):
+        code, out, err = run(capsys, "normalize", "1,0,0,0,x,0,0,0")
+        assert (code, out) == (1, "")
+        assert err.startswith("liesym: error: coefficient vector: could not convert")
+
+    @pytest.mark.parametrize("algebra", ["L4", "L6", "L8"])
+    @pytest.mark.parametrize("vector, message", [
+        ("0,0,0,0,nan,0,0,0", "needs finite coefficients"),
+        ("0,0,0,0,1,0,0,-inf", "needs finite coefficients"),
+        ("0,0,0,0,1e160,1e160,0,1", "cannot classify"),
+    ])
+    def test_non_finite_or_overflowing_vector(self, capsys, algebra, vector, message):
+        code, out, err = run(capsys, "normalize", vector, "--algebra", algebra)
+        assert (code, out) == (1, "")
+        assert err.startswith("liesym: error:") and message in err
+
+    @pytest.mark.parametrize("vector", ["nan,0,0,0,1,0,0,0", "inf,0,0,0,1,0,0,0"])
+    def test_non_finite_x_slot(self, capsys, vector):
+        code, out, err = run(capsys, "normalize", vector)
+        assert (code, out) == (1, "")
+        assert err.startswith("liesym: error: normalize_L8 needs finite coefficients")
+
+    @pytest.mark.parametrize("vector, algebra, family", [
+        ("0,0,0,0,1,1,0,1e-9", "L8", 1),
+        ("0,0,0,0,0,0,0,-1e-9", "L4", 3),
+    ])
+    def test_near_degenerate_block(self, capsys, vector, algebra, family):
+        code, out, err = run(capsys, "normalize", vector, "--algebra", algebra, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["family"] == family
+
 
 class TestJordan:
     def test_rotation_like(self, capsys):
@@ -155,6 +186,13 @@ class TestJordan:
         code, out, err = run(capsys, "jordan", "--matrix", "-1,2,3,4", "--json")
         assert (code, err) == (0, "")
         assert json.loads(out)["matrix"] == [[-1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize("matrix", ["nan,0,0,1", "1,inf,0,1", "1e160,0,0,1",
+                                        "0,1e160,0,0"])
+    def test_non_finite_or_overflowing_matrix(self, capsys, matrix):
+        code, out, err = run(capsys, "jordan", "--matrix", matrix)
+        assert (code, out) == (1, "")
+        assert err.startswith("liesym: error: cannot classify")
 
 
 class TestCheck:
@@ -252,6 +290,33 @@ class TestCheck:
         assert code == 1
         assert "'G'" in err
 
+
+    @pytest.mark.parametrize("system, message", [
+        ([1, 2], "expected a JSON object"),
+        ({"F": "y", "G": "z", "params": [1]}, "params must be an object"),
+        ({"F": "a*y", "G": "z", "params": {"a": [1]}}, "param 'a' must be a finite number, got [1]"),
+        ({"F": "a*y", "G": "z", "params": {"a": True}}, "param 'a' must be a finite number, got true"),
+        ({"F": "a*y", "G": "z", "params": {"a": "2"}}, "param 'a' must be a finite number, got \"2\""),
+        ({"F": "a*y", "G": "z", "params": {"a": float("nan")}}, "got NaN"),
+        ({"F": "a*y", "G": "z", "params": {"a": 10 ** 400}}, "param 'a' must be a finite number"),
+        ({"F": True, "G": "z"}, "F must be an Expr, a string, or a number; got bool"),
+        ({"F": "y", "G": None}, "G must be an Expr, a string, or a number; got NoneType"),
+        ({"F": "y", "G": float("inf")}, "G must be a finite number"),
+    ], ids=["not-an-object", "params-not-an-object", "list-param", "bool-param",
+            "string-param", "nan-param", "huge-int-param", "bool-F", "null-G", "inf-G"])
+    def test_malformed_system_file(self, capsys, sysfile, clean_seed_env, system, message):
+        s = sysfile(system)
+        g = sysfile({"xi": "1"}, "gen.json")
+        code, out, err = run(capsys, "check", s, g)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"liesym: error: {s}: ") and message in err
+
+    def test_numeric_right_hand_sides(self, capsys, sysfile, clean_seed_env):
+        s = sysfile({"F": 0, "G": -1.5, "params": {"a": 2}})
+        g = sysfile({"xi": "1"}, "gen.json")
+        code, out, err = run(capsys, "check", s, g)
+        assert (code, err) == (0, "")
+        assert out.startswith("admitted")
 
     @pytest.mark.parametrize("opts, reason", [
         (("--tol", "nan"), "tol"),
@@ -391,6 +456,12 @@ class TestCatalogCli:
                            "--set", "gamma")
         assert code == 1
         assert "NAME=VALUE" in err
+
+    def test_verify_rejects_non_numeric_set(self, capsys, clean_seed_env):
+        code, out, err = run(capsys, "catalog", "verify", "--id", "T1.J1",
+                             "--set", "gamma=abc")
+        assert (code, out) == (1, "")
+        assert err.startswith("liesym: error: --set 'gamma=abc': could not convert")
 
     def test_verify_unknown_id(self, capsys, clean_seed_env):
         code, _, err = run(capsys, "catalog", "verify", "--id", "T9.zz")

@@ -641,6 +641,20 @@ def test_zero_report_at_rejects_empty_points():
         ex.zero_report_at(parse("y"), {"y": np.array([])})
 
 
+def test_zero_report_at_rejects_no_columns():
+    # what sample() returns for a box with no variables
+    pts = sample(SamplingDomain(intervals={}, n=5))
+    assert pts == {}
+    with pytest.raises(ValueError, match="at least one sample point"):
+        ex.zero_report_at(parse("1 - 1"), pts)
+
+
+@pytest.mark.parametrize("text", ["y - y", "y - 1"])
+def test_zero_report_at_rejects_unequal_columns(text):
+    with pytest.raises(ValueError, match=r"differ in shape: y \(2,\), z \(1,\)"):
+        ex.zero_report_at(parse(text), {"y": np.array([1.0, 2.0]), "z": np.array([1.0])})
+
+
 @pytest.mark.parametrize("change", [
     {"n": 0}, {"n": -3}, {"intervals": {"y": (1.0, 1.0)}},
     {"intervals": {"y": (2.0, 1.0)}}, {"intervals": {"y": (0.0, math.inf)}},

@@ -182,6 +182,18 @@ class TestGeneratorConstruction:
             with pytest.raises(ValueError, match="'A' must be two rows of two numbers"):
                 generator_from_json({"linear": {"A": A}})
 
+    @pytest.mark.parametrize("obj, message", [
+        ([0, 1], "generator JSON must be an object"),
+        ({"linear": [[1, 0], [0, 1]]}, "'linear' must be an object"),
+        ({"linear": {"A": [[1, 0], [0, 1]], "B": 1}}, r"unknown keys in 'linear': \['B'\]"),
+        ({"linear": {"A": [[1, 0], [0, 1]], "zeta": [0]}}, "'zeta' must have exactly two entries"),
+        ({"linear": {"A": [[1, 0], [0, 1]], "zeta": "y"}}, "'zeta' must have exactly two entries"),
+    ], ids=["not-an-object", "linear-not-an-object", "unknown-linear-key",
+            "short-zeta", "string-zeta"])
+    def test_json_rejects_malformed_shapes(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            generator_from_json(obj)
+
 
 # ---------------------------------------------------------------------------
 # Prolongation: frozen values and the flow oracle
