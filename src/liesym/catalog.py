@@ -251,6 +251,9 @@ class CatalogEntry:
                 raise ValueError(
                     f"{self.id}: unknown parameter {k!r} (expected one of {sorted(p)})")
             p[k] = float(v)
+            if not math.isfinite(p[k]):
+                raise ValueError(f"{self.id}: parameter {k!r} must be a finite "
+                                 f"number, got {p[k]!r}")
         for check in self.checks:
             msg = _violation(check, p)
             if msg:

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands wrap the library layers one-to-one: ``check`` runs the symmetry
-test on a system/generator pair read from JSON files, ``normalize`` reduces a
+test on a system/generator pair read from JSON files (parsed by
+:func:`~liesym.symmetry.system_from_json` and
+:func:`~liesym.symmetry.generator_from_json`), ``normalize`` reduces a
 coefficient vector to its optimal-system representative, ``jordan`` classifies
 a real 2x2 matrix, ``commutator`` brackets two basis fields (by index) or two
 generator files, and ``catalog`` lists or verifies the built-in entries.
@@ -37,9 +39,9 @@ from .liealg import (
     normalize_L8,
     rep_violations,
 )
-from .odesys import Mat2, OdeSystem, SamplingDomain
+from .odesys import Mat2, SamplingDomain
 from .symmetry import (
-    _coerce, _numbers, admits, commutator_vf, default_domain, generator_from_json,
+    admits, commutator_vf, default_domain, generator_from_json, system_from_json,
 )
 
 
@@ -125,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
 # Input loading
 # ---------------------------------------------------------------------------
 
-def _load_json(path: str) -> dict:
+def _load(path: str, from_json):
+    """Read the JSON object in ``path`` and parse it with ``from_json``."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -135,31 +138,8 @@ def _load_json(path: str) -> dict:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise CliError(f"{path}: expected a JSON object")
-    return data
-
-
-def _load_system(path: str) -> OdeSystem:
-    data = _load_json(path)
-    for key in ("F", "G"):
-        if key not in data:
-            raise CliError(f"{path}: missing right-hand side {key!r}")
-    params = data.get("params", {})
-    if not isinstance(params, dict):
-        raise CliError(f"{path}: params must be an object of name: number")
-    for name, v in params.items():
-        if not (_numbers([v], 1) and abs(v) <= sys.float_info.max):
-            raise CliError(f"{path}: param {name!r} must be a finite number, "
-                           f"got {json.dumps(v)}")
     try:
-        return OdeSystem(_coerce(data["F"], "F"), _coerce(data["G"], "G"), params)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"{path}: {exc}") from exc
-
-
-def _load_generator(path: str):
-    data = _load_json(path)
-    try:
-        return generator_from_json(data)
+        return from_json(data)
     except (TypeError, ValueError) as exc:
         raise CliError(f"{path}: {exc}") from exc
 
@@ -276,8 +256,8 @@ def _emit(args, payload: dict, lines: list[str], started: float) -> None:
 
 def _cmd_check(args, started: float) -> int:
     seed = _seed(args)
-    system = _load_system(args.system)
-    gen = _load_generator(args.generator)
+    system = _load(args.system, system_from_json)
+    gen = _load(args.generator, generator_from_json)
     if args.domain:
         dom = _parse_domain(args.domain, args.samples, seed)
     else:
@@ -392,8 +372,8 @@ def _cmd_commutator(args, started: float) -> int:
         lines = [f"[X{i}, X{j}] = {payload['pretty']}"]
         _emit(args, payload, lines, started)
         return 0
-    g1 = _load_generator(args.left)
-    g2 = _load_generator(args.right)
+    g1 = _load(args.left, generator_from_json)
+    g2 = _load(args.right, generator_from_json)
     out = commutator_vf(g1, g2)
     xi, e1, e2 = (to_string(fold_constants(e))
                   for e in (out.xi, out.eta1, out.eta2))

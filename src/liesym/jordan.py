@@ -63,33 +63,36 @@ def _eigvec(a: np.ndarray, lam: float) -> np.ndarray:
     return _unit(v)
 
 
-def classify2x2(A: Mat2, tol_defect: float | None = None) -> Jordan2Result:
+def classify2x2(A: Mat2) -> Jordan2Result:
     """Classify ``A`` into its real 2x2 normal form.
 
-    ``tol_defect`` is the eigenvalue-gap tolerance: a gap at or below
-    2*tol_defect is treated as a repeated eigenvalue, and within that branch
-    an off-diagonal remainder above the tolerance makes the matrix
-    defective.  Defaults to 1e-6 * (1 + max|entry|): eigenvalues of a
-    defective matrix move like the square root of a perturbation, so data
-    that went through a few arithmetic steps needs a gap tolerance near
-    sqrt(machine epsilon), not near machine epsilon.
+    A gap at or below 2*tol between the eigenvalues is treated as a repeated
+    eigenvalue, and within that branch an off-diagonal remainder above tol
+    makes the matrix defective.  tol = 1e-6 * max|entry| does not depend on
+    the scale of ``A``, and it is near sqrt(machine epsilon) because the
+    eigenvalues of a defective matrix move like the square root of a
+    perturbation.
 
     Deterministic conventions: an exactly diagonal input keeps its entry
     order with P = I; otherwise the diagonal shape lists the larger
     eigenvalue first.  Inputs already in a template shape get P = I.
-    Raises ValueError for an entry that is not finite or so large that the
-    discriminant overflows.
+    Raises ValueError for an entry that is not finite, so large that the
+    discriminant overflows (about 1e154) or, in a nonzero matrix, so small
+    that max|entry|^2 underflows (about 1.5e-154).
     """
     a = A.to_array()
     norm = float(np.max(np.abs(a)))
-    if tol_defect is None:
-        tol_defect = 1e-6 * (1.0 + norm)
+    tol_defect = 1e-6 * norm
     tr = A.trace
     det = A.det
     disc = tr * tr - 4.0 * det
     if not (math.isfinite(disc) and math.isfinite(norm * norm)):
         raise ValueError(f"cannot classify {a.tolist()}: entries must be finite "
                          "and below about 1e154 in magnitude")
+    # the gap test compares squares, which lose their precision when subnormal
+    if norm > 0.0 and norm * norm < np.finfo(float).tiny:
+        raise ValueError(f"cannot classify {a.tolist()}: the largest entry must "
+                         "be 0 or at least about 1.5e-154 in magnitude")
     m = tr / 2.0
 
     if abs(disc) <= (2.0 * tol_defect) ** 2:

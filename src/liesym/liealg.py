@@ -412,8 +412,7 @@ def _reduce_scaling_part(red: _Reducer, tol: float) -> tuple:
     normM = float(np.max(np.abs(M.to_array())))
     if normM <= tol:
         return (4, {}, 1.0)
-    # scale-free gap tolerance, so that a tiny block is not read as scalar
-    kind = classify2x2(M, tol_defect=1e-6 * normM).kind
+    kind = classify2x2(M).kind
 
     if kind == "J1":
         # Shear away c8 (smaller root keeps the word tame), then c7, then

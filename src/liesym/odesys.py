@@ -1,7 +1,8 @@
 """Systems y'' = F, z'' = G and the equivalence transformations between them.
 
-A system is a pair of expression right-hand sides in (x, y, z) plus parameter
-bindings.  Three transformations preserve the class: an invertible linear mix
+A system is a pair of expression right-hand sides in (x, y, z), with any
+parameters already bound (see :func:`liesym.symmetry.system_from_json`).
+Three transformations preserve the class: an invertible linear mix
 of the dependent variables, a shift of each dependent variable by a function
 of x, and a reparametrization of x (which drags a forced rescaling of y and z
 along with it).  The module also carries the small 2x2 real matrix type used
@@ -12,13 +13,12 @@ degenerate pair of one-variable profile functions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
 from .expr import (
-    Expr, RESERVED_NAMES, const, differentiate, fold_constants, free_symbols,
+    Expr, _as_expr, differentiate, fold_constants, free_symbols,
     sample, sqrt, substitute, sym, SamplingDomain, zero_report_at,
 )
 
@@ -103,7 +103,7 @@ class Mat2:
     def apply_vec(self, v1, v2):
         """Apply to a column vector; works for floats and expressions alike."""
         if isinstance(v1, Expr) or isinstance(v2, Expr):
-            v1, v2 = _lift(v1), _lift(v2)
+            v1, v2 = _as_expr(v1), _as_expr(v2)
         return (self.a11 * v1 + self.a12 * v2,
                 self.a21 * v1 + self.a22 * v2)
 
@@ -112,47 +112,35 @@ class Mat2:
                                 rtol=tol, atol=tol))
 
 
-def _lift(v):
-    if isinstance(v, Expr):
-        return v
-    return const(v)
-
-
 @dataclass(frozen=True)
 class OdeSystem:
-    """y'' = F(x, y, z), z'' = G(x, y, z) with parameter bindings.
+    """y'' = F(x, y, z), z'' = G(x, y, z).
 
-    ``params`` binds every non-reserved symbol appearing in F and G; reserved
-    derivative names (yp, zp) may not appear at all — the right-hand sides of
-    this class of systems never involve first derivatives.
+    F and G may use x, y and z only: bind parameters with
+    :func:`~liesym.expr.substitute` first.  yp and zp may not appear at all —
+    the right-hand sides of this class never involve first derivatives.
     """
 
     F: Expr
     G: Expr
-    params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "params",
-                           {k: float(v) for k, v in dict(self.params).items()})
         free = free_symbols(self.F) | free_symbols(self.G)
         banned = free & {"yp", "zp"}
         if banned:
             raise ValueError(f"right-hand sides must not contain {sorted(banned)}")
-        clash = set(self.params) & set(RESERVED_NAMES)
-        if clash:
-            raise ValueError(f"parameters may not shadow reserved names {sorted(clash)}")
-        unbound = free - {"x", "y", "z"} - set(self.params)
+        unbound = free - {"x", "y", "z"}
         if unbound:
-            raise ValueError(f"unbound parameters {sorted(unbound)}; add them to params")
+            raise ValueError(f"unbound symbols {sorted(unbound)}; F and G may "
+                             "use only x, y and z, so bind parameters first")
 
     @property
     def is_autonomous(self) -> bool:
         return "x" not in (free_symbols(self.F) | free_symbols(self.G))
 
     def resolved(self) -> tuple[Expr, Expr]:
-        """(F, G) with parameter values substituted and folded."""
-        return (fold_constants(substitute(self.F, self.params)),
-                fold_constants(substitute(self.G, self.params)))
+        """(F, G) with constants folded."""
+        return fold_constants(self.F), fold_constants(self.G)
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +160,11 @@ def linear_change(sys: OdeSystem, P: Mat2) -> OdeSystem:
     Fi = substitute(sys.F, {"y": ysub, "z": zsub})
     Gi = substitute(sys.G, {"y": ysub, "z": zsub})
     Fn, Gn = P.apply_vec(Fi, Gi)
-    return OdeSystem(fold_constants(Fn), fold_constants(Gn), sys.params)
+    return OdeSystem(fold_constants(Fn), fold_constants(Gn))
 
 
-def _check_x_only(e: Expr, what: str, allowed: set[str]):
-    bad = free_symbols(e) - allowed - {"x"}
+def _check_x_only(e: Expr, what: str):
+    bad = free_symbols(e) - {"x"}
     if bad:
         raise ValueError(f"{what} must be a function of x only; found {sorted(bad)}")
 
@@ -187,9 +175,8 @@ def shift_change(sys: OdeSystem, phi: Expr, psi: Expr) -> OdeSystem:
     Forcing terms phi'' and psi'' appear on the right-hand sides; the result
     is generally non-autonomous even when the input was autonomous.
     """
-    allowed = set(sys.params)
-    _check_x_only(phi, "phi", allowed)
-    _check_x_only(psi, "psi", allowed)
+    _check_x_only(phi, "phi")
+    _check_x_only(psi, "psi")
     y_, z_ = sym("y"), sym("z")
     ysub = fold_constants(y_ - phi)
     zsub = fold_constants(z_ - psi)
@@ -197,7 +184,7 @@ def shift_change(sys: OdeSystem, phi: Expr, psi: Expr) -> OdeSystem:
     Gi = substitute(sys.G, {"y": ysub, "z": zsub})
     phi2 = differentiate(differentiate(phi, "x"), "x")
     psi2 = differentiate(differentiate(psi, "x"), "x")
-    return OdeSystem(fold_constants(Fi + phi2), fold_constants(Gi + psi2), sys.params)
+    return OdeSystem(fold_constants(Fi + phi2), fold_constants(Gi + psi2))
 
 
 def reparam_change(sys: OdeSystem, phi: Expr, phi_inv: Expr | None = None) -> OdeSystem:
@@ -213,8 +200,7 @@ def reparam_change(sys: OdeSystem, phi: Expr, phi_inv: Expr | None = None) -> Od
     of phi.  Affine phi is inverted automatically; for anything else pass
     ``phi_inv`` (an expression in x representing the inverse function).
     """
-    allowed = set(sys.params)
-    _check_x_only(phi, "phi", allowed)
+    _check_x_only(phi, "phi")
     x_, y_, z_ = sym("x"), sym("y"), sym("z")
 
     d1 = fold_constants(differentiate(phi, "x"))
@@ -226,7 +212,7 @@ def reparam_change(sys: OdeSystem, phi: Expr, phi_inv: Expr | None = None) -> Od
         a = fold_constants(substitute(phi, {"x": 0.0}))
         phi_inv = fold_constants((x_ - a) / d1)
     else:
-        _check_x_only(phi_inv, "phi_inv", allowed)
+        _check_x_only(phi_inv, "phi_inv")
 
     psi = sqrt(d1)
     psi1 = differentiate(psi, "x")
@@ -241,7 +227,7 @@ def reparam_change(sys: OdeSystem, phi: Expr, phi_inv: Expr | None = None) -> Od
 
     Fn = fold_constants(substitute(fold_constants(Ftil), {"x": phi_inv}))
     Gn = fold_constants(substitute(fold_constants(Gtil), {"x": phi_inv}))
-    return OdeSystem(Fn, Gn, sys.params)
+    return OdeSystem(Fn, Gn)
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,15 @@ and the vector-field commutator (`commutator_vf`).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from sys import float_info
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .expr import (Expr, SamplingDomain, const, differentiate,
-                   evaluate, fold_constants, free_symbols, parse, sample, sym,
-                   to_string, zero_report_at)
+from .expr import (RESERVED_NAMES, Expr, SamplingDomain, const, differentiate,
+                   evaluate, fold_constants, free_symbols, parse, sample,
+                   substitute, sym, to_string, zero_report_at)
 from .odesys import Mat2, OdeSystem
 
 __all__ = [
@@ -34,7 +35,7 @@ __all__ = [
     "determining_generator", "residual_expressions", "prolong2_residual",
     "determining_residual", "autonomous_residual", "admits",
     "BOX", "default_domain", "transform_generator", "commutator_vf",
-    "generator_from_json", "generator_to_json",
+    "system_from_json", "generator_from_json", "generator_to_json",
 ]
 
 
@@ -470,6 +471,32 @@ def commutator_vf(g1, g2) -> Generator:
 # ---------------------------------------------------------------------------
 
 _COMPONENTS = ("xi", "eta1", "eta2")
+
+
+def system_from_json(obj: Mapping) -> OdeSystem:
+    """Parse the system file format, e.g. ``{"F": "a * exp(y)", "G": 1,
+    "params": {"a": 2}}``: F and G are expression strings or finite numbers,
+    params values finite numbers (a bool or a string raises), other keys are
+    ignored.  The params are substituted into F and G, so none may be named
+    x, y, z, yp or zp, a variable it would replace.
+    """
+    if not isinstance(obj, Mapping):
+        raise ValueError("system JSON must be an object")
+    for key in ("F", "G"):
+        if key not in obj:
+            raise ValueError(f"missing right-hand side {key!r}")
+    params = obj.get("params", {})
+    if not isinstance(params, Mapping):
+        raise ValueError("params must be an object of name: number")
+    for name, v in params.items():
+        if not (_numbers([v], 1) and abs(v) <= float_info.max):
+            raise ValueError(f"param {name!r} must be a finite number, "
+                             f"got {json.dumps(v)}")
+    F, G = _coerce(obj["F"], "F"), _coerce(obj["G"], "G")
+    clash = set(params) & set(RESERVED_NAMES)
+    if clash:
+        raise ValueError(f"parameters may not shadow reserved names {sorted(clash)}")
+    return OdeSystem(substitute(F, params), substitute(G, params))
 
 
 def generator_from_json(obj: Mapping) -> Generator | LinearGenerator:

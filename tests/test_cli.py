@@ -188,11 +188,22 @@ class TestJordan:
         assert json.loads(out)["matrix"] == [[-1.0, 2.0], [3.0, 4.0]]
 
     @pytest.mark.parametrize("matrix", ["nan,0,0,1", "1,inf,0,1", "1e160,0,0,1",
-                                        "0,1e160,0,0"])
+                                        "0,1e160,0,0", "1e-200,0,0,2e-200",
+                                        "0,0,0,1e-320"])
     def test_non_finite_or_overflowing_matrix(self, capsys, matrix):
         code, out, err = run(capsys, "jordan", "--matrix", matrix)
         assert (code, out) == (1, "")
         assert err.startswith("liesym: error: cannot classify")
+
+    def test_small_matrices_keep_their_shape(self, capsys):
+        code, out, err = run(capsys, "jordan", "--matrix", "2e-7,0,0,-3e-7", "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["kind"], payload["params"]) == ("J1", {"a11": 2e-7, "a22": -3e-7})
+        assert payload["reconstruction_error"] == 0.0
+        code, out, err = run(capsys, "jordan", "--matrix", "1e-9,1e-9,0,1e-9", "--json")
+        assert (code, err) == (0, "")
+        assert (json.loads(out)["kind"], json.loads(out)["l4_family"]) == ("J3", 3)
 
 
 class TestCheck:
@@ -234,6 +245,34 @@ class TestCheck:
         code, _, err = run(capsys, "check", s, g)
         assert code == 1
         assert "unbound" in err
+
+    @pytest.mark.parametrize("system, names", [
+        ({"F": "a*y", "G": "z"}, "['a']"),
+        ({"F": "y", "G": "b*z + c", "params": {"b": 1}}, "['c']"),
+        ({"F": "q*r", "G": "z"}, "['q', 'r']"),
+    ])
+    def test_unbound_name_is_named(self, capsys, sysfile, clean_seed_env, system, names):
+        s = sysfile(system)
+        g = sysfile({"xi": "1"}, "gen.json")
+        code, out, err = run(capsys, "check", s, g)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"liesym: error: {s}: unbound symbols {names}")
+
+    @pytest.mark.parametrize("generator", [
+        {"coefficients": [0, 1, 0, 0, 1, 0.5, 0, 0]},
+        {"xi": "0", "eta1": "y", "eta2": "0"},
+    ], ids=["admitted", "rejected"])
+    def test_params_mean_their_literal_values(self, capsys, sysfile, clean_seed_env,
+                                              generator):
+        bound = sysfile({"F": "a * z^(-2)", "G": "b * z^(-3)",
+                         "params": {"a": 2.5, "b": -0.75, "unused": 1}}, "bound.json")
+        literal = sysfile({"F": "2.5 * z^(-2)", "G": "(-0.75) * z^(-3)"},
+                          "literal.json")
+        g = sysfile(generator, "gen.json")
+        code_b, out_b, _ = run(capsys, "check", bound, g, "--json")
+        code_l, out_l, _ = run(capsys, "check", literal, g, "--json")
+        assert code_b == code_l == (0 if "coefficients" in generator else 2)
+        assert out_b.replace(json.dumps(bound), json.dumps(literal)) == out_l
 
     def test_bad_generator_symbol(self, capsys, sysfile):
         s = sysfile({"F": "exp(y)", "G": "exp(z)"})
@@ -302,8 +341,11 @@ class TestCheck:
         ({"F": True, "G": "z"}, "F must be an Expr, a string, or a number; got bool"),
         ({"F": "y", "G": None}, "G must be an Expr, a string, or a number; got NoneType"),
         ({"F": "y", "G": float("inf")}, "G must be a finite number"),
+        ({"F": "y", "G": "z", "params": {"yp": 1}},
+         "parameters may not shadow reserved names ['yp']"),
     ], ids=["not-an-object", "params-not-an-object", "list-param", "bool-param",
-            "string-param", "nan-param", "huge-int-param", "bool-F", "null-G", "inf-G"])
+            "string-param", "nan-param", "huge-int-param", "bool-F", "null-G", "inf-G",
+            "yp-param"])
     def test_malformed_system_file(self, capsys, sysfile, clean_seed_env, system, message):
         s = sysfile(system)
         g = sysfile({"xi": "1"}, "gen.json")
@@ -462,6 +504,16 @@ class TestCatalogCli:
                              "--set", "gamma=abc")
         assert (code, out) == (1, "")
         assert err.startswith("liesym: error: --set 'gamma=abc': could not convert")
+
+    @pytest.mark.parametrize("entry_id, assignment, message", [
+        ("T2.1", "alpha=nan", "T2.1: parameter 'alpha' must be a finite number, got nan"),
+        ("T1.J1", "gamma=inf", "T1.J1: parameter 'gamma' must be a finite number, got inf"),
+    ])
+    def test_verify_rejects_non_finite_set(self, capsys, clean_seed_env, entry_id,
+                                           assignment, message):
+        code, out, err = run(capsys, "catalog", "verify", "--id", entry_id,
+                             "--set", assignment)
+        assert (code, out, err) == (1, "", f"liesym: error: {message}\n")
 
     def test_verify_unknown_id(self, capsys, clean_seed_env):
         code, _, err = run(capsys, "catalog", "verify", "--id", "T9.zz")

@@ -294,6 +294,20 @@ class TestNormalizeL4:
             elif rep_j.family == 2:
                 assert abs(rep_n.scale) == pytest.approx(rep_j.scale, rel=1e-7)
 
+    @pytest.mark.parametrize("block, family", [
+        ((1.0, 1.0, 0.0, 1.0), 3), ((0.0, 1.0, 0.0, 0.0), 3),
+        ((2.0, 0.0, 0.0, -3.0), 1), ((1.0, 0.0, 0.0, 1.0), 1),
+        ((1.0, 2.0, -2.0, 1.0), 2), ((2.0, 1.0, 1e-8, 2.0), 1),
+    ])
+    def test_block_family_is_scale_free(self, block, family):
+        # [[c5, c7], [c8, c6]] scaled by 1e-9 .. 1e9 keeps its family in both
+        # the Jordan classifier and the normalizer
+        for k in range(-9, 10):
+            a11, a12, a21, a22 = (10.0 ** k * v for v in block)
+            rep_j = kind_to_L4_rep(classify2x2(Mat2(a11, a12, a21, a22)))
+            rep_n = normalize_L4(elem(c5=a11, c6=a22, c7=a12, c8=a21))
+            assert (rep_j.family, rep_n.family) == (family, family), k
+
     def test_randomized_replay_ranges_idempotence(self):
         rng = np.random.default_rng(24)
         for _ in range(300):

@@ -64,14 +64,12 @@ def test_odesystem_validation():
     OdeSystem(parse("y*z"), parse("z^2"))  # fine
     with pytest.raises(ValueError):
         OdeSystem(parse("yp + y"), parse("z"))
-    with pytest.raises(ValueError):
-        OdeSystem(parse("gamma*y"), parse("z"))  # unbound parameter
-    with pytest.raises(ValueError):
-        OdeSystem(parse("y"), parse("z"), params={"yp": 1.0})
+    with pytest.raises(ValueError, match=r"unbound symbols \['gamma'\]"):
+        OdeSystem(parse("gamma*y"), parse("z"))
 
 
 def test_odesystem_autonomy_and_resolution():
-    s = OdeSystem(parse("gamma*y"), parse("z"), params={"gamma": 2.0})
+    s = OdeSystem(substitute(parse("gamma*y"), {"gamma": 2.0}), parse("z"))
     assert s.is_autonomous
     F, G = s.resolved()
     assert F == parse("2*y")

@@ -24,7 +24,8 @@ from liesym.symmetry import (Generator, LinearGenerator, admits,
                              commutator_vf, default_domain,
                              determining_generator, determining_residual,
                              generator_from_json, generator_to_json,
-                             prolong2_residual, transform_generator)
+                             prolong2_residual, system_from_json,
+                             transform_generator)
 
 from oracles import rk4_second_order
 
@@ -193,6 +194,46 @@ class TestGeneratorConstruction:
     def test_json_rejects_malformed_shapes(self, obj, message):
         with pytest.raises(ValueError, match=message):
             generator_from_json(obj)
+
+
+class TestSystemFromJson:
+    def test_params_are_substituted(self):
+        s = system_from_json({"F": "a * z^(-2)", "G": "b * z^(-3)",
+                              "params": {"a": 2, "b": -0.5, "unused": 7.0}})
+        assert (s.F, s.G) == (parse("2 * z^(-2)"), parse("(-0.5) * z^(-3)"))
+        assert system_from_json({"F": 0, "G": -1.5}).resolved() == (parse("0"),
+                                                                    parse("-1.5"))
+        # keys outside F, G and params are ignored
+        assert system_from_json({"F": "y", "G": "z", "note": 1}).F == parse("y")
+
+    @pytest.mark.parametrize("obj, message", [
+        ([1, 2], "system JSON must be an object"),
+        ({"F": "y"}, "missing right-hand side 'G'"),
+        ({"G": "z"}, "missing right-hand side 'F'"),
+        ({"F": "y", "G": "z", "params": [1]}, "params must be an object of name: number"),
+        ({"F": "a*y", "G": "z", "params": {"a": True}},
+         "param 'a' must be a finite number, got true"),
+        ({"F": "a*y", "G": "z", "params": {"a": "2"}},
+         "param 'a' must be a finite number, got \"2\""),
+        ({"F": "a*y", "G": "z", "params": {"a": float("inf")}},
+         "param 'a' must be a finite number, got Infinity"),
+        ({"F": "y", "G": "z", "params": {"yp": 1.0}},
+         r"parameters may not shadow reserved names \['yp'\]"),
+        ({"F": "x * y", "G": "z", "params": {"x": 2, "z": 1}},
+         r"parameters may not shadow reserved names \['x', 'z'\]"),
+        ({"F": "a * y", "G": "b + z", "params": {"a": 1}}, r"unbound symbols \['b'\]"),
+        ({"F": "yp", "G": "z"}, r"must not contain \['yp'\]"),
+        ({"F": "y", "G": float("nan")}, "G must be a finite number"),
+    ], ids=["not-an-object", "no-G", "no-F", "params-not-an-object", "bool-param",
+            "string-param", "inf-param", "yp-param", "variable-params", "unbound",
+            "velocity", "nan-G"])
+    def test_rejects_malformed(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            system_from_json(obj)
+
+    def test_rejects_non_expression_rhs(self):
+        with pytest.raises(TypeError, match="F must be an Expr, a string, or a number"):
+            system_from_json({"F": [1], "G": "z"})
 
 
 # ---------------------------------------------------------------------------

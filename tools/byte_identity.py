@@ -12,7 +12,7 @@ the one next to this script), so one copy of the script serves both sides:
 
 The inputs are fixed by seeds; the ``check`` and ``covariance`` inputs come
 from the benchmark's generators in ``bench/workloads.py`` next to this
-script.  626 files:
+script.  649 files:
 
 - ``catalog/``: ``liesym catalog verify --all --json`` at seeds 0 and 1, and
   ``liesym catalog list`` with and without ``--json``;
@@ -23,6 +23,11 @@ script.  626 files:
   for s = 0..3, as the report's repr;
 - ``check/``: ``liesym check --json`` on the 40 inputs of round 0 of the
   ``check`` workload at seeds 1 and 2, with the temporary directory masked;
+- ``systems/``: ``liesym check --json`` on four system files whose
+  ``params`` enter F and G (one with an unused param, one with numeric
+  right-hand sides) against the five generator files of ``commutator/``,
+  and the errors for system files that lack G, name a param ``yp`` or give
+  a non-number param;
 - ``covariance/``: the 33 rows of round 0 of the ``covariance`` workload at
   seed 1, with the printed transformed system and the generators' ratios;
 - ``normalize/``: ``liesym normalize --json`` on two seeded conjugates of a
@@ -92,8 +97,41 @@ _GENERATOR_FILES = [
     {"coefficients": [1, 0, 2, 0, 0, 0, 1, -1]},
 ]
 
+#: System files whose params enter F and G.
+_SYSTEM_FILES = {
+    "power": {"F": "a * z ^ (-2)", "G": "b * z ^ (-3)", "params": {"a": 2.5, "b": -0.75}},
+    "unused": {"F": "exp(k * y)", "G": "exp(z) + c", "params": {"k": 1.5, "c": 2, "u": 3}},
+    "numeric": {"F": 0, "G": -1.5, "params": {"a": 2}},
+    "forced": {"F": "w * y + sin(x)", "G": "-w * z / y", "params": {"w": 0.5}},
+}
+#: System files that ``check`` rejects with exit 1.
+_BAD_SYSTEM_FILES = {
+    "no-G": {"F": "a * y", "params": {"a": 1}},
+    "yp-param": {"F": "y", "G": "z", "params": {"yp": 1}},
+    "string-param": {"F": "a * y", "G": "z", "params": {"a": "2"}},
+}
 
-def _algebra_runs(liealg, work: Path):
+
+def _write_json(path: Path, obj) -> str:
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _system_runs(work: Path, generators: list[str]):
+    """(output name, argv) of ``check`` on every system file of
+    ``_SYSTEM_FILES`` against every generator file, then on the malformed
+    system files."""
+    for name, obj in _SYSTEM_FILES.items():
+        system = _write_json(work / f"system-{name}.json", obj)
+        for k, gen in enumerate(generators):
+            yield (f"systems/{name}-g{k}.txt",
+                   ["check", system, gen, "--json", "--seed", "5"])
+    for name, obj in _BAD_SYSTEM_FILES.items():
+        system = _write_json(work / f"system-{name}.json", obj)
+        yield f"systems/{name}.txt", ["check", system, generators[0], "--json"]
+
+
+def _algebra_runs(liealg, generators: list[str]):
     """(output name, argv) of the ``normalize``, ``jordan`` and ``commutator``
     runs: each table row conjugated by two seeded words, twelve seeded
     vectors per algebra, five matrices and all pairs of basis indices and of
@@ -127,13 +165,9 @@ def _algebra_runs(liealg, work: Path):
     for i in range(1, 9):
         for j in range(1, 9):
             yield f"commutator/X{i}-X{j}.txt", ["commutator", str(i), str(j), "--json"]
-    paths = []
-    for k, obj in enumerate(_GENERATOR_FILES):
-        paths.append(work / f"generator-{k}.json")
-        paths[-1].write_text(json.dumps(obj))
-    for a, pa in enumerate(paths):
-        for b, pb in enumerate(paths):
-            yield f"commutator/g{a}-g{b}.txt", ["commutator", str(pa), str(pb), "--json"]
+    for a, pa in enumerate(generators):
+        for b, pb in enumerate(generators):
+            yield f"commutator/g{a}-g{b}.txt", ["commutator", pa, pb, "--json"]
 
 
 def write_outputs(out: Path, work: Path) -> int:
@@ -191,7 +225,10 @@ def write_outputs(out: Path, work: Path) -> int:
              f"F = {to_string(system.F)}\nG = {to_string(system.G)}\n"
              f"ratios = {ratios!r}\n")
 
-    for rel, argv in _algebra_runs(liealg, work):
+    generators = [_write_json(work / f"generator-{k}.json", obj)
+                  for k, obj in enumerate(_GENERATOR_FILES)]
+    runs = [*_algebra_runs(liealg, generators), *_system_runs(work, generators)]
+    for rel, argv in runs:
         code, stdout, stderr = _cli(cli, argv)
         emit(rel, f"exit {code}\n{stdout}{stderr}".replace(str(work), "<work>"))
 
