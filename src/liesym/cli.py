@@ -8,9 +8,12 @@ coefficient vector to its optimal-system representative, ``jordan`` classifies
 a real 2x2 matrix, ``commutator`` brackets two basis fields (by index) or two
 generator files, and ``catalog`` lists or verifies the built-in entries.
 
-Output is human text by default and stable JSON with ``--json`` — identical
-inputs and seed give byte-identical reports (timings are opt-in via
-``--timings`` precisely so the default stays reproducible).  Exit codes:
+Each subcommand returns its report as ``(payload, lines, exit_code)`` and
+:func:`main` prints it once: the ``lines`` as human text by default, the
+``payload`` as stable JSON with ``--json``.  Identical inputs and seed give
+byte-identical reports; ``--timings`` is the one addition ``main`` makes to
+every report (a ``timings`` key, or a ``(took ... s)`` line), and it is
+opt-in precisely so the default stays reproducible.  Exit codes:
 0 success/admitted/PASS, 2 rejected/FAIL, 3 quarantined catalog rows in the
 selection, 1 usage or input errors (expressions that fail to evaluate on the
 sample included).  ``LIESYM_SEED`` overrides the default
@@ -20,14 +23,15 @@ sampling seed when ``--seed`` is not given.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
 import sys
 import time
 
-from .catalog import entry_ids, get_entry, list_entries, verify_entry
-from .expr import EvalError, fold_constants, to_string
+from .catalog import entry_ids, list_entries, verify_entry
+from .expr import EvalError, SamplingDomain, to_string
 from .jordan import classify2x2
 from .liealg import (
     AlgebraElement,
@@ -39,14 +43,10 @@ from .liealg import (
     normalize_L8,
     rep_violations,
 )
-from .odesys import Mat2, SamplingDomain
+from .odesys import Mat2
 from .symmetry import (
     admits, commutator_vf, default_domain, generator_from_json, system_from_json,
 )
-
-
-class CliError(Exception):
-    """Input or usage problem; message goes to stderr, exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,27 +90,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", default=None, metavar="SPEC",
                    help="sampling box, e.g. 'x=0.2:3,y=0.2:3,z=0.2:3,"
                         "yp=-1:1,zp=-1:1'")
+    p.set_defaults(run=_cmd_check)
 
     p = sub.add_parser("normalize", parents=common,
                        help="optimal-system representative of a coefficient vector")
     p.add_argument("vector", help="comma-separated c1,...,c8")
     p.add_argument("--algebra", choices=("L4", "L6", "L8"), default="L8")
+    p.set_defaults(run=_cmd_normalize)
 
     p = sub.add_parser("jordan", parents=common,
                        help="real Jordan shape of a 2x2 matrix")
     p.add_argument("--matrix", required=True, metavar="A11,A12,A21,A22")
+    p.set_defaults(run=_cmd_jordan)
 
     p = sub.add_parser("commutator", parents=common,
                        help="bracket of two basis fields (indices 1..8) or "
                             "two generator files")
     p.add_argument("left")
     p.add_argument("right")
+    p.set_defaults(run=_cmd_commutator)
 
     p = sub.add_parser("catalog",
                        help="list or verify the built-in classification entries")
     catsub = p.add_subparsers(dest="catalog_cmd", required=True)
     c = catsub.add_parser("list", parents=common,
                           help="show all entry ids and parameters")
+    c.set_defaults(run=_cmd_catalog_list)
     c = catsub.add_parser("verify", parents=common,
                           help="re-verify entries numerically")
     c.add_argument("--id", dest="entry_id", default=None)
@@ -120,6 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--tol", type=float, default=1e-8)
     c.add_argument("--samples", type=int, default=200)
     c.add_argument("--seed", type=int, default=None)
+    c.set_defaults(run=_cmd_catalog_verify)
     return top
 
 
@@ -133,15 +139,15 @@ def _load(path: str, from_json):
         with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CliError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise CliError(f"{path}: expected a JSON object")
+        raise ValueError(f"{path}: expected a JSON object")
     try:
         return from_json(data)
     except (TypeError, ValueError) as exc:
-        raise CliError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _parse_domain(spec: str, samples: int, seed: int) -> SamplingDomain:
@@ -152,7 +158,7 @@ def _parse_domain(spec: str, samples: int, seed: int) -> SamplingDomain:
             lo, hi = rng.split(":")
             intervals[name.strip()] = (float(lo), float(hi))
         except ValueError as exc:
-            raise CliError(
+            raise ValueError(
                 f"bad domain chunk {chunk!r}; expected name=lo:hi") from exc
     return SamplingDomain(intervals=intervals, n=samples, seed=seed)
 
@@ -160,12 +166,12 @@ def _parse_domain(spec: str, samples: int, seed: int) -> SamplingDomain:
 def _parse_vector(text: str, arity: int, what: str) -> list[float]:
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != arity:
-        raise CliError(f"{what} needs {arity} comma-separated numbers, "
-                       f"got {len(parts)}")
+        raise ValueError(f"{what} needs {arity} comma-separated numbers, "
+                         f"got {len(parts)}")
     try:
         return [float(s) for s in parts]
     except ValueError as exc:
-        raise CliError(f"{what}: {exc}") from exc
+        raise ValueError(f"{what}: {exc}") from exc
 
 
 def _parse_assignments(pairs: list[str]) -> dict[str, float]:
@@ -173,11 +179,11 @@ def _parse_assignments(pairs: list[str]) -> dict[str, float]:
     for item in pairs:
         name, eq, value = item.partition("=")
         if not eq or not name:
-            raise CliError(f"bad --set {item!r}; expected NAME=VALUE")
+            raise ValueError(f"bad --set {item!r}; expected NAME=VALUE")
         try:
             out[name.strip()] = float(value)
         except ValueError as exc:
-            raise CliError(f"--set {item!r}: {exc}") from exc
+            raise ValueError(f"--set {item!r}: {exc}") from exc
     return out
 
 
@@ -190,7 +196,7 @@ def _seed(args) -> int:
     try:
         return int(env)
     except ValueError as exc:
-        raise CliError(f"LIESYM_SEED must be an integer, got {env!r}") from exc
+        raise ValueError(f"LIESYM_SEED must be an integer, got {env!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -239,22 +245,11 @@ def _params_text(params: dict) -> str:
     return ", ".join(f"{k}={v:g}" for k, v in sorted(params.items()))
 
 
-def _emit(args, payload: dict, lines: list[str], started: float) -> None:
-    if args.timings:
-        payload["timings"] = {"seconds": time.perf_counter() - started}
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-        return
-    print("\n".join(lines))
-    if args.timings:
-        print(f"(took {payload['timings']['seconds']:.3f} s)")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_check(args, started: float) -> int:
+def _cmd_check(args) -> tuple[dict, list[str], int]:
     seed = _seed(args)
     system = _load(args.system, system_from_json)
     gen = _load(args.generator, generator_from_json)
@@ -286,11 +281,10 @@ def _cmd_check(args, started: float) -> int:
             f"  witness: {_witness_text(verdict.witness)}",
             f"  residual value there: {verdict.value:.6g}",
         ]
-    _emit(args, payload, lines, started)
-    return 0 if verdict.admitted else 2
+    return payload, lines, 0 if verdict.admitted else 2
 
 
-def _cmd_normalize(args, started: float) -> int:
+def _cmd_normalize(args) -> tuple[dict, list[str], int]:
     c = _parse_vector(args.vector, 8, "coefficient vector")
     fn = {"L4": normalize_L4, "L6": normalize_L6, "L8": normalize_L8}[args.algebra]
     rep = fn(AlgebraElement.from_coeffs(c))
@@ -315,11 +309,10 @@ def _cmd_normalize(args, started: float) -> int:
     ]
     if payload["violations"]:
         lines.append(f"  violations: {payload['violations']}")
-    _emit(args, payload, lines, started)
-    return 0
+    return payload, lines, 0
 
 
-def _cmd_jordan(args, started: float) -> int:
+def _cmd_jordan(args) -> tuple[dict, list[str], int]:
     vals = _parse_vector(args.matrix, 4, "--matrix")
     result = classify2x2(Mat2(*vals))
     l4 = kind_to_L4_rep(result)
@@ -344,23 +337,17 @@ def _cmd_jordan(args, started: float) -> int:
         f"  scaling-subalgebra family: {l4.family} "
         f"({_params_text(dict(l4.params))})",
     ]
-    _emit(args, payload, lines, started)
-    return 0
+    return payload, lines, 0
 
 
-def _basis_index(text: str):
+def _cmd_commutator(args) -> tuple[dict, list[str], int]:
     try:
-        i = int(text)
+        i, j = int(args.left), int(args.right)
     except ValueError:
-        return None
-    return i
-
-
-def _cmd_commutator(args, started: float) -> int:
-    i, j = _basis_index(args.left), _basis_index(args.right)
-    if i is not None and j is not None:
+        i = j = None
+    if i is not None:
         if not (1 <= i <= 8 and 1 <= j <= 8):
-            raise CliError("basis indices must lie in 1..8")
+            raise ValueError("basis indices must lie in 1..8")
         out = bracket(AlgebraElement.basis(i), AlgebraElement.basis(j))
         payload = {
             "command": "commutator",
@@ -370,13 +357,11 @@ def _cmd_commutator(args, started: float) -> int:
             "pretty": _combo(out.c),
         }
         lines = [f"[X{i}, X{j}] = {payload['pretty']}"]
-        _emit(args, payload, lines, started)
-        return 0
+        return payload, lines, 0
     g1 = _load(args.left, generator_from_json)
     g2 = _load(args.right, generator_from_json)
     out = commutator_vf(g1, g2)
-    xi, e1, e2 = (to_string(fold_constants(e))
-                  for e in (out.xi, out.eta1, out.eta2))
+    xi, e1, e2 = (to_string(e) for e in (out.xi, out.eta1, out.eta2))
     payload = {
         "command": "commutator",
         "left": args.left,
@@ -386,11 +371,10 @@ def _cmd_commutator(args, started: float) -> int:
         "eta2": e2,
     }
     lines = [f"xi   = {xi}", f"eta1 = {e1}", f"eta2 = {e2}"]
-    _emit(args, payload, lines, started)
-    return 0
+    return payload, lines, 0
 
 
-def _cmd_catalog_list(args, started: float) -> int:
+def _cmd_catalog_list(args) -> tuple[dict, list[str], int]:
     entries = list_entries()
     payload = {"command": "catalog-list", "entries": entries}
     lines = []
@@ -401,8 +385,7 @@ def _cmd_catalog_list(args, started: float) -> int:
         lines.append(f"{e['id']}{flag}: {e['description']}")
         lines.append(f"    params: {names or 'none'}")
     lines.append("(* derived parameter; set the free ones only)")
-    _emit(args, payload, lines, started)
-    return 0
+    return payload, lines, 0
 
 
 def _entry_payload(report) -> dict:
@@ -412,11 +395,7 @@ def _entry_payload(report) -> dict:
         "quarantined": report.quarantined,
         "passed": report.passed,
         "worst": report.worst(),
-        "checks": [
-            {"label": c.label, "ok": c.ok, "component": c.component,
-             "max_ratio": c.max_ratio, "witness": c.witness, "value": c.value}
-            for c in report.checks
-        ],
+        "checks": [dataclasses.asdict(c) for c in report.checks],
     }
 
 
@@ -434,19 +413,17 @@ def _entry_lines(report) -> list[str]:
     return lines
 
 
-def _cmd_catalog_verify(args, started: float) -> int:
+def _cmd_catalog_verify(args) -> tuple[dict, list[str], int]:
     seed = _seed(args)
     overrides = _parse_assignments(args.assignments)
     if args.all == (args.entry_id is not None):
-        raise CliError("choose exactly one of --id ID or --all")
+        raise ValueError("choose exactly one of --id ID or --all")
     if args.all and overrides:
-        raise CliError("--set only makes sense with a single --id")
+        raise ValueError("--set only makes sense with a single --id")
     ids = entry_ids() if args.all else [args.entry_id]
-    reports = []
-    for entry_id in ids:
-        get_entry(entry_id)  # unknown id -> ValueError before any work
-        reports.append(verify_entry(entry_id, overrides or None,
-                                    tol=args.tol, n=args.samples, seed=seed))
+    reports = [verify_entry(entry_id, overrides or None,
+                            tol=args.tol, n=args.samples, seed=seed)
+               for entry_id in ids]
     failed = [r for r in reports if not r.passed and not r.quarantined]
     quarantined = [r for r in reports if r.quarantined]
     payload = {
@@ -467,12 +444,7 @@ def _cmd_catalog_verify(args, started: float) -> int:
     lines.append(f"{payload['summary']['pass']} pass, "
                  f"{payload['summary']['fail']} fail, "
                  f"{payload['summary']['quarantined']} quarantined")
-    _emit(args, payload, lines, started)
-    if failed:
-        return 2
-    if quarantined:
-        return 3
-    return 0
+    return payload, lines, 2 if failed else 3 if quarantined else 0
 
 
 def main(argv=None) -> int:
@@ -483,20 +455,15 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
-        if args.cmd == "check":
-            return _cmd_check(args, started)
-        if args.cmd == "normalize":
-            return _cmd_normalize(args, started)
-        if args.cmd == "jordan":
-            return _cmd_jordan(args, started)
-        if args.cmd == "commutator":
-            return _cmd_commutator(args, started)
-        if args.catalog_cmd == "list":
-            return _cmd_catalog_list(args, started)
-        return _cmd_catalog_verify(args, started)
-    except (CliError, ValueError, EvalError) as exc:
+        payload, lines, code = args.run(args)
+    except (ValueError, EvalError) as exc:
         print(f"liesym: error: {exc}", file=sys.stderr)
         return 1
+    if args.timings:
+        payload["timings"] = {"seconds": time.perf_counter() - started}
+        lines.append(f"(took {payload['timings']['seconds']:.3f} s)")
+    print(json.dumps(payload, sort_keys=True) if args.json else "\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

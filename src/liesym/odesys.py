@@ -26,6 +26,7 @@ __all__ = ["Mat2", "OdeSystem", "ReducibilityHint", "linear_change",
            "shift_change", "reparam_change", "reducibility_hint"]
 
 _SINGULAR_TOL = 1e-12
+_HINT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,11 @@ class Mat2:
         return self.a11 + self.a22
 
     def inv(self) -> "Mat2":
+        """Inverse; singular when |det| <= 1e-12 * max|entry|^2, a test that
+        does not depend on the matrix's overall scale."""
         d = self.det
-        if abs(d) <= _SINGULAR_TOL:
+        size = max(abs(self.a11), abs(self.a12), abs(self.a21), abs(self.a22))
+        if abs(d) <= _SINGULAR_TOL * size * size:
             raise ValueError(f"matrix is singular (det={d!r})")
         return Mat2(self.a22 / d, -self.a12 / d, -self.a21 / d, self.a11 / d)
 
@@ -244,14 +248,13 @@ class ReducibilityHint(enum.Enum):
     NoHint = "no degeneracy detected"
 
 
-def reducibility_hint(f: Expr, g: Expr, dom: SamplingDomain,
-                      tol: float = 1e-9) -> ReducibilityHint:
+def reducibility_hint(f: Expr, g: Expr, dom: SamplingDomain) -> ReducibilityHint:
     """Screen a profile pair for degeneracy on ``dom`` (a one-variable box).
 
     The tests are numeric-probabilistic: f' ≡ 0 or g' ≡ 0, then the
     proportionality Wronskian f·g' − f'·g ≡ 0, all at one set of points drawn
-    from ``dom``.  Bind any parameters in ``f`` and ``g`` with
-    :func:`~liesym.expr.substitute` first.
+    from ``dom`` and at the fixed zero-test tolerance 1e-9.  Bind any
+    parameters in ``f`` and ``g`` with :func:`~liesym.expr.substitute` first.
     """
     names = dom.names()
     if len(names) != 1:
@@ -260,8 +263,8 @@ def reducibility_hint(f: Expr, g: Expr, dom: SamplingDomain,
     fp = fold_constants(differentiate(f, u))
     gp = fold_constants(differentiate(g, u))
     pts = sample(dom)
-    if zero_report_at(fp, pts, tol).ok or zero_report_at(gp, pts, tol).ok:
+    if zero_report_at(fp, pts, _HINT_TOL).ok or zero_report_at(gp, pts, _HINT_TOL).ok:
         return ReducibilityHint.ReducibleFPrimeGPrimeZero
-    if zero_report_at(f * gp - fp * g, pts, tol).ok:
+    if zero_report_at(f * gp - fp * g, pts, _HINT_TOL).ok:
         return ReducibilityHint.ReducibleProportional
     return ReducibilityHint.NoHint

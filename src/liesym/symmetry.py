@@ -215,6 +215,8 @@ def determining_generator(xi, A: Mat2 | None = None,
     A = Mat2.zero() if A is None else (A if isinstance(A, Mat2) else Mat2.from_rows(A))
     z1 = _coerce(zeta[0], "zeta[0]")
     z2 = _coerce(zeta[1], "zeta[1]")
+    _check_free(z1, "zeta[0]", frozenset({"x"}))
+    _check_free(z2, "zeta[1]", frozenset({"x"}))
     xp = differentiate(xi, "x")
     y, z = sym("y"), sym("z")
     eta1 = (A.a11 + xp) * y + A.a12 * z + z1

@@ -2,6 +2,7 @@
 JSON determinism, and the documented example invocations."""
 
 import json
+import re
 import shutil
 import subprocess
 
@@ -563,13 +564,50 @@ class TestHarness:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
-    def test_timings_opt_in(self, capsys):
-        code, out, _ = run(capsys, "commutator", "4", "7", "--timings")
-        assert code == 0
-        assert "(took" in out
-        code, out, _ = run(capsys, "commutator", "4", "7", "--json",
-                           "--timings")
-        assert "timings" in json.loads(out)
+    @pytest.mark.parametrize("argv, code", [
+        (["check", "{system}", "{kernel}"], 0),
+        (["check", "{system}", "{shift}"], 2),
+        (["normalize", "0,0,0,0,1,0.5,0,0", "--algebra", "L4"], 0),
+        (["jordan", "--matrix", "1,2,-2,1"], 0),
+        (["commutator", "4", "7"], 0),
+        (["commutator", "{kernel}", "{shift}"], 0),
+        (["catalog", "list"], 0),
+        (["catalog", "verify", "--id", "T2.3"], 3),
+        (["catalog", "verify", "--all"], 3),
+    ], ids=["check-admitted", "check-rejected", "normalize", "jordan",
+            "commutator-index", "commutator-files", "catalog-list",
+            "catalog-verify-id", "catalog-verify-all"])
+    def test_timings_opt_in(self, capsys, sysfile, clean_seed_env, argv, code):
+        files = {"system": sysfile({"F": "exp(y)", "G": "exp(z)"}),
+                 "kernel": sysfile({"xi": "1"}, "kernel.json"),
+                 "shift": sysfile({"eta1": "y"}, "shift.json")}
+        argv = [a.format(**files) for a in argv]
+        got, text, _ = run(capsys, *argv)
+        assert got == code
+        got, timed, err = run(capsys, *argv, "--timings")
+        assert (got, err) == (code, "")
+        assert timed.startswith(text)
+        assert re.fullmatch(r"\(took \d+\.\d{3} s\)\n", timed[len(text):])
+        _, plain, _ = run(capsys, *argv, "--json")
+        got, timed, err = run(capsys, *argv, "--json", "--timings")
+        assert (got, err) == (code, "")
+        timed = json.loads(timed)
+        assert set(timed.pop("timings")) == {"seconds"}
+        assert timed == json.loads(plain)
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "/nope/system.json", "/nope/generator.json"],
+        ["normalize", "1,2"],
+        ["jordan", "--matrix", "1,2,3"],
+        ["commutator", "0", "5"],
+        ["catalog", "verify", "--id", "T9.zz"],
+    ], ids=["check", "normalize", "jordan", "commutator", "catalog-verify"])
+    @pytest.mark.parametrize("flags", [["--timings"], ["--timings", "--json"]],
+                             ids=["text", "json"])
+    def test_timings_input_error_prints_nothing(self, capsys, argv, flags):
+        code, out, err = run(capsys, *argv, *flags)
+        assert (code, out) == (1, "")
+        assert err.startswith("liesym: error: ")
 
     @pytest.mark.skipif(shutil.which("liesym") is None,
                         reason="console script not on PATH")

@@ -52,8 +52,9 @@ def test_mat2_algebra():
 
 
 def test_mat2_singular_raises():
-    with pytest.raises(ValueError):
-        Mat2(1.0, 2.0, 2.0, 4.0).inv()
+    for P in (Mat2(1.0, 2.0, 2.0, 4.0), Mat2.zero(), Mat2(1e-7, 2e-7, 2e-7, 4e-7)):
+        with pytest.raises(ValueError, match=r"matrix is singular \(det="):
+            P.inv()
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ reusing any of its machinery.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -348,6 +349,12 @@ class TestDeterminingForms:
         assert _gen_values(g, x, y, z) == approx(
             (math.cos(0.8), -math.sin(0.8) * y, -math.sin(0.8) * z), rel=1e-12)
 
+    @pytest.mark.parametrize("zeta, name", [(("y", "0"), "zeta[0]"),
+                                            (("0", "x*z"), "zeta[1]")])
+    def test_determining_generator_zeta_depends_on_x_alone(self, zeta, name):
+        with pytest.raises(ValueError, match=re.escape(f"{name} may depend on ['x'] only")):
+            determining_generator("x", zeta=zeta)
+
     def test_full_defect_is_minus_determining_defect(self):
         sys = OdeSystem(parse("exp(y)+x*z"), parse("y*z+sin(x)"))
         xi = parse("sin(x)")
@@ -496,11 +503,14 @@ class TestTransformGenerator:
         assert out.to_coefficients() == approx((1.0,) + (0.0,) * 7)
 
     def test_covariance_with_system_transform(self):
-        P = Mat2(1.0, 0.2, -0.1, 0.9)
-        sys2 = linear_change(POW_SYS, P)
-        g2 = transform_generator(POW_GEN, P)
-        v = admits(sys2, g2, tol=1e-8)
-        assert v.admitted
+        # the singular test is relative to the entries, so a uniformly
+        # tiny P is as good a change of variables as P itself
+        for scale in (1.0, 1e-7):
+            P = Mat2(1.0, 0.2, -0.1, 0.9) * scale
+            sys2 = linear_change(POW_SYS, P)
+            g2 = transform_generator(POW_GEN, P)
+            v = admits(sys2, g2, tol=1e-8)
+            assert v.admitted
 
 
 # ---------------------------------------------------------------------------
