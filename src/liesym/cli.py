@@ -344,8 +344,20 @@ def _cmd_commutator(args) -> tuple[dict, list[str], int]:
     try:
         i, j = int(args.left), int(args.right)
     except ValueError:
-        i = j = None
-    if i is not None:
+        g1 = _load(args.left, generator_from_json)
+        g2 = _load(args.right, generator_from_json)
+        out = commutator_vf(g1, g2)
+        xi, e1, e2 = (to_string(e) for e in (out.xi, out.eta1, out.eta2))
+        payload = {
+            "command": "commutator",
+            "left": args.left,
+            "right": args.right,
+            "xi": xi,
+            "eta1": e1,
+            "eta2": e2,
+        }
+        return payload, [f"xi   = {xi}", f"eta1 = {e1}", f"eta2 = {e2}"], 0
+    else:
         if not (1 <= i <= 8 and 1 <= j <= 8):
             raise ValueError("basis indices must lie in 1..8")
         out = bracket(AlgebraElement.basis(i), AlgebraElement.basis(j))
@@ -358,20 +370,6 @@ def _cmd_commutator(args) -> tuple[dict, list[str], int]:
         }
         lines = [f"[X{i}, X{j}] = {payload['pretty']}"]
         return payload, lines, 0
-    g1 = _load(args.left, generator_from_json)
-    g2 = _load(args.right, generator_from_json)
-    out = commutator_vf(g1, g2)
-    xi, e1, e2 = (to_string(e) for e in (out.xi, out.eta1, out.eta2))
-    payload = {
-        "command": "commutator",
-        "left": args.left,
-        "right": args.right,
-        "xi": xi,
-        "eta1": e1,
-        "eta2": e2,
-    }
-    lines = [f"xi   = {xi}", f"eta1 = {e1}", f"eta2 = {e2}"]
-    return payload, lines, 0
 
 
 def _cmd_catalog_list(args) -> tuple[dict, list[str], int]:

@@ -39,8 +39,13 @@ class Jordan2Result:
     J: Mat2
 
     def reconstruction_error(self, A: Mat2) -> float:
-        """max-norm of P A P^{-1} - scale * J (diagnostic)."""
-        got = (self.P @ A @ self.P.inv()).to_array()
+        """max-norm of P A P^{-1} - scale * J (diagnostic).  P^{-1} is the
+        adjugate over det without ``Mat2.inv``'s singularity test: a J3
+        conjugator such as diag(1/|n|, 1) is exactly invertible however small
+        |n| is, but that test calls it singular once 1/|n| passes about 1e12."""
+        P, d = self.P, self.P.det
+        P_inv = Mat2(P.a22 / d, -P.a12 / d, -P.a21 / d, P.a11 / d)
+        got = (P @ A @ P_inv).to_array()
         want = self.scale * self.J.to_array()
         return float(np.max(np.abs(got - want)))
 

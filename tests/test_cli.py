@@ -206,6 +206,16 @@ class TestJordan:
         assert (code, err) == (0, "")
         assert (json.loads(out)["kind"], json.loads(out)["l4_family"]) == ("J3", 3)
 
+    @pytest.mark.parametrize("matrix", ["1e-13,1e-13,0,1e-13", "1e-7,1e-12,0,1e-7"])
+    def test_small_defective_matrices_keep_their_shape(self, capsys, matrix):
+        # the J3 conjugator is about diag(1/|n|, 1), which Mat2.inv would
+        # call singular at these scales
+        code, out, err = run(capsys, "jordan", "--matrix", matrix, "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["kind"], payload["l4_family"]) == ("J3", 3)
+        assert payload["reconstruction_error"] <= 1e-6 * 1e-7
+
 
 class TestCheck:
     def test_kernel_admitted(self, capsys, sysfile, clean_seed_env):
