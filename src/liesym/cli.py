@@ -344,6 +344,14 @@ def _cmd_commutator(args) -> tuple[dict, list[str], int]:
     try:
         i, j = int(args.left), int(args.right)
     except ValueError:
+        for text in (args.left, args.right):
+            try:
+                int(text)
+            except ValueError:
+                continue
+            raise ValueError(
+                f"mixed index/file pair {args.left!r}, {args.right!r}: give two "
+                "basis indices (1..8) or two generator files") from None
         g1 = _load(args.left, generator_from_json)
         g2 = _load(args.right, generator_from_json)
         out = commutator_vf(g1, g2)

@@ -29,11 +29,22 @@ Design notes:
   node-for-node for any parser- or fold-produced tree.
 - Domain errors (log of a non-positive number, division by zero, fractional
   power of a negative base) and any other result that is not finite (an
-  overflow) raise :class:`EvalError` — never a silent NaN or infinity.  The
-  vectorized path enforces the same policy with a finiteness check.
-- :func:`compile_evaluator` lays expressions out as one tape with a slot per
-  distinct node and one numpy call per slot; a zero test reads the value and
-  its cancellation-scale terms from that single pass.
+  overflow) raise :class:`EvalError` — never a silent NaN or infinity.
+- :func:`compile_evaluator` lays any number of roots out as one tape (a
+  Wengert list) with a slot per distinct node, shared across the roots, and
+  one numpy call per slot.  :func:`zero_reports_at` puts every expression it
+  tests and their cancellation-scale terms on one tape, so a catalog row's
+  residuals, which share F, G and their derivatives, cost one pass.
+- The tape runs with numpy's floating-point flags trapping (overflow, divide
+  by zero and invalid raise; underflow does not).  From finite operands, the
+  first step that yields a non-finite value is the first to raise a flag;
+  that step alone is recomputed with the flags off to find the point, and a
+  finite recomputation (a spurious flag) is kept.  Symbol columns and
+  constants raise no flag, so those slots are checked by hand.
+- A slot that no later step reads and that holds no root is dropped once its
+  last reader has run (register reuse, Griewank & Walther, *Evaluating
+  Derivatives*, 2nd ed., 2008, ch. 4), so a run holds only the outputs
+  computed so far and the slots that a later step still reads.
 """
 
 from __future__ import annotations
@@ -53,7 +64,7 @@ __all__ = [
     "const", "sym", "call", "sin", "cos", "exp", "ln", "sqrt", "atan", "atan2",
     "parse", "to_string", "evaluate", "differentiate", "fold_constants",
     "substitute", "free_symbols", "top_level_terms", "compile_evaluator",
-    "sample", "zero_report_at",
+    "sample", "zero_report_at", "zero_reports_at",
 ]
 
 # Node kinds.
@@ -820,11 +831,13 @@ _TAPE_FNS = {
 def _tape(roots: Sequence[Expr], idx: Mapping[str, int]):
     """Lay the roots out as a Wengert list: one slot per distinct node.
 
-    Slots are ordered by first occurrence in a left-to-right post-order walk.
-    Nodes are interned, so a slot is a node: equal subtrees share it, and
-    0.0 and -0.0 (which ``atan2`` tells apart) do not.  Returns ``(steps,
-    outs)``: ``steps[i]`` is ``(op, arg, node)`` and ``outs[j]`` the slot
-    holding ``roots[j]``.
+    Slots are ordered by first occurrence in a left-to-right post-order walk
+    over the roots in turn.  Nodes are interned, so a slot is a node: equal
+    subtrees share it, across roots too, and 0.0 and -0.0 (which ``atan2``
+    tells apart) do not.  Returns ``(steps, outs)``: ``steps[i]`` is ``(op,
+    arg, node, free)`` and ``outs[j]`` the slot holding ``roots[j]``;
+    ``free`` lists the slots that step ``i`` reads last and that hold no
+    root, so a run can drop them once the step is done.
     """
     steps: list[tuple] = []
     seen: dict[Expr, int] = {}
@@ -832,8 +845,8 @@ def _tape(roots: Sequence[Expr], idx: Mapping[str, int]):
         for e in _postorder(root, seen.__contains__):
             k = e.kind
             if k == CONSTANT:
-                # np.float64, not float: scalar 0/0 must flow through numpy's
-                # nan semantics (caught by the finiteness check), not raise.
+                # np.float64, not float: scalar 0/0 must go through numpy's
+                # floating-point flags (trapped by the run), not raise.
                 op, arg = CONSTANT, np.float64(e.value)
             elif k == SYMBOL:
                 if e.value not in idx:
@@ -843,7 +856,17 @@ def _tape(roots: Sequence[Expr], idx: Mapping[str, int]):
                 op, arg = _TAPE_FNS[e.value if k == CALL else k], tuple(seen[a] for a in e.args)
             seen[e] = len(steps)
             steps.append((op, arg, e))
-    return steps, [seen[r] for r in roots]
+    outs = [seen[r] for r in roots]
+    # Walking back, the first step met that reads a slot is its last reader.
+    read = set(outs)
+    for i in range(len(steps) - 1, -1, -1):
+        op, arg, e = steps[i]
+        free = ()
+        if isinstance(arg, tuple):  # an operation, not a leaf
+            free = tuple(set(arg) - read)
+            read.update(arg)
+        steps[i] = (op, arg, e, free)
+    return steps, outs
 
 
 def compile_evaluator(e: Expr, names: Sequence[str], terms: Sequence[Expr] = ()):
@@ -851,11 +874,13 @@ def compile_evaluator(e: Expr, names: Sequence[str], terms: Sequence[Expr] = ())
 
     The returned callable takes one array per name (in order) and returns the
     elementwise values of ``e``; with ``terms`` it returns ``(value, [value
-    of each term])`` from the same pass, and terms that are subtrees of ``e``
-    cost nothing extra.  Any non-finite value — in the result or at any
-    intermediate step — raises :class:`EvalError` naming the first such
-    sub-expression and the point, so the vectorized path enforces the same
-    no-silent-NaN policy as :func:`evaluate`.
+    of each term])`` from the same pass.  ``terms`` may be any expressions:
+    the top-level terms of ``e``, or further roots to evaluate jointly; a
+    subtree shared with ``e`` or with another term is computed once.  Any
+    non-finite value — in the result or at any intermediate step — raises
+    :class:`EvalError` naming the first such sub-expression in tape order
+    and the point, so the vectorized path enforces the same no-silent-NaN
+    policy as :func:`evaluate`.
     """
     names = tuple(names)
     steps, outs = _tape((e, *terms), {n: i for i, n in enumerate(names)})
@@ -863,20 +888,37 @@ def compile_evaluator(e: Expr, names: Sequence[str], terms: Sequence[Expr] = ())
     def run(*cols):
         arrs = [np.asarray(c, dtype=float) for c in cols]
         shape = np.broadcast_shapes(*(a.shape for a in arrs)) if arrs else ()
+
+        def fail(node, v):
+            i = int(np.argmax(np.ravel(~np.isfinite(v))))
+            point = {n: float(a.ravel()[i % a.size]) if a.size else float("nan")
+                     for n, a in zip(names, arrs)}
+            raise EvalError(f"non-finite value in {to_string(node)!r} near {point}")
+
         vals = []
-        with np.errstate(all="ignore"):
-            for op, arg, node in steps:
+        # With finite operands, a step whose value is not finite raises the
+        # overflow, divide or invalid flag, so the first such step traps here.
+        # Leaves raise no flag, so they are checked by hand.
+        with np.errstate(all="raise", under="ignore"):
+            for op, arg, node, free in steps:
                 if op is CONSTANT:
                     v = arg
+                    if not math.isfinite(v):
+                        fail(node, v)
                 elif op is SYMBOL:
                     v = arrs[arg]
+                    if not np.isfinite(v).all():
+                        fail(node, v)
                 else:
-                    v = op(*[vals[j] for j in arg])
-                if not np.isfinite(v).all():
-                    i = int(np.argmax(np.ravel(~np.isfinite(v))))
-                    point = {n: float(a.ravel()[i % a.size]) if a.size else float("nan")
-                             for n, a in zip(names, arrs)}
-                    raise EvalError(f"non-finite value in {to_string(node)!r} near {point}")
+                    try:
+                        v = op(*[vals[j] for j in arg])
+                    except FloatingPointError:
+                        with np.errstate(all="ignore"):
+                            v = op(*[vals[j] for j in arg])
+                        if not np.isfinite(v).all():
+                            fail(node, v)
+                    for j in free:
+                        vals[j] = None
                 vals.append(v)
         res = [np.asarray(vals[s], dtype=float) for s in outs]
         res = [r if r.shape == shape else np.broadcast_to(r, shape) for r in res]
@@ -940,37 +982,58 @@ class ZeroReport:
     value: float
 
 
-def zero_report_at(e: Expr, pts: Mapping[str, np.ndarray],
-                   tol: float = 1e-9) -> ZeroReport:
-    """Zero test of ``e`` at explicit sample points (one array per symbol).
+def zero_reports_at(exprs: Sequence[Expr], pts: Mapping[str, np.ndarray],
+                    tol: float = 1e-9) -> tuple[ZeroReport, ...]:
+    """Zero test of each of ``exprs`` at explicit sample points (one array
+    per symbol), one report per expression in order.
 
     At each point the test is |e| <= tol * (1 + scale), the scale being the
-    largest of the :func:`top_level_terms` there; ``e`` and its terms come
-    from one compiled pass.  This is the package's one zero test: bind
-    parameters with :func:`substitute` first; the points come from
-    :func:`sample` or, e.g., a change of coordinates pushed onto a slice.
-    Raises ``ValueError`` unless ``tol`` is finite and positive and there is
-    at least one point, with one column shape for all symbols.
+    largest of the :func:`top_level_terms` there.  All the expressions and
+    their terms come from one compiled pass, so subtrees they share are
+    computed once.  The reports, and the :class:`EvalError` a failing
+    evaluation raises, are those of :func:`zero_report_at` called on each in
+    turn; the argument checks are made for all before any evaluation.  This
+    is the package's zero test: bind parameters with :func:`substitute`
+    first; the points come from :func:`sample` or, e.g., a change of
+    coordinates pushed onto a slice.  Raises ``ValueError`` unless ``tol`` is
+    finite and positive and there is at least one point, with one column
+    shape for all symbols.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number > 0, got {tol}")
-    ee = fold_constants(e)
+    roots = [fold_constants(e) for e in exprs]
     names = tuple(pts)
-    extra = free_symbols(ee) - set(names)
-    if extra:
-        raise EvalError(
-            f"expression has unbound symbols {sorted(extra)}; supply a column for each")
+    for ee in roots:
+        extra = free_symbols(ee) - set(names)
+        if extra:
+            raise EvalError(
+                f"expression has unbound symbols {sorted(extra)}; supply a column for each")
     cols = [np.asarray(pts[nm], dtype=float) for nm in names]
     if not cols or any(c.size == 0 for c in cols):
         raise ValueError("need at least one sample point, got none")
     if len({c.shape for c in cols}) > 1:
         raise ValueError("sample columns differ in shape: "
                          + ", ".join(f"{nm} {c.shape}" for nm, c in zip(names, cols)))
-    vals, terms = compile_evaluator(ee, names, top_level_terms(ee))(*cols)
-    scale = np.maximum.reduce([np.abs(t) for t in terms])
-    ratio = np.abs(vals) / (1.0 + scale)
-    i = int(np.argmax(ratio))
-    witness = {nm: float(cols[k][i]) for k, nm in enumerate(names)}
-    return ZeroReport(ok=bool(ratio[i] <= tol), max_ratio=float(ratio[i]),
-                      witness=witness, value=float(vals[i]))
+    if not roots:
+        return ()
+    terms = [top_level_terms(ee) for ee in roots]
+    first, rest = compile_evaluator(
+        roots[0], names, [*roots[1:], *(t for ts in terms for t in ts)])(*cols)
+    out = [first, *rest]   # the roots' values, then every root's terms' values
+    at = len(roots)
+    reports = []
+    for vals, ts in zip(out, terms):
+        scale = np.maximum.reduce([np.abs(t) for t in out[at:at + len(ts)]])
+        at += len(ts)
+        ratio = np.abs(vals) / (1.0 + scale)
+        i = int(np.argmax(ratio))
+        witness = {nm: float(cols[k][i]) for k, nm in enumerate(names)}
+        reports.append(ZeroReport(ok=bool(ratio[i] <= tol), max_ratio=float(ratio[i]),
+                                  witness=witness, value=float(vals[i])))
+    return tuple(reports)
 
+
+def zero_report_at(e: Expr, pts: Mapping[str, np.ndarray],
+                   tol: float = 1e-9) -> ZeroReport:
+    """The zero test of one expression: :func:`zero_reports_at` of ``(e,)``."""
+    return zero_reports_at((e,), pts, tol)[0]

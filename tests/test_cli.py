@@ -67,9 +67,18 @@ class TestCommutator:
         assert payload["xi"] == "1"
 
     def test_missing_file(self, capsys):
-        code, _, err = run(capsys, "commutator", "4", "/nope/such.json")
+        code, _, err = run(capsys, "commutator", "/nope/such.json", "/nope/other.json")
         assert code == 1
-        assert "cannot read" in err
+        assert "cannot read /nope/such.json" in err
+
+    @pytest.mark.parametrize("left,right", [
+        ("4", "/nope/such.json"), ("/nope/such.json", "4"), ("4.0", "7"),
+    ])
+    def test_mixed_index_and_file(self, capsys, left, right):
+        code, out, err = run(capsys, "commutator", left, right)
+        assert (code, out) == (1, "")
+        assert err == (f"liesym: error: mixed index/file pair {left!r}, {right!r}: "
+                       "give two basis indices (1..8) or two generator files\n")
 
 
 class TestNormalize:
