@@ -37,7 +37,6 @@ from .expr import (
     sym,
     to_string,
     zero_report_at,
-    zero_reports_at,
 )
 from .jordan import Jordan2Result, classify2x2
 from .liealg import (
@@ -131,6 +130,5 @@ __all__ = [
     "verify_entry",
     "xi_family",
     "zero_report_at",
-    "zero_reports_at",
     "__version__",
 ]

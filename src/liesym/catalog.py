@@ -6,7 +6,7 @@ the universal x-translation.  Entries carry a parameter schema (defaults,
 admissibility constraints), can draw random admissible parameter sets, and
 can verify themselves numerically: every expected generator's prolongation
 residual must vanish, in the relative sense of
-:func:`liesym.expr.zero_reports_at`, on a sampled slice of phase space.
+:func:`liesym.expr.zero_report_at`, on a sampled slice of phase space.
 
 Entries come in three groups:
 
@@ -54,7 +54,7 @@ from .expr import (
     sin,
     substitute,
     sym,
-    zero_reports_at,
+    zero_report_at,
 )
 from .odesys import OdeSystem, ReducibilityHint, reducibility_hint
 from .symmetry import (
@@ -873,9 +873,7 @@ def verify_entry(entry_id: str, params: Mapping[str, float] | None = None,
     """Check that the expected generators are admitted at this parameter set.
 
     The report lists one verdict per generator (the x-translation kernel
-    first); ``passed`` requires every verdict to hold.  All the residuals
-    are zero-tested in one pass of :func:`zero_reports_at`, since they share
-    F, G and their derivatives.  A quarantined entry
+    first); ``passed`` requires every verdict to hold.  A quarantined entry
     still produces its (failing) report — the flag rides along so callers
     can separate "broken input" from "broken entry".
     """
@@ -884,11 +882,11 @@ def verify_entry(entry_id: str, params: Mapping[str, float] | None = None,
     v = e._values(p)
     system = e._system(v)
     pts = e.sample_points(p, n=n, seed=seed)
-    labeled = [("kernel", basis_generator(1))] + e._labeled(v)
-    reps = zero_reports_at(
-        [r for _, gen in labeled for r in residual_expressions(system, gen)], pts, tol)
     checks = []
-    for (label, _), rep1, rep2 in zip(labeled, reps[::2], reps[1::2]):
+    for label, gen in [("kernel", basis_generator(1))] + e._labeled(v):
+        r1, r2 = residual_expressions(system, gen)
+        rep1 = zero_report_at(r1, pts, tol)
+        rep2 = zero_report_at(r2, pts, tol)
         worse, comp = (rep1, 1) if rep1.max_ratio >= rep2.max_ratio else (rep2, 2)
         checks.append(GeneratorCheck(
             label=label, ok=bool(rep1.ok and rep2.ok), component=comp,

@@ -19,7 +19,8 @@ Design notes:
 - Each node caches its :func:`fold_constants` result, its derivative per
   variable and its :func:`free_symbols`, so repeated and shared work is done
   once per distinct node, and a cached result dies with its node.  A result
-  equal to the node is stored as a sentinel, not as a self-reference.  A
+  equal to the node is stored as a sentinel, not as a self-reference; a fold
+  result is cached as its own fold, since folding is idempotent.  A
   derivative that contains its node (``exp(u)``, ``sqrt(u)``, ``u ^ v``) or
   another node whose derivative contains this one (``sin(u)`` and ``cos(u)``)
   forms a reference cycle, which the cycle collector frees.
@@ -30,21 +31,16 @@ Design notes:
 - Domain errors (log of a non-positive number, division by zero, fractional
   power of a negative base) and any other result that is not finite (an
   overflow) raise :class:`EvalError` — never a silent NaN or infinity.
-- :func:`compile_evaluator` lays any number of roots out as one tape (a
-  Wengert list) with a slot per distinct node, shared across the roots, and
-  one numpy call per slot.  :func:`zero_reports_at` puts every expression it
-  tests and their cancellation-scale terms on one tape, so a catalog row's
-  residuals, which share F, G and their derivatives, cost one pass.
+- :func:`compile_evaluator` lays expressions out as one tape with a slot per
+  distinct node and one numpy call per slot; a zero test reads the value and
+  its cancellation-scale terms from that single pass.
 - The tape runs with numpy's floating-point flags trapping (overflow, divide
-  by zero and invalid raise; underflow does not).  From finite operands, the
-  first step that yields a non-finite value is the first to raise a flag;
-  that step alone is recomputed with the flags off to find the point, and a
-  finite recomputation (a spurious flag) is kept.  Symbol columns and
-  constants raise no flag, so those slots are checked by hand.
-- A slot that no later step reads and that holds no root is dropped once its
-  last reader has run (register reuse, Griewank & Walther, *Evaluating
-  Derivatives*, 2nd ed., 2008, ch. 4), so a run holds only the outputs
-  computed so far and the slots that a later step still reads.
+  by zero and invalid raise; underflow does not) instead of checking every
+  slot for finiteness.  From finite operands, the first step that yields a
+  non-finite value is the first to raise a flag; that step alone is
+  recomputed with the flags off to find the point, and a finite
+  recomputation (a spurious flag) is kept.  Symbol columns and constants
+  raise no flag, so those slots are checked by hand.
 """
 
 from __future__ import annotations
@@ -64,7 +60,7 @@ __all__ = [
     "const", "sym", "call", "sin", "cos", "exp", "ln", "sqrt", "atan", "atan2",
     "parse", "to_string", "evaluate", "differentiate", "fold_constants",
     "substitute", "free_symbols", "top_level_terms", "compile_evaluator",
-    "sample", "zero_report_at", "zero_reports_at",
+    "sample", "zero_report_at",
 ]
 
 # Node kinds.
@@ -100,12 +96,25 @@ class EvalError(ArithmeticError):
     """Evaluation failed: unbound symbol, domain error, or overflow."""
 
 
-#: The live nodes, keyed on (kind, value, child ids); constants on
-#: (kind, float.hex).  A node holds its children, so their ids stay valid
-#: while its entry lives, and the entry goes when the node is freed.  Ids
-#: rather than the children themselves: a key that held its children would
-#: keep alive every node on a cycle through the caches below.
-_INTERNED: "weakref.WeakValueDictionary[tuple, Expr]" = weakref.WeakValueDictionary()
+#: Weak references to the live nodes, keyed on (kind, value, child ids);
+#: constants on (kind, float.hex).  A node holds its children, so their ids
+#: stay valid while its entry lives, and the entry goes when the node is
+#: freed.  Ids rather than the children themselves: a key that held its
+#: children would keep alive every node on a cycle through the caches below.
+_INTERNED: dict[tuple, "_NodeRef"] = {}
+
+
+class _NodeRef(weakref.ref):
+    """A weak reference to a node that knows the node's intern key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _NodeRef) -> None:
+    """Drop a freed node's entry, unless a new node holds the key by now."""
+    if _INTERNED.get(ref.key) is ref:
+        del _INTERNED[ref.key]
+
 
 #: A cache entry meaning "the node itself"; storing the node would make a
 #: reference cycle that only the cycle collector frees.
@@ -135,7 +144,8 @@ class Expr:
         else:
             args = tuple(args)
             key = (kind, value, tuple(map(id, args)))
-        node = _INTERNED.get(key)
+        ref = _INTERNED.get(key)
+        node = None if ref is None else ref()
         if node is None:
             node = object.__new__(cls)
             _set(node, "kind", kind)
@@ -149,7 +159,8 @@ class Expr:
                 _set(node, "_free", frozenset((value,)))
             else:
                 _set(node, "_free", _NO_SYMBOLS if leaf else None)
-            _INTERNED[key] = node
+            ref = _INTERNED[key] = _NodeRef(node, _forget)
+            ref.key = key
         return node
 
     def __setattr__(self, name, value):
@@ -272,17 +283,19 @@ def _postorder(root: Expr, ready: Callable[[Expr], bool]) -> Iterator[Expr]:
     before it asks for the next.  The stack is explicit, so depth costs no
     Python frames."""
     stack = [root]
+    push, pop = stack.append, stack.pop
     while stack:
         e = stack[-1]
         if ready(e):
-            stack.pop()
+            pop()
             continue
-        todo = [a for a in e.args if not ready(a)]
-        if todo:
-            stack.extend(reversed(todo))
-            continue
-        stack.pop()
-        yield e
+        depth = len(stack)
+        for a in reversed(e.args):  # the leftmost child ends on top
+            if not ready(a):
+                push(a)
+        if len(stack) == depth:
+            pop()
+            yield e
 
 
 # --------------------------------------------------------------------------
@@ -746,11 +759,14 @@ def fold_constants(e: Expr) -> Expr:
     input evaluates.  A constant subtree whose evaluation fails (say ``1/0``)
     or overflows (``1e308*10``) is kept as-is so the error still surfaces at
     evaluation time, naming what the input wrote.  The result
-    is cached on every node it visits.
+    is cached on every node it visits, and on the result, which folds to
+    itself.
     """
     for n in _postorder(e, lambda n: n._fold is not None):
         r = _fold_node(n)
         _set(n, "_fold", _SELF if r is n else r)
+        if r._fold is None:
+            _set(r, "_fold", _SELF)
     return _folded(e)
 
 
@@ -831,13 +847,13 @@ _TAPE_FNS = {
 def _tape(roots: Sequence[Expr], idx: Mapping[str, int]):
     """Lay the roots out as a Wengert list: one slot per distinct node.
 
-    Slots are ordered by first occurrence in a left-to-right post-order walk
-    over the roots in turn.  Nodes are interned, so a slot is a node: equal
-    subtrees share it, across roots too, and 0.0 and -0.0 (which ``atan2``
-    tells apart) do not.  Returns ``(steps, outs)``: ``steps[i]`` is ``(op,
-    arg, node, free)`` and ``outs[j]`` the slot holding ``roots[j]``;
-    ``free`` lists the slots that step ``i`` reads last and that hold no
-    root, so a run can drop them once the step is done.
+    Slots are ordered by first occurrence in a left-to-right post-order walk.
+    Nodes are interned, so a slot is a node: equal subtrees share it, and
+    0.0 and -0.0 (which ``atan2`` tells apart) do not.  Returns ``(steps,
+    outs)``: ``steps[i]`` is ``(op, a, b, node)`` and ``outs[j]`` the slot
+    holding ``roots[j]``.  An operation reads slots ``a`` and ``b`` (``b`` is
+    None for one operand); a constant step holds its value in ``a``, a symbol
+    step its column index.
     """
     steps: list[tuple] = []
     seen: dict[Expr, int] = {}
@@ -847,26 +863,18 @@ def _tape(roots: Sequence[Expr], idx: Mapping[str, int]):
             if k == CONSTANT:
                 # np.float64, not float: scalar 0/0 must go through numpy's
                 # floating-point flags (trapped by the run), not raise.
-                op, arg = CONSTANT, np.float64(e.value)
+                step = (CONSTANT, np.float64(e.value), None, e)
             elif k == SYMBOL:
                 if e.value not in idx:
                     raise EvalError(f"unbound symbol {e.value!r}")
-                op, arg = SYMBOL, idx[e.value]
+                step = (SYMBOL, idx[e.value], None, e)
             else:
-                op, arg = _TAPE_FNS[e.value if k == CALL else k], tuple(seen[a] for a in e.args)
+                args = e.args
+                step = (_TAPE_FNS[e.value if k == CALL else k], seen[args[0]],
+                        seen[args[1]] if len(args) == 2 else None, e)
             seen[e] = len(steps)
-            steps.append((op, arg, e))
-    outs = [seen[r] for r in roots]
-    # Walking back, the first step met that reads a slot is its last reader.
-    read = set(outs)
-    for i in range(len(steps) - 1, -1, -1):
-        op, arg, e = steps[i]
-        free = ()
-        if isinstance(arg, tuple):  # an operation, not a leaf
-            free = tuple(set(arg) - read)
-            read.update(arg)
-        steps[i] = (op, arg, e, free)
-    return steps, outs
+            steps.append(step)
+    return steps, [seen[r] for r in roots]
 
 
 def compile_evaluator(e: Expr, names: Sequence[str], terms: Sequence[Expr] = ()):
@@ -874,13 +882,11 @@ def compile_evaluator(e: Expr, names: Sequence[str], terms: Sequence[Expr] = ())
 
     The returned callable takes one array per name (in order) and returns the
     elementwise values of ``e``; with ``terms`` it returns ``(value, [value
-    of each term])`` from the same pass.  ``terms`` may be any expressions:
-    the top-level terms of ``e``, or further roots to evaluate jointly; a
-    subtree shared with ``e`` or with another term is computed once.  Any
-    non-finite value — in the result or at any intermediate step — raises
-    :class:`EvalError` naming the first such sub-expression in tape order
-    and the point, so the vectorized path enforces the same no-silent-NaN
-    policy as :func:`evaluate`.
+    of each term])`` from the same pass, and terms that are subtrees of ``e``
+    cost nothing extra.  Any non-finite value — in the result or at any
+    intermediate step — raises :class:`EvalError` naming the first such
+    sub-expression and the point, so the vectorized path enforces the same
+    no-silent-NaN policy as :func:`evaluate`.
     """
     names = tuple(names)
     steps, outs = _tape((e, *terms), {n: i for i, n in enumerate(names)})
@@ -896,29 +902,29 @@ def compile_evaluator(e: Expr, names: Sequence[str], terms: Sequence[Expr] = ())
             raise EvalError(f"non-finite value in {to_string(node)!r} near {point}")
 
         vals = []
-        # With finite operands, a step whose value is not finite raises the
-        # overflow, divide or invalid flag, so the first such step traps here.
-        # Leaves raise no flag, so they are checked by hand.
+        # From finite operands, a step whose value is not finite raises the
+        # overflow, divide or invalid flag, so the first such step traps here;
+        # it alone is recomputed with the flags off, and a finite value (a
+        # spurious flag) is kept.  Leaves raise no flag: they are checked.
         with np.errstate(all="raise", under="ignore"):
-            for op, arg, node, free in steps:
+            for op, a, b, node in steps:
                 if op is CONSTANT:
-                    v = arg
+                    v = a
                     if not math.isfinite(v):
                         fail(node, v)
                 elif op is SYMBOL:
-                    v = arrs[arg]
+                    v = arrs[a]
                     if not np.isfinite(v).all():
                         fail(node, v)
                 else:
+                    operands = (vals[a],) if b is None else (vals[a], vals[b])
                     try:
-                        v = op(*[vals[j] for j in arg])
+                        v = op(*operands)
                     except FloatingPointError:
                         with np.errstate(all="ignore"):
-                            v = op(*[vals[j] for j in arg])
+                            v = op(*operands)
                         if not np.isfinite(v).all():
                             fail(node, v)
-                    for j in free:
-                        vals[j] = None
                 vals.append(v)
         res = [np.asarray(vals[s], dtype=float) for s in outs]
         res = [r if r.shape == shape else np.broadcast_to(r, shape) for r in res]
@@ -982,58 +988,37 @@ class ZeroReport:
     value: float
 
 
-def zero_reports_at(exprs: Sequence[Expr], pts: Mapping[str, np.ndarray],
-                    tol: float = 1e-9) -> tuple[ZeroReport, ...]:
-    """Zero test of each of ``exprs`` at explicit sample points (one array
-    per symbol), one report per expression in order.
+def zero_report_at(e: Expr, pts: Mapping[str, np.ndarray],
+                   tol: float = 1e-9) -> ZeroReport:
+    """Zero test of ``e`` at explicit sample points (one array per symbol).
 
     At each point the test is |e| <= tol * (1 + scale), the scale being the
-    largest of the :func:`top_level_terms` there.  All the expressions and
-    their terms come from one compiled pass, so subtrees they share are
-    computed once.  The reports, and the :class:`EvalError` a failing
-    evaluation raises, are those of :func:`zero_report_at` called on each in
-    turn; the argument checks are made for all before any evaluation.  This
-    is the package's zero test: bind parameters with :func:`substitute`
-    first; the points come from :func:`sample` or, e.g., a change of
-    coordinates pushed onto a slice.  Raises ``ValueError`` unless ``tol`` is
-    finite and positive and there is at least one point, with one column
-    shape for all symbols.
+    largest of the :func:`top_level_terms` there; ``e`` and its terms come
+    from one compiled pass.  This is the package's one zero test: bind
+    parameters with :func:`substitute` first; the points come from
+    :func:`sample` or, e.g., a change of coordinates pushed onto a slice.
+    Raises ``ValueError`` unless ``tol`` is finite and positive and there is
+    at least one point, with one column shape for all symbols.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number > 0, got {tol}")
-    roots = [fold_constants(e) for e in exprs]
+    ee = fold_constants(e)
     names = tuple(pts)
-    for ee in roots:
-        extra = free_symbols(ee) - set(names)
-        if extra:
-            raise EvalError(
-                f"expression has unbound symbols {sorted(extra)}; supply a column for each")
+    extra = free_symbols(ee) - set(names)
+    if extra:
+        raise EvalError(
+            f"expression has unbound symbols {sorted(extra)}; supply a column for each")
     cols = [np.asarray(pts[nm], dtype=float) for nm in names]
     if not cols or any(c.size == 0 for c in cols):
         raise ValueError("need at least one sample point, got none")
     if len({c.shape for c in cols}) > 1:
         raise ValueError("sample columns differ in shape: "
                          + ", ".join(f"{nm} {c.shape}" for nm, c in zip(names, cols)))
-    if not roots:
-        return ()
-    terms = [top_level_terms(ee) for ee in roots]
-    first, rest = compile_evaluator(
-        roots[0], names, [*roots[1:], *(t for ts in terms for t in ts)])(*cols)
-    out = [first, *rest]   # the roots' values, then every root's terms' values
-    at = len(roots)
-    reports = []
-    for vals, ts in zip(out, terms):
-        scale = np.maximum.reduce([np.abs(t) for t in out[at:at + len(ts)]])
-        at += len(ts)
-        ratio = np.abs(vals) / (1.0 + scale)
-        i = int(np.argmax(ratio))
-        witness = {nm: float(cols[k][i]) for k, nm in enumerate(names)}
-        reports.append(ZeroReport(ok=bool(ratio[i] <= tol), max_ratio=float(ratio[i]),
-                                  witness=witness, value=float(vals[i])))
-    return tuple(reports)
+    vals, terms = compile_evaluator(ee, names, top_level_terms(ee))(*cols)
+    scale = np.maximum.reduce([np.abs(t) for t in terms])
+    ratio = np.abs(vals) / (1.0 + scale)
+    i = int(np.argmax(ratio))
+    witness = {nm: float(cols[k][i]) for k, nm in enumerate(names)}
+    return ZeroReport(ok=bool(ratio[i] <= tol), max_ratio=float(ratio[i]),
+                      witness=witness, value=float(vals[i]))
 
-
-def zero_report_at(e: Expr, pts: Mapping[str, np.ndarray],
-                   tol: float = 1e-9) -> ZeroReport:
-    """The zero test of one expression: :func:`zero_reports_at` of ``(e,)``."""
-    return zero_reports_at((e,), pts, tol)[0]

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 from .expr import (RESERVED_NAMES, Expr, SamplingDomain, const, differentiate,
                    evaluate, fold_constants, free_symbols, parse, sample,
-                   substitute, sym, to_string, zero_reports_at)
+                   substitute, sym, to_string, zero_report_at)
 from .odesys import Mat2, OdeSystem
 
 __all__ = [
@@ -406,16 +406,19 @@ def admits(sys: OdeSystem, g, dom: SamplingDomain | None = None,
     """Does ``sys`` admit the point field ``g``?
 
     Both symmetry defects are put through the relative zero test of
-    :func:`liesym.expr.zero_reports_at`, in one pass at one set of points
-    drawn from ``dom`` (default: :func:`default_domain`); the field is
-    admitted iff both pass at ``tol``.
+    :func:`liesym.expr.zero_report_at` at one set of points drawn from ``dom``
+    (default: :func:`default_domain`); the field is admitted iff both pass at
+    ``tol``.
     """
     if dom is None:
         dom = default_domain()
     missing = set(BOX) - set(dom.names())
     if missing:
         raise ValueError(f"domain must bound all of {tuple(BOX)}; missing {sorted(missing)}")
-    rep1, rep2 = zero_reports_at(residual_expressions(sys, g), sample(dom), tol)
+    r1, r2 = residual_expressions(sys, g)
+    pts = sample(dom)
+    rep1 = zero_report_at(r1, pts, tol)
+    rep2 = zero_report_at(r2, pts, tol)
     worst, comp = ((rep1, 1) if rep1.max_ratio >= rep2.max_ratio else (rep2, 2))
     return Verdict(admitted=bool(rep1.ok and rep2.ok),
                    max_ratio=worst.max_ratio, component=comp,

@@ -19,7 +19,7 @@ from liesym.expr import (
     EvalError, ParseError, SamplingDomain,
     compile_evaluator, differentiate, evaluate, fold_constants, free_symbols,
     parse, sample, substitute, to_string, top_level_terms,
-    zero_report_at, zero_reports_at,
+    zero_report_at,
 )
 
 # ---------------------------------------------------------------------------
@@ -238,6 +238,10 @@ def test_evaluate_matches_reference_bit_for_bit(t, b):
 def test_evaluate_domain_errors(text, binding):
     with pytest.raises(EvalError):
         evaluate(parse(text), binding)
+    # the tape's floating-point trap catches each one as well
+    names = tuple(binding)
+    with pytest.raises(EvalError):
+        compile_evaluator(parse(text), names)(*[np.array([binding[n]]) for n in names])
 
 
 @pytest.mark.parametrize("text, y, culprit", [
@@ -354,8 +358,12 @@ def test_fold_keeps_failing_constant_subtree():
 @given(trees)
 @settings(max_examples=150)
 def test_fold_idempotent(t):
+    from oracles import reference_fold
+
     f1 = fold_constants(t)
     assert fold_constants(f1) == f1
+    # the result is cached as its own fold, so check it against a plain fold
+    assert reference_fold(f1) is f1
 
 
 @given(trees, bindings)
@@ -616,8 +624,6 @@ def test_zero_report_with_params():
 
 
 def test_zero_report_at_compiles_once(monkeypatch):
-    from liesym import catalog, symmetry
-
     calls = []
     real = ex.compile_evaluator
 
@@ -630,37 +636,6 @@ def test_zero_report_at_compiles_once(monkeypatch):
     rep = ex.zero_report_at(parse("y*z - exp(y) + 2 - y*z + exp(y) - 2*y^0"), pts)
     assert rep.ok
     assert len(calls) == 1
-    # every residual of a row, and both residuals of a field, in one pass
-    calls.clear()
-    assert catalog.verify_entry("T1.J1", n=20).passed
-    assert len(calls) == 1
-    calls.clear()
-    system, gens = catalog.instantiate("T1.J1")
-    assert symmetry.admits(system, gens[0]).admitted
-    assert len(calls) == 1
-
-
-def test_zero_reports_at_one_pass_matches_one_by_one():
-    pts = sample(SamplingDomain(intervals={"y": (0.2, 3.0), "z": (-1.0, 1.0)},
-                                n=50, seed=4))
-    exprs = [parse(t) for t in ("y*z - z*y", "exp(y) * z + sin(z) - y",
-                                "y*z - z*y + 1e-12 * exp(y)", "3")]
-    got = zero_reports_at(exprs, pts)
-    assert got == tuple(zero_report_at(e, pts) for e in exprs)
-    assert [r.ok for r in got] == [True, False, True, False]
-    assert zero_reports_at([], pts) == ()
-
-
-def test_zero_reports_at_raises_what_the_calls_one_by_one_raise():
-    pts = {"y": np.array([2.0, 1.0, 3.0]), "z": np.array([1.0, 1.0, 0.5])}
-    exprs = [parse("y * z - z * y"), parse("ln(y) + 1 / (y - z)"), parse("1 / (y - z) - 1")]
-    with pytest.raises(EvalError) as one:
-        for e in exprs:
-            zero_report_at(e, pts)
-    with pytest.raises(EvalError) as joint:
-        zero_reports_at(exprs, pts)
-    assert str(joint.value) == str(one.value)
-    assert str(joint.value) == "non-finite value in '1 / (y - z)' near {'y': 1.0, 'z': 1.0}"
 
 
 @pytest.mark.parametrize("e, pts, text", [
@@ -693,18 +668,6 @@ def test_spurious_flag_leaves_the_result_unchanged(monkeypatch):
     monkeypatch.setitem(ex._TAPE_FNS, ex.PRODUCT, flagging)
     assert np.array_equal(compile_evaluator(e, names)(y, z), want)
     assert len(trapped) == 2  # y * z and z * y
-
-
-def test_tape_frees_each_slot_after_its_last_read():
-    roots = [parse("sin(y) * z + y"), parse("sin(y) - z"), parse("z")]
-    steps, outs = ex._tape(roots, {"y": 0, "z": 1})
-    freed = [j for *_, free in steps for j in free]
-    assert sorted(freed) == sorted(set(range(len(steps))) - set(outs))
-    for i, (_, arg, _, free) in enumerate(steps):
-        for j in free:
-            assert j in arg
-            assert not any(j in a for _, a, _, _ in steps[i + 1:]
-                           if isinstance(a, tuple))
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
