@@ -16,16 +16,22 @@ Design notes:
   and ``==`` and ``hash`` are identity.  The intern table holds nodes weakly,
   keyed on (kind, value, child ids); constants are keyed by ``float.hex``, so
   ``const(0.0) is not const(-0.0)``.  Nodes are immutable.
-- Each node caches its :func:`fold_constants` result, its derivative per
-  variable and its :func:`free_symbols`, so repeated and shared work is done
-  once per distinct node, and a cached result dies with its node.  A result
-  equal to the node is stored as a sentinel, not as a self-reference; a fold
-  result is cached as its own fold, since folding is idempotent.  A
-  derivative that contains its node (``exp(u)``, ``sqrt(u)``, ``u ^ v``) or
-  another node whose derivative contains this one (``sin(u)`` and ``cos(u)``)
-  forms a reference cycle, which the cycle collector frees.
+- Each node caches its :func:`fold_constants` result, its derivative by
+  each variable it contains and its :func:`free_symbols`, so repeated and
+  shared work is done once per distinct node, and a cached result dies with
+  its node.  A result equal to the node is stored as a sentinel, not as a
+  self-reference; a fold result is cached as its own fold, since folding is
+  idempotent.  A derivative that contains its node (``exp(u)``,
+  ``sqrt(u)``, ``u ^ v``) or another node whose derivative contains this
+  one (``sin(u)`` and ``cos(u)``) forms a reference cycle, which the cycle
+  collector frees.
 - Every walk over a tree uses an explicit stack, so depth costs no Python
-  frames.
+  frames.  :func:`_postorder` asks its readiness test once per edge: a node
+  that is not ready goes back on the stack under a marker, above it go its
+  children, and popping the marker yields the node.  A walk skips what its
+  caches or :func:`free_symbols` already answer: :func:`differentiate`
+  does not enter a subtree without its variable, nor :func:`substitute` one
+  without a mapped symbol.
 - Printing parenthesizes so that ``parse(to_string(e))`` reproduces the tree
   node-for-node for any parser- or fold-produced tree.
 - Domain errors (log of a non-positive number, division by zero, fractional
@@ -280,22 +286,25 @@ def _as_expr(v) -> Expr:
 def _postorder(root: Expr, ready: Callable[[Expr], bool]) -> Iterator[Expr]:
     """Yield each node under ``root`` that is not ``ready``, children before
     parents and left to right, once.  The caller makes a yielded node ready
-    before it asks for the next.  The stack is explicit, so depth costs no
-    Python frames."""
+    before it asks for the next.  ``ready`` is asked once for the root and
+    once per edge below a yielded node.  The stack is explicit, so depth
+    costs no Python frames."""
     stack = [root]
     push, pop = stack.append, stack.pop
     while stack:
-        e = stack[-1]
-        if ready(e):
-            pop()
-            continue
-        depth = len(stack)
-        for a in reversed(e.args):  # the leftmost child ends on top
-            if not ready(a):
-                push(a)
-        if len(stack) == depth:
-            pop()
-            yield e
+        e = pop()
+        if e is None:  # an expansion marker: the node under it is due
+            yield pop()
+        elif not ready(e):
+            args = e.args
+            if args:
+                push(e)
+                push(None)
+                if len(args) == 2:  # no node has more than two children
+                    push(args[1])
+                push(args[0])  # the leftmost child ends on top
+            else:
+                yield e
 
 
 # --------------------------------------------------------------------------
@@ -687,16 +696,37 @@ def differentiate(e: Expr, var: str) -> Expr:
 
     The result is built through identity-dropping constructors (``0*e``,
     ``e+0`` and friends never appear) but is not otherwise simplified; apply
-    :func:`fold_constants` when a tidy tree matters.  Each node keeps its
-    derivatives.
+    :func:`fold_constants` when a tidy tree matters.  Each node that
+    contains ``var`` keeps its derivative by ``var``.
+
+    A subtree without ``var`` (known from the cached :func:`free_symbols`)
+    is not walked.  These constructors make its derivative a zero whose
+    sign follows its right spine of sums and negations: a sum whose left
+    derivative is zero keeps the right one, a negation flips the sign, and
+    every other kind gives +0.  So d(y - 1)/dz is -0, which atan2 tells
+    apart from 0.
     """
+    free_symbols(e)  # fills every node's _free, read by ready() below
     done: dict[Expr, Expr] = {}
 
     def ready(n: Expr) -> bool:
         if n in done:
             return True
-        if n.kind == CONSTANT or n.kind == SYMBOL:
-            done[n] = _ONE if n.kind == SYMBOL and n.value == var else _ZERO
+        if var not in n._free:
+            # the zeros of the spine nodes are stored too, so shared spines
+            # are walked once
+            spine = []
+            while n not in done and (n.kind == SUM or n.kind == NEG):
+                spine.append(n)
+                n = n.args[-1]
+            d = done.setdefault(n, _ZERO)
+            for m in reversed(spine):
+                if m.kind == NEG:
+                    d = _neg(d)
+                done[m] = d
+            return True
+        if n.kind == SYMBOL:
+            done[n] = _ONE
             return True
         r = None if n._diff is None else n._diff.get(var)
         if r is not None:
@@ -1004,17 +1034,20 @@ def zero_report_at(e: Expr, pts: Mapping[str, np.ndarray],
         raise ValueError(f"tol must be a finite number > 0, got {tol}")
     ee = fold_constants(e)
     names = tuple(pts)
-    extra = free_symbols(ee) - set(names)
-    if extra:
+    try:
+        run = compile_evaluator(ee, names, top_level_terms(ee))
+    except EvalError:  # the tape meets a symbol without a column
+        extra = free_symbols(ee) - set(names)
         raise EvalError(
-            f"expression has unbound symbols {sorted(extra)}; supply a column for each")
+            f"expression has unbound symbols {sorted(extra)}; supply a column for each"
+        ) from None
     cols = [np.asarray(pts[nm], dtype=float) for nm in names]
     if not cols or any(c.size == 0 for c in cols):
         raise ValueError("need at least one sample point, got none")
     if len({c.shape for c in cols}) > 1:
         raise ValueError("sample columns differ in shape: "
                          + ", ".join(f"{nm} {c.shape}" for nm, c in zip(names, cols)))
-    vals, terms = compile_evaluator(ee, names, top_level_terms(ee))(*cols)
+    vals, terms = run(*cols)
     scale = np.maximum.reduce([np.abs(t) for t in terms])
     ratio = np.abs(vals) / (1.0 + scale)
     i = int(np.argmax(ratio))

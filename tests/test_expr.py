@@ -295,6 +295,52 @@ def test_differentiate_wrt_absent_symbol_is_zero():
     assert fold_constants(differentiate(parse("sin(y)*z^2"), "x")) == ex.const(0.0)
 
 
+@pytest.mark.parametrize("text, var", [
+    ("y - 1", "z"), ("1 - z", "y"), ("y - z", "x"), ("-(-(z))", "y"),
+    ("x * -(z)", "y"), ("atan2(z, -(z))", "y"), ("-(1 - z) - y * -(2 - z)", "x"),
+    ("y - (2 - -(z - 1))", "y"), ("(z - 1) * y - -(y - 1)", "y"),
+])
+def test_differentiate_keeps_signed_zeros(text, var):
+    # a subtree without var is not walked; its zero still takes the sign the
+    # rules give it, which atan2 tells apart
+    from oracles import reference_differentiate
+    e = parse(text)
+    assert differentiate(e, var) is reference_differentiate(e, var)
+
+
+@pytest.mark.parametrize("text, var", [("y - 1", "z"), ("1 - z", "y"), ("y - z", "x")])
+def test_derivative_of_a_trailing_difference_is_negative_zero(text, var):
+    assert differentiate(parse(text), var) is ex.const(-0.0)
+
+
+def test_subtrees_without_the_variable_get_no_derivative_entry():
+    inner = parse("sin(q1) * (q2 - 1)")      # names no other test uses
+    e = inner * ex.sym("y") + ex.exp(ex.sym("y"))
+    differentiate(e, "y")
+    assert "y" in e._diff
+    stack = [inner]
+    while stack:
+        n = stack.pop()
+        assert n._diff is None or "y" not in n._diff, to_string(n)
+        stack += n.args
+
+
+def test_derivative_by_an_absent_variable_walks_nothing(monkeypatch):
+    F = parse("a * z ^ -2 + y * exp(z) - 1")
+    free_symbols(F)
+    yielded = []
+    real = ex._postorder
+
+    def recording(root, ready):
+        for n in real(root, ready):
+            yielded.append(n)
+            yield n
+
+    monkeypatch.setattr(ex, "_postorder", recording)
+    assert differentiate(F, "x") is ex.const(-0.0)
+    assert yielded == []
+
+
 @pytest.mark.parametrize("text, var, binding", [
     ("y * z ^ -4 * exp(4 * atan(z / y))", "y", {"y": 1.3, "z": 0.7}),
     ("y * z ^ -4 * exp(4 * atan(z / y))", "z", {"y": 1.3, "z": 0.7}),
@@ -404,6 +450,89 @@ def test_top_level_terms():
     terms = top_level_terms(e)
     assert set(map(to_string, terms)) == {"y * z", "exp(y)", "2"}
     assert top_level_terms(parse("y * (z + 1)")) == (parse("y * (z + 1)"),)
+
+
+# ---------------------------------------------------------------------------
+# The post-order walk
+# ---------------------------------------------------------------------------
+
+def _reference_postorder(root):
+    """Left-to-right post-order, each node at its first occurrence."""
+    out, seen = [], set()
+
+    def visit(n):
+        if n not in seen:
+            for a in n.args:
+                visit(a)
+            seen.add(n)
+            out.append(n)
+
+    visit(root)
+    return out
+
+
+def _walk_counting(root):
+    """The nodes ``_postorder`` yields from scratch, and its readiness calls."""
+    done, calls = set(), []
+
+    def ready(n):
+        calls.append(n)
+        return n in done
+
+    out = []
+    for n in ex._postorder(root, ready):
+        assert n not in done
+        done.add(n)
+        out.append(n)
+    return out, len(calls)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ex.sym("x") * ex.sym("x"),
+    lambda: parse("(sin(y) + z) * (sin(y) - z) / sin(y)"),       # a diamond
+    lambda: parse("atan2(y * z, 1 - y * z) + -(1 - y * z) ^ (y * z)"),
+], ids=["square", "diamond", "shared"])
+def test_postorder_yields_each_node_once_in_first_occurrence_order(build):
+    e = build()
+    out, calls = _walk_counting(e)
+    assert out == _reference_postorder(e)
+    # one readiness call for the root and at most one per edge
+    edges = sum(len(n.args) for n in out)
+    assert calls <= 1 + edges
+
+
+def test_postorder_deep_chain_with_shared_subtrees():
+    # 3,000 levels, every other one using the level below twice; the new
+    # nodes of each level are listed in left-to-right post-order as built
+    e = ex.sym("y")
+    want = [e]
+    for i in range(3000):
+        if i % 2:
+            s = ex.call("sin", e)
+            e = s * e
+            want += [s, e]
+        else:
+            c = ex.const(float(i))
+            e = e - c
+            want += [c, e.args[1], e]
+    out, calls = _walk_counting(e)
+    # compare by position: a failing assert must not print these nodes,
+    # whose repr doubles with every shared level
+    edges = sum(len(n.args) for n in out)
+    first_wrong = next((i for i, (a, b) in enumerate(zip(out, want)) if a is not b), None)
+    assert (len(out), first_wrong) == (len(want), None)
+    assert calls <= 1 + edges
+
+
+def test_postorder_skips_ready_subtrees():
+    e = parse("sin(y) * (y + 1)")
+    done = {parse("sin(y)"), ex.sym("y")}
+    out = []
+    for n in ex._postorder(e, done.__contains__):
+        done.add(n)
+        out.append(n)
+    assert out == [ex.const(1.0), parse("y + 1"), e]
+    assert list(ex._postorder(e, lambda n: True)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +832,25 @@ def test_zero_report_at_rejects_unequal_columns(text):
 def test_sampling_domain_rejects_bad_input(change):
     with pytest.raises(ValueError):
         SamplingDomain(**{"intervals": {"y": (0.0, 1.0)}, **change})
+
+
+def test_zero_report_at_skips_free_symbols_on_success(monkeypatch):
+    calls = []
+    real = ex.free_symbols
+    monkeypatch.setattr(ex, "free_symbols", lambda e: calls.append(e) or real(e))
+    pts = {"y": np.array([0.5, 1.5]), "z": np.array([2.0, 0.3])}
+    assert ex.zero_report_at(parse("y * z - z * y + 2 - 2 * y ^ 0"), pts).ok
+    assert calls == []
+    with pytest.raises(EvalError, match=re.escape("unbound symbols ['q4']")):
+        ex.zero_report_at(parse("q4 * y"), pts)
+    assert calls == [parse("q4 * y")]
+
+
+def test_zero_report_unbound_symbols_come_before_empty_columns():
+    with pytest.raises(EvalError, match="unbound symbols"):
+        zero_report_at(parse("a * y"), {"y": np.array([])})
+    with pytest.raises(EvalError, match="unbound symbols"):
+        zero_report_at(parse("a * y"), {"y": np.array([1.0, 2.0]), "z": np.array([1.0])})
 
 
 def test_zero_report_unbound_symbol_raises():

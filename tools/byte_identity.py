@@ -12,7 +12,7 @@ the one next to this script), so one copy of the script serves both sides:
 
 The inputs are fixed by seeds; the ``check`` and ``covariance`` inputs come
 from the benchmark's generators in ``bench/workloads.py`` next to this
-script.  649 files:
+script.  684 files:
 
 - ``catalog/``: ``liesym catalog verify --all --json`` at seeds 0 and 1, and
   ``liesym catalog list`` with and without ``--json``;
@@ -21,6 +21,10 @@ script.  649 files:
   listed generator;
 - ``verify_entry/``: ``verify_entry`` on all 34 rows at ``draw_params(id, s)``
   for s = 0..3, as the report's repr;
+- ``derivatives/``: the repr (signed zeros visible) of ``differentiate`` by
+  x, y, z, yp and zp and of the second derivative by y, for every row's F
+  and G at the defaults and for hand-written trees whose zero derivatives
+  carry a sign;
 - ``check/``: ``liesym check --json`` on the 40 inputs of round 0 of the
   ``check`` workload at seeds 1 and 2, with the temporary directory masked;
 - ``systems/``: ``liesym check --json`` on four system files whose
@@ -96,6 +100,15 @@ _GENERATOR_FILES = [
     {"coefficients": [0, 1, 0, 0, 1, 0.5, 0, 0]},
     {"coefficients": [1, 0, 2, 0, 0, 0, 1, -1]},
 ]
+
+#: Trees whose derivative by some variable is a signed zero from a spine of
+#: sums and negations, or holds one inside.
+_SIGNED_ZERO_SPINES = (
+    "y - 1", "1 - z", "y - z", "-(-(z))", "x * -(z)", "atan2(z, -(z))",
+    "-(1 - z) - y * -(2 - zp)", "y - (2 - -(z - yp))", "(z - 1) * y - -(y - 1)",
+    "atan2(y - 1, x - (z - 1)) + -(-(yp - zp))",
+)
+_DERIVATIVE_VARS = ("x", "y", "z", "yp", "zp")
 
 #: System files whose params enter F and G.
 _SYSTEM_FILES = {
@@ -175,8 +188,8 @@ def write_outputs(out: Path, work: Path) -> int:
     # imported here: main() puts the package under test on sys.path first
     import workloads
     from liesym import catalog, cli, liealg, odesys, symmetry
-    from liesym.expr import (SamplingDomain, compile_evaluator, evaluate,
-                             parse, sample, to_string, zero_report_at)
+    from liesym.expr import (SamplingDomain, compile_evaluator, differentiate,
+                             evaluate, parse, sample, to_string, zero_report_at)
 
     files = 0
 
@@ -208,6 +221,19 @@ def write_outputs(out: Path, work: Path) -> int:
         for s in range(4):
             report = catalog.verify_entry(eid, catalog.draw_params(eid, s))
             emit(f"verify_entry/{eid}-draw{s}.txt", repr(report) + "\n")
+
+    def derivatives(e) -> list[str]:
+        lines = [f"d/d{v}: {differentiate(e, v)!r}" for v in _DERIVATIVE_VARS]
+        return lines + [f"d2/dy2: {differentiate(differentiate(e, 'y'), 'y')!r}"]
+
+    for eid in catalog.entry_ids():
+        system = catalog.get_entry(eid).build(None)
+        lines = [f"F {line}" for line in derivatives(system.F)]
+        lines += [f"G {line}" for line in derivatives(system.G)]
+        emit(f"derivatives/{eid}.txt", "\n".join(lines) + "\n")
+    emit("derivatives/spines.txt", "".join(
+        f"{text} {line}\n" for text in _SIGNED_ZERO_SPINES
+        for line in derivatives(parse(text))))
 
     for seed in (1, 2):
         wdir = work / f"check-{seed}"
