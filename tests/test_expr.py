@@ -308,11 +308,6 @@ def test_differentiate_keeps_signed_zeros(text, var):
     assert differentiate(e, var) is reference_differentiate(e, var)
 
 
-@pytest.mark.parametrize("text, var", [("y - 1", "z"), ("1 - z", "y"), ("y - z", "x")])
-def test_derivative_of_a_trailing_difference_is_negative_zero(text, var):
-    assert differentiate(parse(text), var) is ex.const(-0.0)
-
-
 def test_subtrees_without_the_variable_get_no_derivative_entry():
     inner = parse("sin(q1) * (q2 - 1)")      # names no other test uses
     e = inner * ex.sym("y") + ex.exp(ex.sym("y"))

@@ -108,7 +108,6 @@ _SIGNED_ZERO_SPINES = (
     "-(1 - z) - y * -(2 - zp)", "y - (2 - -(z - yp))", "(z - 1) * y - -(y - 1)",
     "atan2(y - 1, x - (z - 1)) + -(-(yp - zp))",
 )
-_DERIVATIVE_VARS = ("x", "y", "z", "yp", "zp")
 
 #: System files whose params enter F and G.
 _SYSTEM_FILES = {
@@ -223,7 +222,7 @@ def write_outputs(out: Path, work: Path) -> int:
             emit(f"verify_entry/{eid}-draw{s}.txt", repr(report) + "\n")
 
     def derivatives(e) -> list[str]:
-        lines = [f"d/d{v}: {differentiate(e, v)!r}" for v in _DERIVATIVE_VARS]
+        lines = [f"d/d{v}: {differentiate(e, v)!r}" for v in ("x", "y", "z", "yp", "zp")]
         return lines + [f"d2/dy2: {differentiate(differentiate(e, 'y'), 'y')!r}"]
 
     for eid in catalog.entry_ids():
