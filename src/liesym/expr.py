@@ -14,8 +14,11 @@ Design notes:
   Hash-Consing", 2006): building a node whose kind, value and children match
   a live node returns that node, so structurally equal trees are one object
   and ``==`` and ``hash`` are identity.  The intern table holds nodes weakly,
-  keyed on (kind, value, child ids); constants are keyed by ``float.hex``, so
-  ``const(0.0) is not const(-0.0)``.  Nodes are immutable.
+  keyed on the flat tuple (kind, value, *child ids); constants are keyed by
+  ``float.hex``, so ``const(0.0) is not const(-0.0)``.  Nodes are immutable:
+  a new node is filled by plain attribute stores on the field-only base
+  class ``_Node`` and then made an ``Expr``, whose guards refuse any later
+  assignment.
 - Each node caches its :func:`fold_constants` result, its derivative by
   each variable it contains and its :func:`free_symbols`, so repeated and
   shared work is done once per distinct node, and a cached result dies with
@@ -25,6 +28,16 @@ Design notes:
   ``sqrt(u)``, ``u ^ v``) or another node whose derivative contains this
   one (``sin(u)`` and ``cos(u)``) forms a reference cycle, which the cycle
   collector frees.
+- Folding is a bottom-up map: a node's fold depends only on its kind, its
+  value and its children's folds (:func:`_fold_op`).  So a derivation that
+  would fold a tree it has just built from folded pieces builds the fold
+  directly with the folded constructors (:func:`_fsum`, :func:`_fmul`,
+  :func:`_fneg`, :func:`_fsub`) or :func:`_substitute_folded`, and the
+  unfolded tree is never born.  The residuals of
+  :func:`liesym.symmetry.residual_expressions`,
+  :func:`liesym.odesys.linear_change` and the catalog's parameter binding
+  are built this way.  :func:`differentiate` and :func:`substitute` return
+  unfolded trees.
 - Every walk over a tree uses an explicit stack, so depth costs no Python
   frames.  :func:`_postorder` asks its readiness test once per edge: a node
   that is not ready goes back on the stack under a marker, above it go its
@@ -102,11 +115,12 @@ class EvalError(ArithmeticError):
     """Evaluation failed: unbound symbol, domain error, or overflow."""
 
 
-#: Weak references to the live nodes, keyed on (kind, value, child ids);
-#: constants on (kind, float.hex).  A node holds its children, so their ids
-#: stay valid while its entry lives, and the entry goes when the node is
-#: freed.  Ids rather than the children themselves: a key that held its
-#: children would keep alive every node on a cycle through the caches below.
+#: Weak references to the live nodes, keyed on the flat tuple (kind, value,
+#: *child ids); constants on (kind, float.hex).  A node holds its children,
+#: so their ids stay valid while its entry lives, and the entry goes when the
+#: node is freed.  Ids rather than the children themselves: a key that held
+#: its children would keep alive every node on a cycle through the caches
+#: below.
 _INTERNED: dict[tuple, "_NodeRef"] = {}
 
 
@@ -131,7 +145,18 @@ _NO_SYMBOLS: frozenset[str] = frozenset()
 _set = object.__setattr__
 
 
-class Expr:
+class _Node:
+    """The fields of a node, with no immutability guard.  :class:`Expr`
+    fills a new node through plain stores on this class, then turns it into
+    an ``Expr``; no ``_Node`` outlives that."""
+
+    __slots__ = ("kind", "value", "args", "_fold", "_diff", "_free", "__weakref__")
+
+
+_new_node = object.__new__
+
+
+class Expr(_Node):
     """One node of an expression tree.
 
     ``value`` holds the float for constants and the name for symbols and
@@ -140,7 +165,7 @@ class Expr:
     there is one, so equal trees are the same object.
     """
 
-    __slots__ = ("kind", "value", "args", "_fold", "_diff", "_free", "__weakref__")
+    __slots__ = ()
 
     def __new__(cls, kind: str, value: float | str | None = None,
                 args: tuple["Expr", ...] = ()):
@@ -149,24 +174,36 @@ class Expr:
             key = (kind, value.hex())
         else:
             args = tuple(args)
-            key = (kind, value, tuple(map(id, args)))
-        ref = _INTERNED.get(key)
-        node = None if ref is None else ref()
-        if node is None:
-            node = object.__new__(cls)
-            _set(node, "kind", kind)
-            _set(node, "value", value)
-            _set(node, "args", args)
-            # a leaf folds to itself and knows its symbols from the start
-            leaf = kind == CONSTANT or kind == SYMBOL
-            _set(node, "_fold", _SELF if leaf else None)
-            _set(node, "_diff", None)
-            if kind == SYMBOL:
-                _set(node, "_free", frozenset((value,)))
+            # the flat (kind, value, *child ids), spelled out for the two
+            # arities nodes have
+            if len(args) == 2:
+                key = (kind, value, id(args[0]), id(args[1]))
+            elif len(args) == 1:
+                key = (kind, value, id(args[0]))
             else:
-                _set(node, "_free", _NO_SYMBOLS if leaf else None)
-            ref = _INTERNED[key] = _NodeRef(node, _forget)
-            ref.key = key
+                key = (kind, value, *map(id, args))
+        ref = _INTERNED.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new_node(_Node)
+        node.kind = kind
+        node.value = value
+        node.args = args
+        node._diff = None
+        # a leaf folds to itself and knows its symbols from the start
+        if kind == SYMBOL:
+            node._fold = _SELF
+            node._free = frozenset((value,))
+        elif kind == CONSTANT:
+            node._fold = _SELF
+            node._free = _NO_SYMBOLS
+        else:
+            node._fold = node._free = None
+        node.__class__ = Expr
+        ref = _INTERNED[key] = _NodeRef(node, _forget)
+        ref.key = key
         return node
 
     def __setattr__(self, name, value):
@@ -535,36 +572,32 @@ _SCALAR_FNS: dict[str, Callable] = {
 }
 
 
-def _apply(n: Expr, vals: list[float]) -> float:
-    """Node ``n``'s operation on its children's values; a result that is not
-    finite raises, naming ``n``."""
-    k = n.kind
+def _apply(k: str, fn: str | None, vals: list[float]) -> float:
+    """The operation of a node of kind ``k`` (function ``fn`` for a call) on
+    its children's values.  A domain error raises; a result that is not
+    finite (an overflow) comes back for the caller to judge."""
     if k == SUM:
-        v = vals[0] + vals[1]
-    elif k == PRODUCT:
-        v = vals[0] * vals[1]
-    elif k == QUOTIENT:
+        return vals[0] + vals[1]
+    if k == PRODUCT:
+        return vals[0] * vals[1]
+    if k == QUOTIENT:
         if vals[1] == 0.0:
             raise EvalError("division by zero")
-        v = vals[0] / vals[1]
-    elif k == NEG:
-        v = -vals[0]
-    elif k == POWER:
+        return vals[0] / vals[1]
+    if k == NEG:
+        return -vals[0]
+    if k == POWER:
         b, p = vals
         try:
-            v = math.pow(b, p)
+            return math.pow(b, p)
         except (ValueError, OverflowError) as exc:
             raise EvalError(f"pow({b!r}, {p!r}): {exc}") from None
-    elif k == CALL:
+    if k == CALL:
         try:
-            v = _SCALAR_FNS[n.value](*vals)
+            return _SCALAR_FNS[fn](*vals)
         except (ValueError, OverflowError) as exc:
-            raise EvalError(f"{n.value}({vals!r}): {exc}") from None
-    else:
-        raise ValueError(f"unknown node kind {k!r}")  # pragma: no cover
-    if not math.isfinite(v):
-        raise EvalError(f"non-finite value in {to_string(n)!r}")
-    return v
+            raise EvalError(f"{fn}({vals!r}): {exc}") from None
+    raise ValueError(f"unknown node kind {k!r}")  # pragma: no cover
 
 
 def evaluate(e: Expr, binding: Mapping[str, float]) -> float:
@@ -585,7 +618,9 @@ def evaluate(e: Expr, binding: Mapping[str, float]) -> float:
             except KeyError:
                 raise EvalError(f"unbound symbol {n.value!r}") from None
         else:
-            vals[n] = _apply(n, [vals[a] for a in n.args])
+            v = vals[n] = _apply(k, n.value, [vals[a] for a in n.args])
+            if not math.isfinite(v):
+                raise EvalError(f"non-finite value in {to_string(n)!r}")
     return vals[e]
 
 
@@ -751,16 +786,28 @@ def _folded(e: Expr) -> Expr:
     return e if r is _SELF else r
 
 
-def _fold_node(e: Expr) -> Expr:
-    """Fold one node whose children are folded already."""
-    k = e.kind
-    args = tuple([_folded(a) for a in e.args])
+def _fold_op(k: str, value, args: tuple[Expr, ...]) -> Expr:
+    """The fold of a node of kind ``k`` and ``value`` whose children fold to
+    ``args``, without building that node unless it is what the fold keeps.
+
+    Folding is a bottom-up map, so this is the one rule: for folded ``a`` and
+    ``b``, ``_fold_op(SUM, None, (a, b)) is fold_constants(a + b)``.  The
+    result is marked as its own fold.
+    """
+    r = _fold_rule(k, value, args)
+    if r._fold is None:
+        _set(r, "_fold", _SELF)
+    return r
+
+
+def _fold_rule(k: str, value, args: tuple[Expr, ...]) -> Expr:
     if all(a.kind == CONSTANT for a in args):
         try:
-            # an overflow raises too, so it stays as written, like 1/0
-            return const(_apply(e, [a.value for a in args]))
+            v = _apply(k, value, [a.value for a in args])
         except EvalError:
-            return Expr(k, e.value, args)
+            v = math.inf
+        # a failure or an overflow stays as written, like 1/0 and 1e308*10
+        return const(v) if math.isfinite(v) else Expr(k, value, args)
     if k == SUM:
         return _add(*args)
     if k == PRODUCT:
@@ -779,7 +826,26 @@ def _fold_node(e: Expr) -> Expr:
             return a
         if _is_const(b, 0.0):
             return _ONE
-    return Expr(k, e.value, args)
+    return Expr(k, value, args)
+
+
+# Folded constructors: each takes folded operands and returns the fold of the
+# operator-built tree, ``_fsum(a, b) is fold_constants(a + b)``, without
+# building that tree.
+def _fsum(a: Expr, b: Expr) -> Expr:
+    return _fold_op(SUM, None, (a, b))
+
+
+def _fmul(a: Expr, b: Expr) -> Expr:
+    return _fold_op(PRODUCT, None, (a, b))
+
+
+def _fneg(a: Expr) -> Expr:
+    return _fold_op(NEG, None, (a,))
+
+
+def _fsub(a: Expr, b: Expr) -> Expr:
+    return _fsum(a, _fneg(b))
 
 
 def fold_constants(e: Expr) -> Expr:
@@ -793,10 +859,9 @@ def fold_constants(e: Expr) -> Expr:
     itself.
     """
     for n in _postorder(e, lambda n: n._fold is not None):
-        r = _fold_node(n)
-        _set(n, "_fold", _SELF if r is n else r)
-        if r._fold is None:
-            _set(r, "_fold", _SELF)
+        r = _fold_op(n.kind, n.value, tuple([_folded(a) for a in n.args]))
+        if r is not n:
+            _set(n, "_fold", r)
     return _folded(e)
 
 
@@ -825,6 +890,32 @@ def substitute(e: Expr, mapping: Mapping[str, "Expr | float"]) -> Expr:
 
     for n in _postorder(e, ready):
         done[n] = Expr(n.kind, n.value, tuple([done[a] for a in n.args]))
+    return done[e]
+
+
+def _substitute_folded(e: Expr, mapping: Mapping[str, "Expr | float"]) -> Expr:
+    """``fold_constants(substitute(e, mapping))``, built folded: each node
+    with a mapped symbol folds from its children's folds (:func:`_fold_op`),
+    so the substituted tree itself is never built."""
+    if not mapping:
+        return fold_constants(e)
+    names = mapping.keys()
+    free_symbols(e)  # fills every node's _free, read by ready() below
+    done: dict[Expr, Expr] = {}
+
+    def ready(n: Expr) -> bool:
+        if n in done:
+            return True
+        if names.isdisjoint(n._free):
+            done[n] = fold_constants(n) if n._fold is None else _folded(n)
+            return True
+        if n.kind == SYMBOL:
+            done[n] = fold_constants(_as_expr(mapping[n.value]))
+            return True
+        return False
+
+    for n in _postorder(e, ready):
+        done[n] = _fold_op(n.kind, n.value, tuple([done[a] for a in n.args]))
     return done[e]
 
 

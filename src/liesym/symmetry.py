@@ -25,9 +25,10 @@ from sys import float_info
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .expr import (RESERVED_NAMES, Expr, SamplingDomain, const, differentiate,
-                   evaluate, fold_constants, free_symbols, parse, sample,
-                   substitute, sym, to_string, zero_report_at)
+from .expr import (RESERVED_NAMES, Expr, SamplingDomain, _fmul, _fsub, _fsum,
+                   const, differentiate, evaluate, fold_constants,
+                   free_symbols, parse, sample, substitute, sym, to_string,
+                   zero_report_at)
 from .odesys import Mat2, OdeSystem
 
 __all__ = [
@@ -229,16 +230,22 @@ def determining_generator(xi, A: Mat2 | None = None,
 # Prolongation and residuals
 # ---------------------------------------------------------------------------
 
+def _dfold(e: Expr, var: str) -> Expr:
+    """The partial derivative by ``var``, folded (a cached call per node)."""
+    return fold_constants(differentiate(e, var))
+
+
 def _total_derivative(e: Expr, F: Expr, G: Expr) -> Expr:
-    """Total x-derivative along solutions: d/dx + yp d/dy + zp d/dz with the
-    second derivatives already replaced by the right-hand sides."""
-    out = (differentiate(e, "x") + sym("yp") * differentiate(e, "y")
-           + sym("zp") * differentiate(e, "z"))
+    """Total x-derivative along solutions, d/dx + yp d/dy + zp d/dz with the
+    second derivatives already replaced by the folded right-hand sides.  It
+    comes back folded, combined from the folded partial derivatives."""
+    out = _fsum(_fsum(_dfold(e, "x"), _fmul(sym("yp"), _dfold(e, "y"))),
+                _fmul(sym("zp"), _dfold(e, "z")))
     free = free_symbols(e)
     if "yp" in free:
-        out = out + F * differentiate(e, "yp")
+        out = _fsum(out, _fmul(F, _dfold(e, "yp")))
     if "zp" in free:
-        out = out + G * differentiate(e, "zp")
+        out = _fsum(out, _fmul(G, _dfold(e, "zp")))
     return out
 
 
@@ -249,6 +256,12 @@ def residual_expressions(sys: OdeSystem, g) -> tuple[Expr, Expr]:
     coefficient evaluated on solutions.  Both are expressions in
     (x, y, z, yp, zp); they vanish identically iff the field is a point
     symmetry of the system.
+
+    Each r_i is ``fold_constants`` of the tree the formula writes with
+    operators, but that tree is never built: folding is a bottom-up map, so
+    every derivative is folded on its own (a cached call per node) and the
+    folded pieces are combined by the folded constructors of
+    :mod:`liesym.expr`.
     """
     F, G = sys.resolved()
     gen = _as_generator(g)
@@ -256,15 +269,15 @@ def residual_expressions(sys: OdeSystem, g) -> tuple[Expr, Expr]:
     def D(e: Expr) -> Expr:
         return _total_derivative(e, F, G)
 
-    dxi = fold_constants(D(gen.xi))  # xi depends on x alone: plain xi'
+    dxi = D(gen.xi)  # xi depends on x alone: plain xi'
+    xi, eta1, eta2 = (fold_constants(c) for c in (gen.xi, gen.eta1, gen.eta2))
     out = []
     for eta, vel, rhs in ((gen.eta1, "yp", F), (gen.eta2, "zp", G)):
-        e1 = fold_constants(D(eta) - sym(vel) * dxi)
-        e2 = D(e1) - rhs * dxi
-        act = (gen.xi * differentiate(rhs, "x")
-               + gen.eta1 * differentiate(rhs, "y")
-               + gen.eta2 * differentiate(rhs, "z"))
-        out.append(fold_constants(e2 - act))
+        e1 = _fsub(D(eta), _fmul(sym(vel), dxi))
+        e2 = _fsub(D(e1), _fmul(rhs, dxi))
+        act = _fsum(_fsum(_fmul(xi, _dfold(rhs, "x")), _fmul(eta1, _dfold(rhs, "y"))),
+                    _fmul(eta2, _dfold(rhs, "z")))
+        out.append(_fsub(e2, act))
     return out[0], out[1]
 
 

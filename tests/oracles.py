@@ -211,3 +211,39 @@ def reference_differentiate(e: Expr, var: str) -> Expr:
         "sqrt": lambda: _div(du, _mul(_c(2.0), e)),
         "atan": lambda: _div(du, _add(_c(1.0), _sq(u))),
     }[fn]()
+
+
+def _symbols(e: Expr) -> set:
+    if e.kind == "symbol":
+        return {e.value}
+    return set().union(*(_symbols(a) for a in e.args))
+
+
+def reference_residuals(system, g) -> tuple[Expr, Expr]:
+    """The symmetry defects (r1, r2) of the field ``g`` (``xi``, ``eta1``,
+    ``eta2``) on y'' = F, z'' = G, written with the node operators as the
+    formula reads: r_i = eta_i'' - X(rhs_i), eta_i'' the second prolonged
+    coefficient on solutions.  Derivatives come from
+    :func:`reference_differentiate`, and :func:`reference_fold` folds xi',
+    each first prolonged coefficient and each whole residual."""
+    F, G = reference_fold(system.F), reference_fold(system.G)
+    yp, zp = Expr("symbol", "yp"), Expr("symbol", "zp")
+    d = reference_differentiate
+
+    def total(e):
+        out = d(e, "x") + yp * d(e, "y") + zp * d(e, "z")
+        free = _symbols(e)
+        if "yp" in free:
+            out = out + F * d(e, "yp")
+        if "zp" in free:
+            out = out + G * d(e, "zp")
+        return out
+
+    dxi = reference_fold(total(g.xi))
+    out = []
+    for eta, vel, rhs in ((g.eta1, yp, F), (g.eta2, zp, G)):
+        e1 = reference_fold(total(eta) - vel * dxi)
+        e2 = total(e1) - rhs * dxi
+        act = g.xi * d(rhs, "x") + g.eta1 * d(rhs, "y") + g.eta2 * d(rhs, "z")
+        out.append(reference_fold(e2 - act))
+    return out[0], out[1]

@@ -358,19 +358,31 @@ def test_differentiate_vs_fd_fixed(text, var, binding):
 @given(trees, st.sampled_from(["x", "y", "z"]), bindings)
 @settings(max_examples=150)
 def test_differentiate_vs_fd_property(t, var, b):
-    h = 1e-5
+    v = b[var]
+
+    def quotient(h):
+        f = [evaluate(t, {**b, var: v + s}) for s in (-h, -h / 2, h / 2, h)]
+        assume(all(abs(u) < 1e5 for u in f))
+        fd1 = (f[3] - f[0]) / (2 * h)
+        fd2 = (f[2] - f[1]) / h
+        # Trust the finite difference only where it has converged on itself.
+        assume(abs(fd1 - fd2) <= 1e-6 * (1.0 + abs(fd1)))
+        return fd2
+
     try:
         d_analytic = evaluate(differentiate(t, var), b)
-        f = [evaluate(t, {**b, var: b[var] + s}) for s in (-h, -h / 2, h / 2, h)]
+        fd = quotient(1e-5)
+        # A stencil wider than |v| reaches across 0, where these trees have
+        # their poles (1/z, ln, sqrt, negative powers): its quotient must
+        # also agree with one at a step scaled to the point.  That step alone
+        # would not do: beside an O(1) term, 1e-5 |v| is too fine for floats.
+        h_v = 1e-5 * abs(v)
+        if abs(v) < 1e-5 and h_v > 0:
+            assume(abs(quotient(h_v) - fd) <= 1e-6 * (1.0 + abs(fd)))
     except EvalError:
         assume(False)
-    assume(all(abs(v) < 1e5 for v in f))
     assume(abs(d_analytic) < 1e6)
-    fd1 = (f[3] - f[0]) / (2 * h)
-    fd2 = (f[2] - f[1]) / h
-    # Trust the finite difference only where it has converged on itself.
-    assume(abs(fd1 - fd2) <= 1e-6 * (1.0 + abs(fd1)))
-    assert abs(d_analytic - fd2) <= 1e-4 * (1.0 + abs(fd2))
+    assert abs(d_analytic - fd) <= 1e-4 * (1.0 + abs(fd))
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +436,95 @@ def test_fold_preserves_values(t, b):
         pass
     else:
         pytest.fail("fold_constants introduced an evaluation error")
+
+
+def _operator_tree(kind, a, b):
+    """The node the operators (or :func:`call`) build over ``a`` and ``b``."""
+    return {"sum": lambda: a + b, "difference": lambda: a - b,
+            "product": lambda: a * b, "quotient": lambda: a / b,
+            "power": lambda: a ** b, "neg": lambda: -a,
+            "atan2": lambda: ex.atan2(a, b), "sin": lambda: ex.sin(a)}[kind]()
+
+
+def _folded_build(kind, a, b):
+    if kind == "sum":
+        return ex._fsum(a, b)
+    if kind == "difference":
+        return ex._fsub(a, b)
+    if kind == "product":
+        return ex._fmul(a, b)
+    if kind == "neg":
+        return ex._fneg(a)
+    if kind in ("quotient", "power"):
+        return ex._fold_op(kind, None, (a, b))
+    return ex._fold_op("call", kind, (a, b) if kind == "atan2" else (a,))
+
+
+_KINDS = ("sum", "difference", "product", "quotient", "power", "neg", "atan2", "sin")
+
+
+def _assert_built_folded(kind, a, b):
+    got = _folded_build(kind, a, b)
+    assert got is fold_constants(_operator_tree(kind, a, b))
+    assert got._fold is ex._SELF  # marked as its own fold
+
+
+@given(trees, trees)
+@settings(max_examples=150)
+def test_folded_constructors_are_folds_of_operator_trees(t1, t2):
+    a, b = fold_constants(t1), fold_constants(t2)
+    for kind in _KINDS:
+        _assert_built_folded(kind, a, b)
+
+
+@pytest.mark.parametrize("kind, a, b, want", [
+    # folding evaluates 0 + (-0) to +0, where dropping the zero would keep -0
+    ("sum", 0.0, -0.0, "0"),
+    ("sum", -0.0, 0.0, "0"),
+    ("difference", 0.0, 0.0, "0"),
+    ("product", 0.0, -3.0, "-0"),
+    ("neg", 0.0, None, "-0"),
+    # a failing or overflowing constant subtree stays as written
+    ("quotient", 1.0, 0.0, "1 / 0"),
+    ("product", 1e308, 10.0, "1e+308 * 10"),
+    ("power", -8.0, 0.5, "(-8) ^ 0.5"),
+    ("sum", "y", 0.0, "y"),
+    ("product", -0.0, "y", "0"),
+])
+def test_folded_constructors_on_named_cases(kind, a, b, want):
+    def node(v):
+        return None if v is None else ex.sym(v) if isinstance(v, str) else ex.const(v)
+
+    a, b = node(a), node(b)
+    _assert_built_folded(kind, a, b)
+    assert to_string(_folded_build(kind, a, b)) == want
+
+
+@pytest.mark.parametrize("text, mapping, want", [
+    ("a + b", {"a": 0.0, "b": -0.0}, "0"),
+    ("a * b", {"a": 0.0, "b": -3.0}, "-0"),
+    ("-a", {"a": 0.0}, "-0"),
+    ("a / b", {"a": 1.0, "b": 0.0}, "1 / 0"),
+    ("a * b", {"a": 1e308, "b": 10.0}, "1e+308 * 10"),
+    ("a * y + (b - 1) * z", {"a": 2.0, "b": 1.0}, "2 * y"),
+    ("sin(y) * a", {}, "sin(y) * a"),
+    # a mapped expression is folded too
+    ("y * a + b", {"a": "2 * 3", "b": "z * 0"}, "y * 6"),
+])
+def test_substitute_folded_on_named_cases(text, mapping, want):
+    e = parse(text)
+    mapping = {k: parse(v) if isinstance(v, str) else v for k, v in mapping.items()}
+    got = ex._substitute_folded(e, mapping)
+    assert got is fold_constants(substitute(e, mapping))
+    assert to_string(got) == want
+
+
+@given(trees, st.dictionaries(
+    st.sampled_from(["x", "y", "z", "p"]),
+    st.one_of(trees, st.floats(min_value=-4.0, max_value=4.0)), max_size=3))
+@settings(max_examples=150)
+def test_substitute_folded_is_the_fold_of_substitute(t, mapping):
+    assert ex._substitute_folded(t, mapping) is fold_constants(substitute(t, mapping))
 
 
 def test_substitute():
@@ -558,6 +659,40 @@ def test_copy_and_pickle_return_the_interned_node():
     e = parse("atan2(z, y) - 2.5 * y ^ -3")
     assert copy.deepcopy(e) is e
     assert pickle.loads(pickle.dumps(e)) is e
+
+
+def _one_node_per_kind():
+    y, z = ex.sym("y"), ex.sym("z")
+    return [ex.const(-2.5), y, y + z, y * z, y / z, y ** z, -y, ex.atan2(y, z)]
+
+
+def test_nodes_are_built_as_expr_and_no_field_only_node_survives():
+    import copy
+    import gc
+    import pickle
+
+    e = parse("atan2(z, y) - 2.5 * y ^ -3 + sqrt(exp(x) / ln(y)) * cos(-z)")
+    built = [e, e + 1, 2 * e, e / e, -e, e ** 2, e - 0.5]
+    built += [differentiate(e, v) for v in "xyz"]
+    built += [fold_constants(t) for t in built]
+    built += [copy.deepcopy(t) for t in built] + [pickle.loads(pickle.dumps(t)) for t in built]
+    built += _one_node_per_kind()
+    gc.collect()
+    assert not [o for o in gc.get_objects() if type(o) is ex._Node]
+    live = [n for n in (r() for r in list(ex._INTERNED.values())) if n is not None]
+    assert len(live) > 50
+    assert all(type(n) is ex.Expr for n in live)
+
+
+@pytest.mark.parametrize("field", ["kind", "value", "args"])
+def test_every_node_kind_refuses_assignment(field):
+    for n in _one_node_per_kind():
+        before = getattr(n, field)
+        with pytest.raises(AttributeError):
+            setattr(n, field, None)
+        with pytest.raises(AttributeError):
+            delattr(n, field)
+        assert getattr(n, field) == before
 
 
 def test_intern_table_returns_to_baseline():

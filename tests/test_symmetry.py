@@ -17,7 +17,8 @@ from pytest import approx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liesym import liealg
+import liesym.expr as ex
+from liesym import catalog, liealg
 from liesym.expr import SamplingDomain, evaluate, parse
 from liesym.odesys import Mat2, OdeSystem, linear_change
 from liesym.symmetry import (Generator, LinearGenerator, admits,
@@ -25,10 +26,10 @@ from liesym.symmetry import (Generator, LinearGenerator, admits,
                              commutator_vf, default_domain,
                              determining_generator, determining_residual,
                              generator_from_json, generator_to_json,
-                             prolong2_residual, system_from_json,
-                             transform_generator)
+                             prolong2_residual, residual_expressions,
+                             system_from_json, transform_generator)
 
-from oracles import rk4_second_order
+from oracles import reference_residuals, rk4_second_order
 
 # A pair with an exponential right-hand side: admits translation in x but
 # almost nothing else — good for nonzero residuals.
@@ -336,6 +337,94 @@ class TestProlongationFlowOracle:
                                    (1.2, 0.9, 0.1, -0.2))
         assert abs(slope[0]) < 1e-5
         assert abs(slope[1]) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# Residual derivation: built folded, equal to the operator-built reference
+# ---------------------------------------------------------------------------
+
+def _expanded(g):
+    return g.expand() if isinstance(g, LinearGenerator) else g
+
+
+def _row_cases():
+    """Every catalog row at its defaults and at draw_params(id, s), s = 0..3,
+    with the x-translation and each listed generator."""
+    for eid in catalog.entry_ids():
+        entry = catalog.get_entry(eid)
+        for params in [entry.resolve()] + [catalog.draw_params(eid, rng=s)
+                                           for s in range(4)]:
+            system = entry.build(params)
+            gens = [basis_generator(1)] + [g for _, g in entry.labeled_generators(params)]
+            for g in gens:
+                yield f"{eid} {params}", system, _expanded(g)
+
+
+def _covariance_cases(seed=1):
+    """Round 0 of the benchmark's covariance workload at ``seed``: every
+    verifiable row at its defaults, pushed through a seeded P near I (the
+    draws of ``bench/workloads.py``), with each field conjugated by P."""
+    rng = np.random.default_rng([seed, 0])
+    for eid in catalog.entry_ids():
+        if eid == "T2.3":   # quarantined in the benchmark
+            continue
+        while True:
+            m = np.eye(2) + rng.choice([-1.0, 1.0], (2, 2)) * rng.uniform(0.05, 0.25, (2, 2))
+            if abs(np.linalg.det(m)) >= 0.5:
+                break
+        rng.integers(2**31)   # the sample seed, unused here
+        P = Mat2.from_array(m)
+        entry = catalog.get_entry(eid)
+        params = entry.resolve()
+        system = linear_change(entry.build(params), P)
+        Q = np.linalg.inv(m)
+        y, z = ex.sym("y"), ex.sym("z")
+        back = {"y": Q[0, 0] * y + Q[0, 1] * z, "z": Q[1, 0] * y + Q[1, 1] * z}
+        for _, g in [("kernel", basis_generator(1))] + entry.labeled_generators(params):
+            if isinstance(g, LinearGenerator):
+                g = transform_generator(g, P).expand()
+            else:
+                e1, e2 = ex.substitute(g.eta1, back), ex.substitute(g.eta2, back)
+                g = Generator(g.xi, P.a11 * e1 + P.a12 * e2, P.a21 * e1 + P.a22 * e2)
+            yield f"{eid} P={m.tolist()}", system, g
+
+
+def _laurent_cases():
+    """Homogeneous Laurent sums like the ``check`` workload's, against their
+    scaling field written as (x, y / alpha, z / alpha) and a mis-scaled one."""
+    rng = np.random.default_rng(5)
+    for k in (3, 11, 32):
+        d = float(rng.uniform(-3.0, 0.5))
+
+        def text():
+            exps = rng.permutation([i % 7 - 3 for i in range(k)])
+            coefs = rng.choice([-1.0, 1.0], k) * rng.uniform(0.5, 2.0, k)
+            return " + ".join(f"{float(c)!r} * y ^ ({a}) * z ^ ({d - a!r})"
+                              for c, a in zip(coefs, exps.tolist()))
+
+        system = OdeSystem(parse(text()), parse(text()))
+        alpha = (1.0 - d) / 2.0
+        for beta in (1.0 / alpha, 1.3 / alpha):
+            yield f"laurent k={k} beta={beta}", system, Generator(
+                "x", f"{beta!r} * y", f"{beta!r} * z")
+
+
+class TestResidualDerivation:
+    """``residual_expressions`` folds every derivative on its own and
+    combines the folded pieces; the reference builds the operator tree the
+    formula writes and folds it.  Folding is a bottom-up map, so the two are
+    one node."""
+
+    @pytest.mark.parametrize("cases", [_row_cases, _covariance_cases, _laurent_cases],
+                             ids=["rows", "covariance", "laurent"])
+    def test_residuals_are_the_reference_nodes(self, cases):
+        n = 0
+        for label, system, g in cases():
+            got = residual_expressions(system, g)
+            want = reference_residuals(system, g)
+            assert got[0] is want[0] and got[1] is want[1], label
+            n += 1
+        assert n > 0
 
 
 # ---------------------------------------------------------------------------
