@@ -43,7 +43,6 @@ import numpy as np
 from .expr import (
     Expr,
     SamplingDomain,
-    _substitute_folded,
     const,
     cos,
     evaluate,
@@ -90,9 +89,8 @@ def _value(text: str, v: Mapping[str, float]) -> float:
 
 
 def _bind(text: str, v: Mapping[str, float]) -> Expr:
-    """The formula with the values ``v`` bound as constants, folded (built
-    folded: the unfolded substituted tree is never made)."""
-    return _substitute_folded(_formula(text), v)
+    """The formula with the values ``v`` bound as constants, folded."""
+    return fold_constants(substitute(_formula(text), v))
 
 
 _PROFILE_DOM = SamplingDomain(intervals={"u": (0.3, 2.5)}, n=64, seed=7)

@@ -32,12 +32,10 @@ Design notes:
   value and its children's folds (:func:`_fold_op`).  So a derivation that
   would fold a tree it has just built from folded pieces builds the fold
   directly with the folded constructors (:func:`_fsum`, :func:`_fmul`,
-  :func:`_fneg`, :func:`_fsub`) or :func:`_substitute_folded`, and the
-  unfolded tree is never born.  The residuals of
-  :func:`liesym.symmetry.residual_expressions`,
-  :func:`liesym.odesys.linear_change` and the catalog's parameter binding
-  are built this way.  :func:`differentiate` and :func:`substitute` return
-  unfolded trees.
+  :func:`_fneg`, :func:`_fsub`), and the unfolded tree is never born.  The
+  residuals of :func:`liesym.symmetry.residual_expressions` are built this
+  way.  :func:`differentiate` and :func:`substitute` return unfolded
+  trees.
 - Every walk over a tree uses an explicit stack, so depth costs no Python
   frames.  :func:`_postorder` asks its readiness test once per edge: a node
   that is not ready goes back on the stack under a marker, above it go its
@@ -794,39 +792,31 @@ def _fold_op(k: str, value, args: tuple[Expr, ...]) -> Expr:
     ``b``, ``_fold_op(SUM, None, (a, b)) is fold_constants(a + b)``.  The
     result is marked as its own fold.
     """
-    r = _fold_rule(k, value, args)
-    if r._fold is None:
-        _set(r, "_fold", _SELF)
-    return r
-
-
-def _fold_rule(k: str, value, args: tuple[Expr, ...]) -> Expr:
     if all(a.kind == CONSTANT for a in args):
         try:
             v = _apply(k, value, [a.value for a in args])
         except EvalError:
             v = math.inf
         # a failure or an overflow stays as written, like 1/0 and 1e308*10
-        return const(v) if math.isfinite(v) else Expr(k, value, args)
-    if k == SUM:
-        return _add(*args)
-    if k == PRODUCT:
-        return _mul(*args)
-    if k == NEG:
-        return _neg(args[0])
-    if k == QUOTIENT:
-        a, b = args
-        if _is_const(a, 0.0) and not _is_const(b, 0.0):
-            return _ZERO
-        if _is_const(b, 1.0):
-            return a
-    elif k == POWER:
-        a, b = args
-        if _is_const(b, 1.0):
-            return a
-        if _is_const(b, 0.0):
-            return _ONE
-    return Expr(k, value, args)
+        r = const(v) if math.isfinite(v) else Expr(k, value, args)
+    elif k == SUM:
+        r = _add(*args)
+    elif k == PRODUCT:
+        r = _mul(*args)
+    elif k == NEG:
+        r = _neg(args[0])
+    elif (k == QUOTIENT and _is_const(args[0], 0.0)
+          and not _is_const(args[1], 0.0)):
+        r = _ZERO
+    elif (k == QUOTIENT or k == POWER) and _is_const(args[1], 1.0):
+        r = args[0]
+    elif k == POWER and _is_const(args[1], 0.0):
+        r = _ONE
+    else:
+        r = Expr(k, value, args)
+    if r._fold is None:
+        _set(r, "_fold", _SELF)
+    return r
 
 
 # Folded constructors: each takes folded operands and returns the fold of the
@@ -890,32 +880,6 @@ def substitute(e: Expr, mapping: Mapping[str, "Expr | float"]) -> Expr:
 
     for n in _postorder(e, ready):
         done[n] = Expr(n.kind, n.value, tuple([done[a] for a in n.args]))
-    return done[e]
-
-
-def _substitute_folded(e: Expr, mapping: Mapping[str, "Expr | float"]) -> Expr:
-    """``fold_constants(substitute(e, mapping))``, built folded: each node
-    with a mapped symbol folds from its children's folds (:func:`_fold_op`),
-    so the substituted tree itself is never built."""
-    if not mapping:
-        return fold_constants(e)
-    names = mapping.keys()
-    free_symbols(e)  # fills every node's _free, read by ready() below
-    done: dict[Expr, Expr] = {}
-
-    def ready(n: Expr) -> bool:
-        if n in done:
-            return True
-        if names.isdisjoint(n._free):
-            done[n] = fold_constants(n) if n._fold is None else _folded(n)
-            return True
-        if n.kind == SYMBOL:
-            done[n] = fold_constants(_as_expr(mapping[n.value]))
-            return True
-        return False
-
-    for n in _postorder(e, ready):
-        done[n] = _fold_op(n.kind, n.value, tuple([done[a] for a in n.args]))
     return done[e]
 
 

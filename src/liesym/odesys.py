@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import (
-    Expr, _as_expr, _fmul, _fsum, _substitute_folded, const, differentiate,
-    fold_constants, free_symbols, sample, sqrt, substitute, sym,
-    SamplingDomain, zero_report_at,
+    Expr, _as_expr, differentiate, fold_constants, free_symbols,
+    sample, sqrt, substitute, sym, SamplingDomain, zero_report_at,
 )
 
 __all__ = ["Mat2", "OdeSystem", "ReducibilityHint", "linear_change",
@@ -160,17 +159,12 @@ def linear_change(sys: OdeSystem, P: Mat2) -> OdeSystem:
     y'' = F, z'' = G in the new variables.
     """
     Q = P.inv()
-    back = dict(zip("yz", _mix_folded(Q, sym("y"), sym("z"))))
-    Fi = _substitute_folded(sys.F, back)
-    Gi = _substitute_folded(sys.G, back)
-    return OdeSystem(*_mix_folded(P, Fi, Gi))
-
-
-def _mix_folded(M: Mat2, a: Expr, b: Expr) -> tuple[Expr, Expr]:
-    """``M.apply_vec(a, b)`` for folded ``a`` and ``b``, each component
-    folded: the fold of the operator-built mix, without building it."""
-    return (_fsum(_fmul(const(M.a11), a), _fmul(const(M.a12), b)),
-            _fsum(_fmul(const(M.a21), a), _fmul(const(M.a22), b)))
+    y_, z_ = sym("y"), sym("z")
+    ysub, zsub = (fold_constants(e) for e in Q.apply_vec(y_, z_))
+    Fi = substitute(sys.F, {"y": ysub, "z": zsub})
+    Gi = substitute(sys.G, {"y": ysub, "z": zsub})
+    Fn, Gn = P.apply_vec(Fi, Gi)
+    return OdeSystem(fold_constants(Fn), fold_constants(Gn))
 
 
 def _check_x_only(e: Expr, what: str):

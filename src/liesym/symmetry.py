@@ -230,22 +230,19 @@ def determining_generator(xi, A: Mat2 | None = None,
 # Prolongation and residuals
 # ---------------------------------------------------------------------------
 
-def _dfold(e: Expr, var: str) -> Expr:
-    """The partial derivative by ``var``, folded (a cached call per node)."""
-    return fold_constants(differentiate(e, var))
-
-
 def _total_derivative(e: Expr, F: Expr, G: Expr) -> Expr:
     """Total x-derivative along solutions, d/dx + yp d/dy + zp d/dz with the
     second derivatives already replaced by the folded right-hand sides.  It
     comes back folded, combined from the folded partial derivatives."""
-    out = _fsum(_fsum(_dfold(e, "x"), _fmul(sym("yp"), _dfold(e, "y"))),
-                _fmul(sym("zp"), _dfold(e, "z")))
+    terms = [("y", sym("yp")), ("z", sym("zp"))]
     free = free_symbols(e)
     if "yp" in free:
-        out = _fsum(out, _fmul(F, _dfold(e, "yp")))
+        terms.append(("yp", F))
     if "zp" in free:
-        out = _fsum(out, _fmul(G, _dfold(e, "zp")))
+        terms.append(("zp", G))
+    out = fold_constants(differentiate(e, "x"))
+    for var, c in terms:
+        out = _fsum(out, _fmul(c, fold_constants(differentiate(e, var))))
     return out
 
 
@@ -275,8 +272,9 @@ def residual_expressions(sys: OdeSystem, g) -> tuple[Expr, Expr]:
     for eta, vel, rhs in ((gen.eta1, "yp", F), (gen.eta2, "zp", G)):
         e1 = _fsub(D(eta), _fmul(sym(vel), dxi))
         e2 = _fsub(D(e1), _fmul(rhs, dxi))
-        act = _fsum(_fsum(_fmul(xi, _dfold(rhs, "x")), _fmul(eta1, _dfold(rhs, "y"))),
-                    _fmul(eta2, _dfold(rhs, "z")))
+        act = _fmul(xi, fold_constants(differentiate(rhs, "x")))
+        for c, var in ((eta1, "y"), (eta2, "z")):
+            act = _fsum(act, _fmul(c, fold_constants(differentiate(rhs, var))))
         out.append(_fsub(e2, act))
     return out[0], out[1]
 

@@ -358,31 +358,24 @@ def test_differentiate_vs_fd_fixed(text, var, binding):
 @given(trees, st.sampled_from(["x", "y", "z"]), bindings)
 @settings(max_examples=150)
 def test_differentiate_vs_fd_property(t, var, b):
-    v = b[var]
-
-    def quotient(h):
-        f = [evaluate(t, {**b, var: v + s}) for s in (-h, -h / 2, h / 2, h)]
-        assume(all(abs(u) < 1e5 for u in f))
-        fd1 = (f[3] - f[0]) / (2 * h)
-        fd2 = (f[2] - f[1]) / h
-        # Trust the finite difference only where it has converged on itself.
-        assume(abs(fd1 - fd2) <= 1e-6 * (1.0 + abs(fd1)))
-        return fd2
-
+    h = 1e-5
     try:
         d_analytic = evaluate(differentiate(t, var), b)
-        fd = quotient(1e-5)
+        f = [evaluate(t, {**b, var: b[var] + s}) for s in (-h, -h / 2, h / 2, h)]
         # A stencil wider than |v| reaches across 0, where these trees have
-        # their poles (1/z, ln, sqrt, negative powers): its quotient must
-        # also agree with one at a step scaled to the point.  That step alone
-        # would not do: beside an O(1) term, 1e-5 |v| is too fine for floats.
-        h_v = 1e-5 * abs(v)
-        if abs(v) < 1e-5 and h_v > 0:
-            assume(abs(quotient(h_v) - fd) <= 1e-6 * (1.0 + abs(fd)))
+        # their poles (p / z, ln, negative powers); its quotient says nothing
+        # about the derivative at v if t is singular there.
+        if abs(b[var]) < h:
+            evaluate(t, {**b, var: 0.0})
     except EvalError:
         assume(False)
+    assume(all(abs(v) < 1e5 for v in f))
     assume(abs(d_analytic) < 1e6)
-    assert abs(d_analytic - fd) <= 1e-4 * (1.0 + abs(fd))
+    fd1 = (f[3] - f[0]) / (2 * h)
+    fd2 = (f[2] - f[1]) / h
+    # Trust the finite difference only where it has converged on itself.
+    assume(abs(fd1 - fd2) <= 1e-6 * (1.0 + abs(fd1)))
+    assert abs(d_analytic - fd2) <= 1e-4 * (1.0 + abs(fd2))
 
 
 # ---------------------------------------------------------------------------
@@ -498,33 +491,6 @@ def test_folded_constructors_on_named_cases(kind, a, b, want):
     a, b = node(a), node(b)
     _assert_built_folded(kind, a, b)
     assert to_string(_folded_build(kind, a, b)) == want
-
-
-@pytest.mark.parametrize("text, mapping, want", [
-    ("a + b", {"a": 0.0, "b": -0.0}, "0"),
-    ("a * b", {"a": 0.0, "b": -3.0}, "-0"),
-    ("-a", {"a": 0.0}, "-0"),
-    ("a / b", {"a": 1.0, "b": 0.0}, "1 / 0"),
-    ("a * b", {"a": 1e308, "b": 10.0}, "1e+308 * 10"),
-    ("a * y + (b - 1) * z", {"a": 2.0, "b": 1.0}, "2 * y"),
-    ("sin(y) * a", {}, "sin(y) * a"),
-    # a mapped expression is folded too
-    ("y * a + b", {"a": "2 * 3", "b": "z * 0"}, "y * 6"),
-])
-def test_substitute_folded_on_named_cases(text, mapping, want):
-    e = parse(text)
-    mapping = {k: parse(v) if isinstance(v, str) else v for k, v in mapping.items()}
-    got = ex._substitute_folded(e, mapping)
-    assert got is fold_constants(substitute(e, mapping))
-    assert to_string(got) == want
-
-
-@given(trees, st.dictionaries(
-    st.sampled_from(["x", "y", "z", "p"]),
-    st.one_of(trees, st.floats(min_value=-4.0, max_value=4.0)), max_size=3))
-@settings(max_examples=150)
-def test_substitute_folded_is_the_fold_of_substitute(t, mapping):
-    assert ex._substitute_folded(t, mapping) is fold_constants(substitute(t, mapping))
 
 
 def test_substitute():
