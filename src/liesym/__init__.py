@@ -65,6 +65,7 @@ from .symmetry import (
     commutator_vf,
     default_domain,
     determining_generator,
+    determining_matrix,
     determining_residual,
     prolong2_residual,
     residual_expressions,
@@ -100,6 +101,7 @@ __all__ = [
     "commutator_vf",
     "default_domain",
     "determining_generator",
+    "determining_matrix",
     "determining_residual",
     "differentiate",
     "draw_params",

@@ -641,7 +641,7 @@ def kind_to_L4_rep(r: Jordan2Result) -> OptimalRep:
     if r.kind == "J1":
         l1, l2 = r.params["a11"], r.params["a22"]
         big, small = (l1, l2) if abs(l1) >= abs(l2) else (l2, l1)
-        if abs(big) <= 1e-12:
+        if big == 0.0:  # no absolute floor: classify2x2 is scale-free
             return OptimalRep(algebra="L4", family=4)
         return OptimalRep(algebra="L4", family=1,
                           params={"alpha": small / big}, scale=big)

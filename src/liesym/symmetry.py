@@ -6,15 +6,15 @@ is a vector field
     X = xi(x) d/dx + eta1(x, y, z) d/dy + eta2(x, y, z) d/dz.
 
 This module computes the second prolongation of such a field on solutions
-(replacing y'' by F and z'' by G), the resulting pair of symmetry-defect
-residuals, and two specialized residual forms for the affine family
-
-    X = 2*(k1 + k2*x) d/dx + (A [y z]^T + zeta(x)) . (d/dy, d/dz)
-
-which is the shape every admitted symmetry of this ODE class takes.  On top
-of the residuals sit the sampling-based verdict (`admits`), the covariance
-action of linear changes of the dependent variables (`transform_generator`),
-and the vector-field commutator (`commutator_vf`).
+(replacing y'' by F and z'' by G) and the resulting pair of symmetry-defect
+residuals.  Every admitted symmetry of this ODE class has the shape
+2*xi(x) d/dx + ((A + xi' I) [y z]^T + zeta(x)) . (d/dy, d/dz), A constant,
+and there the defects reduce to velocity-free determining equations: one
+linear map M, `determining_matrix`, from the data u = (xi, xi', xi''', A,
+zeta, zeta'') to the two defects, which both reduced residuals read; the
+full defect of the field is -M u.  On top sit the sampling-based verdict
+(`admits`), the covariance action of linear changes of the dependent
+variables (`transform_generator`) and the commutator (`commutator_vf`).
 """
 
 from __future__ import annotations
@@ -25,16 +25,18 @@ from sys import float_info
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .expr import (RESERVED_NAMES, Expr, SamplingDomain, _fmul, _fsub, _fsum,
-                   const, differentiate, evaluate, fold_constants,
-                   free_symbols, parse, sample, substitute, sym, to_string,
-                   zero_report_at)
+import numpy as np
+
+from .expr import (RESERVED_NAMES, EvalError, Expr, SamplingDomain, _fmul,
+                   _fsub, _fsum, compile_evaluator, const, differentiate,
+                   evaluate, fold_constants, free_symbols, parse, sample,
+                   substitute, sym, to_string, zero_report_at)
 from .odesys import Mat2, OdeSystem
 
 __all__ = [
     "Generator", "LinearGenerator", "Verdict", "basis_generator",
     "determining_generator", "residual_expressions", "prolong2_residual",
-    "determining_residual", "autonomous_residual", "admits",
+    "determining_matrix", "determining_residual", "autonomous_residual", "admits",
     "BOX", "default_domain", "transform_generator", "commutator_vf",
     "system_from_json", "generator_from_json", "generator_to_json",
 ]
@@ -65,6 +67,18 @@ def _check_free(e: Expr, what: str, allowed: frozenset[str]):
         raise ValueError(
             f"{what} may depend on {sorted(allowed)} only; found {sorted(extra)} "
             "(bind parameters to numbers before building a generator)")
+
+
+def _x_only(v, what: str) -> Expr:
+    e = _coerce(v, what)
+    _check_free(e, what, frozenset({"x"}))
+    return e
+
+
+def _determining_data(xi, A, zeta) -> tuple[Expr, Mat2, tuple[Expr, Expr]]:
+    """Determining data (xi(x), constant A, zeta(x)), coerced and checked."""
+    return (_x_only(xi, "xi"), A if isinstance(A, Mat2) else Mat2.from_rows(A),
+            (_x_only(zeta[0], "zeta[0]"), _x_only(zeta[1], "zeta[1]")))
 
 
 @dataclass(frozen=True)
@@ -139,11 +153,7 @@ class LinearGenerator:
             raise ValueError("k1, k2 and A must be finite numbers")
         object.__setattr__(self, "A", A)
         z1, z2 = self.zeta
-        z1 = _coerce(z1, "zeta[0]")
-        z2 = _coerce(z2, "zeta[1]")
-        _check_free(z1, "zeta[0]", frozenset({"x"}))
-        _check_free(z2, "zeta[1]", frozenset({"x"}))
-        object.__setattr__(self, "zeta", (z1, z2))
+        object.__setattr__(self, "zeta", (_x_only(z1, "zeta[0]"), _x_only(z2, "zeta[1]")))
 
     def expand(self) -> Generator:
         """The same field written out as a plain :class:`Generator`."""
@@ -211,13 +221,7 @@ def determining_generator(xi, A: Mat2 | None = None,
     algebra extensions (e.g. xi = cos(2x)/2 gives
     cos(2x) d/dx - sin(2x) (y d/dy + z d/dz)).
     """
-    xi = _coerce(xi, "xi")
-    _check_free(xi, "xi", frozenset({"x"}))
-    A = Mat2.zero() if A is None else (A if isinstance(A, Mat2) else Mat2.from_rows(A))
-    z1 = _coerce(zeta[0], "zeta[0]")
-    z2 = _coerce(zeta[1], "zeta[1]")
-    _check_free(z1, "zeta[0]", frozenset({"x"}))
-    _check_free(z2, "zeta[1]", frozenset({"x"}))
+    xi, A, (z1, z2) = _determining_data(xi, Mat2.zero() if A is None else A, zeta)
     xp = differentiate(xi, "x")
     y, z = sym("y"), sym("z")
     eta1 = (A.a11 + xp) * y + A.a12 * z + z1
@@ -279,47 +283,51 @@ def residual_expressions(sys: OdeSystem, g) -> tuple[Expr, Expr]:
     return out[0], out[1]
 
 
-def _point5(point) -> dict[str, float]:
-    vals = [float(v) for v in point]
-    if len(vals) != 5:
-        raise ValueError(f"expected a 5-point (x, y, z, yp, zp), got {len(vals)} values")
-    return dict(zip(("x", "y", "z", "yp", "zp"), vals))
-
-
-def _point3(point) -> dict[str, float]:
+def _point(point, names: tuple[str, ...]) -> dict[str, float]:
+    """``point`` bound to ``names``; a 5-point also serves as (x, y, z)."""
     vals = [float(v) for v in point]
     if len(vals) == 5:
-        vals = vals[:3]
-    if len(vals) != 3:
-        raise ValueError(f"expected a 3-point (x, y, z), got {len(vals)} values")
-    return dict(zip(("x", "y", "z"), vals))
+        vals = vals[:len(names)]
+    if len(vals) != len(names):
+        raise ValueError(f"expected a {len(names)}-point ({', '.join(names)}), "
+                         f"got {len(vals)} values")
+    return dict(zip(names, vals))
 
 
 def prolong2_residual(sys: OdeSystem, g, point) -> tuple[float, float]:
     """Both symmetry defects of ``g`` on ``sys`` at (x, y, z, yp, zp)."""
     r1, r2 = residual_expressions(sys, g)
-    b = _point5(point)
+    b = _point(point, ("x", "y", "z", "yp", "zp"))
     return evaluate(r1, b), evaluate(r2, b)
 
 
-def _determining_expressions(sys: OdeSystem, xi: Expr, A: Mat2,
-                             zeta: tuple[Expr, Expr]) -> tuple[Expr, Expr]:
+def determining_matrix(sys: OdeSystem, cols: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The determining equations as one linear map, at each point of ``cols``.
+
+    ``cols`` holds arrays of shape (n,) for x, y and z, as from ``sample``;
+    ``M[i, j] @ u``, with M of shape (2, n, 11), is determining defect i + 1
+    at point j for the data u of :func:`determining_residual` at its x.  F,
+    G and their six first partials come from one compiled pass; the xi
+    column (2 F_x, 2 G_x) vanishes on an autonomous system.  A value that
+    is not finite raises :class:`~liesym.expr.EvalError`.
+    """
     F, G = sys.resolved()
-    y, z = sym("y"), sym("z")
-    xi1 = fold_constants(differentiate(xi, "x"))
-    xi3 = fold_constants(differentiate(differentiate(xi1, "x"), "x"))
-    ddz = [fold_constants(differentiate(differentiate(zc, "x"), "x"))
-           for zc in zeta]
-    w1 = (A.a11 + xi1) * y + A.a12 * z + zeta[0]
-    w2 = A.a21 * y + (A.a22 + xi1) * z + zeta[1]
-    out = []
-    for rhs, Arow, target, dz in ((F, (A.a11, A.a12), y, ddz[0]),
-                                  (G, (A.a21, A.a22), z, ddz[1])):
-        r = (2.0 * xi * differentiate(rhs, "x") + 3.0 * xi1 * rhs
-             + w1 * differentiate(rhs, "y") + w2 * differentiate(rhs, "z")
-             - (Arow[0] * F + Arow[1] * G) - xi3 * target - dz)
-        out.append(fold_constants(r))
-    return out[0], out[1]
+    x, y, z = (np.asarray(cols[nm], dtype=float) for nm in "xyz")
+    partials = [fold_constants(differentiate(rhs, v)) for rhs in (F, G) for v in "xyz"]
+    run = compile_evaluator(F, tuple("xyz"), (G, *partials))
+    f, (g, fx, fy, fz, gx, gy, gz) = run(x, y, z)
+    one, zero = np.ones_like(f), np.zeros_like(f)
+    with np.errstate(all="ignore"):
+        M = np.array([
+            [2 * fx, 3 * f + y * fy + z * fz, -y, y * fy - f, z * fy - g,
+             y * fz, z * fz, fy, fz, -one, zero],
+            [2 * gx, 3 * g + y * gy + z * gz, -z, y * gy, z * gy,
+             y * gz - f, z * gz - g, gy, gz, zero, -one]]).transpose(0, 2, 1)
+    bad = np.flatnonzero(~np.isfinite(M).all(axis=(0, 2)))
+    if bad.size:
+        raise EvalError("a determining coefficient overflows near "
+                        f"{ {nm: float(c[bad[0]]) for nm, c in zip('xyz', (x, y, z))} }")
+    return M
 
 
 def determining_residual(sys: OdeSystem, xi, A: Mat2, zeta, point) -> tuple[float, float]:
@@ -327,55 +335,47 @@ def determining_residual(sys: OdeSystem, xi, A: Mat2, zeta, point) -> tuple[floa
 
     The admissible shape of a symmetry of this ODE class reduces the full
     prolongation condition to a velocity-free pair of equations in
-    (x, y, z); this evaluates that pair at ``point`` = (x, y, z).  The data
-    here is the determining triple itself — A is the constant matrix before
-    the xi'-diagonal shift that appears in the expanded field (see
-    :func:`determining_generator`).  For every such triple the full defect
-    of the expanded field equals minus this value.
+    (x, y, z).  This is that pair at ``point`` = (x, y, z): there, the
+    :func:`determining_matrix` times u = (xi, xi', xi''', A11, A12, A21,
+    A22, zeta1, zeta2, zeta1'', zeta2'').  A comes before the xi'-diagonal
+    shift of the expanded field (:func:`determining_generator`), whose full
+    defect is minus this value.
     """
-    xi = _coerce(xi, "xi")
-    _check_free(xi, "xi", frozenset({"x"}))
-    A = A if isinstance(A, Mat2) else Mat2.from_rows(A)
-    zeta = (_coerce(zeta[0], "zeta[0]"), _coerce(zeta[1], "zeta[1]"))
-    _check_free(zeta[0], "zeta[0]", frozenset({"x"}))
-    _check_free(zeta[1], "zeta[1]", frozenset({"x"}))
-    r1, r2 = _determining_expressions(sys, xi, A, zeta)
-    b = _point3(point)
-    return evaluate(r1, b), evaluate(r2, b)
+    xi, A, (z1, z2) = _determining_data(xi, A, zeta)
+    b = _point(point, ("x", "y", "z"))
+
+    def at(e: Expr, order: int) -> float:  # the order-th x-derivative at b
+        for _ in range(order):
+            e = fold_constants(differentiate(e, "x"))
+        return evaluate(e, b)
+
+    u = np.array([at(xi, 0), at(xi, 1), at(xi, 3), A.a11, A.a12, A.a21, A.a22,
+                  at(z1, 0), at(z2, 0), at(z1, 2), at(z2, 2)], dtype=float)
+    with np.errstate(all="ignore"):
+        r = determining_matrix(sys, {nm: np.array([v]) for nm, v in b.items()})[:, 0] @ u
+    if not np.isfinite(r).all():
+        raise EvalError(f"the determining residual overflows near {b}")
+    return float(r[0]), float(r[1])
 
 
 def autonomous_residual(sys: OdeSystem, k2: float, A: Mat2, k, point) -> tuple[float, float]:
-    """Symmetry defect of a constant-coefficient affine field on an
-    autonomous system.
+    """Symmetry defect of a constant-coefficient affine field on an autonomous system.
 
     ``A`` and ``k`` are the matrix and constant shift of the expanded field
     (eta = A [y z]^T + k) and 2*k2*x is the x-proportional part of its
-    d/dx coefficient, as in :class:`LinearGenerator`.  The defect is
-    independent of x and of the velocities, so ``point`` may be (x, y, z)
-    or a full 5-point; only (y, z) matter.  Equals
-    ``prolong2_residual(sys, LinearGenerator(k1, k2, A, k), ...)`` exactly,
-    for every k1 and any velocities.
+    d/dx coefficient, as in :class:`LinearGenerator`.  It is minus the
+    determining residual of the data (k2*x, A - k2 I, k), free of x and of
+    the velocities, so ``point`` may be (x, y, z) or a 5-point; it equals
+    ``prolong2_residual(sys, LinearGenerator(k1, k2, A, k), ...)`` for every
+    k1 and any velocities.
     """
     if not sys.is_autonomous:
         raise ValueError("the reduced residual applies to autonomous systems "
                          "only; this system depends on x")
-    A = A if isinstance(A, Mat2) else Mat2.from_rows(A)
-    s1, s2 = (float(k[0]), float(k[1]))
-    b = _point3(point)
-    F, G = sys.resolved()
-    Fy = differentiate(F, "y")
-    Fz = differentiate(F, "z")
-    Gy = differentiate(G, "y")
-    Gz = differentiate(G, "z")
-    fv, gv = evaluate(F, b), evaluate(G, b)
-    w1 = A.a11 * b["y"] + A.a12 * b["z"] + s1
-    w2 = A.a21 * b["y"] + A.a22 * b["z"] + s2
-    k2 = float(k2)
-    r1 = -(4.0 * k2 * fv + w1 * evaluate(Fy, b) + w2 * evaluate(Fz, b)
-           - (A.a11 * fv + A.a12 * gv))
-    r2 = -(4.0 * k2 * gv + w1 * evaluate(Gy, b) + w2 * evaluate(Gz, b)
-           - (A.a21 * fv + A.a22 * gv))
-    return r1, r2
+    A, k2 = (A if isinstance(A, Mat2) else Mat2.from_rows(A)), float(k2)
+    r1, r2 = determining_residual(sys, k2 * sym("x"), A - Mat2.identity() * k2,
+                                  (float(k[0]), float(k[1])), point)
+    return -r1, -r2
 
 
 # ---------------------------------------------------------------------------

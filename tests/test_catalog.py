@@ -23,6 +23,7 @@ from liesym.catalog import (
     xi_family,
 )
 from liesym.expr import (
+    compile_evaluator,
     differentiate,
     evaluate,
     fold_constants,
@@ -38,6 +39,7 @@ from liesym.symmetry import (
     Generator,
     LinearGenerator,
     basis_generator,
+    determining_matrix,
     determining_residual,
     residual_expressions,
     transform_generator,
@@ -244,6 +246,53 @@ class TestDraws:
     def test_draws_always_admissible(self, seed):
         for entry_id in ("T1.J2", "T2.1", "T3.S1d", "T3.S1e2", "T3.S6"):
             draw_params(entry_id, rng=seed)  # resolve() inside must not raise
+
+
+class TestDeterminingMap:
+    """``determining_matrix`` at a row's sample points, times the determining
+    data u of each listed generator, is zero: T1 profiles are (xi, 0, 0) and
+    a LinearGenerator is (k1 + k2 x, A - k2 I, zeta)."""
+
+    @staticmethod
+    def _data(gen, xi_text, x):
+        """The (n, 11) columns of u along ``x``."""
+        n = len(x)
+        if isinstance(gen, LinearGenerator):
+            zeta = gen.to_coefficients()[2:4]
+            k2, A = gen.k2, gen.A
+            return np.column_stack([gen.k1 + k2 * x] + [
+                np.full(n, v) for v in (k2, 0.0, A.a11 - k2, A.a12, A.a21,
+                                        A.a22 - k2, *zeta, 0.0, 0.0)])
+        xi = [parse(xi_text)]
+        for _ in range(3):
+            xi.append(fold_constants(differentiate(xi[-1], "x")))
+        cols = [compile_evaluator(xi[k], ("x",))(x) for k in (0, 1, 3)]
+        return np.column_stack(cols + [np.zeros(n)] * 8)
+
+    @pytest.mark.parametrize("entry_id", ALL_IDS)
+    def test_listed_generators_solve_the_map(self, entry_id):
+        # Each coefficient of M is itself a sum (3F + y F_y + z F_z, ...), so
+        # the largest term counts |F|, |G| and y, z times the partials too.
+        entry = get_entry(entry_id)
+        p = entry.resolve()
+        system = entry.build(p)
+        pts = entry.sample_points(p)
+        x, y, z = pts["x"], pts["y"], pts["z"]
+        M = determining_matrix(system, pts)
+        f, (g,) = compile_evaluator(system.F, ("x", "y", "z"), (system.G,))(x, y, z)
+        partials = np.abs(M[:, :, 7:9]).max(axis=(0, 2))  # F_y, F_z, G_y, G_z
+        inner = np.maximum.reduce([np.abs(f), np.abs(g), (np.abs(y) + np.abs(z)) * partials])
+        profiles = dict((entry.profiles or {}).get(p.get("kappa"), ()))
+        labeled = entry.labeled_generators(p)
+        assert labeled
+        for label, gen in labeled:
+            U = self._data(gen, profiles.get(label), x)
+            terms = M * U
+            r = terms.sum(axis=-1)
+            if entry.quarantined:  # the signature of T2.3's sign error in G
+                r -= 2.0 * np.array([g, -f])
+            scale = np.maximum(np.abs(terms).max(axis=-1), inner * np.abs(U).max(axis=-1))
+            assert np.all(np.abs(r) <= 1e-12 * scale), (label, np.max(np.abs(r) / scale))
 
 
 class TestT1:

@@ -215,6 +215,18 @@ class TestJordan:
         assert (code, err) == (0, "")
         assert (json.loads(out)["kind"], json.loads(out)["l4_family"]) == ("J3", 3)
 
+    @pytest.mark.parametrize("matrix, family, params", [
+        ("1e-13,0,0,2e-13", 1, {"alpha": 0.5}),
+        ("0,0,0,0", 4, {}),
+    ])
+    def test_small_diagonal_matrix_is_not_the_zero_element(self, capsys, matrix,
+                                                           family, params):
+        code, out, err = run(capsys, "jordan", "--matrix", matrix, "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["kind"], payload["l4_family"]) == ("J1", family)
+        assert payload["l4_params"] == params
+
     @pytest.mark.parametrize("matrix", ["1e-13,1e-13,0,1e-13", "1e-7,1e-12,0,1e-7"])
     def test_small_defective_matrices_keep_their_shape(self, capsys, matrix):
         # the J3 conjugator is about diag(1/|n|, 1), which Mat2.inv would

@@ -10,6 +10,7 @@ reusing any of its machinery.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from liesym.odesys import Mat2, OdeSystem, linear_change
 from liesym.symmetry import (Generator, LinearGenerator, admits,
                              autonomous_residual, basis_generator,
                              commutator_vf, default_domain,
-                             determining_generator, determining_residual,
+                             determining_generator, determining_matrix,
+                             determining_residual,
                              generator_from_json, generator_to_json,
                              prolong2_residual, residual_expressions,
                              system_from_json, transform_generator)
@@ -525,6 +527,39 @@ class TestDeterminingForms:
 # ---------------------------------------------------------------------------
 # Sampling verdicts
 # ---------------------------------------------------------------------------
+
+class TestDeterminingMatrix:
+    def test_table_at_a_point(self):
+        # F = y^2 z, G = x y at (x, y, z) = (2, 3, 5): F = 45, G = 6,
+        # (F_x, F_y, F_z) = (0, 30, 9), (G_x, G_y, G_z) = (3, 2, 0).
+        sys = OdeSystem(parse("y^2*z"), parse("x*y"))
+        M = determining_matrix(sys, {"x": np.array([2.0]), "y": np.array([3.0]),
+                                     "z": np.array([5.0])})
+        assert M.shape == (2, 1, 11)
+        assert M[0, 0].tolist() == [0, 270, -3, 45, 144, 27, 45, 30, 9, -1, 0]
+        assert M[1, 0].tolist() == [6, 24, -5, 6, 10, -45, -6, 2, 0, 0, -1]
+
+    def test_xi_column_vanishes_on_autonomous_systems(self):
+        pts = ex.sample(SamplingDomain(intervals={"x": (0.2, 3.0), "y": (0.2, 3.0),
+                                                  "z": (0.2, 3.0)}, n=7, seed=1))
+        M = determining_matrix(POW_SYS, pts)
+        assert M.shape == (2, 7, 11)
+        assert not M[:, :, 0].any()
+
+    @pytest.mark.parametrize("F, A, point", [
+        ("1/y", Mat2.zero(), (0.5, 0.0, 1.0)),            # F has a pole there
+        ("1e150*z", Mat2.zero(), (0.5, 1e200, 1.0)),      # y F_z overflows
+        ("y^2", Mat2(1e308, 0.0, 0.0, 0.0), (0.5, 3.0, 1.0)),  # M u overflows
+    ], ids=["pole", "coefficient-overflow", "product-overflow"])
+    def test_non_finite_values_raise(self, F, A, point):
+        sys = OdeSystem(parse(F), parse("z"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ex.EvalError):
+                determining_residual(sys, "x", A, (0.0, 0.0), point)
+            with pytest.raises(ex.EvalError):
+                autonomous_residual(sys, 0.5, A, (0.0, 0.0), point)
+
 
 class TestAdmits:
     def test_translation_admitted_for_autonomous_systems(self):
