@@ -190,6 +190,27 @@ _T1_PROFILES = {
 # ---------------------------------------------------------------------------
 
 
+def _snapshot(p: Mapping) -> tuple:
+    """The items of ``p``, each value by its type and, for a float, its bits
+    (so 0.0 and -0.0 differ, and so do 1.0 and 1)."""
+    return tuple((k, type(v), v.hex() if type(v) is float else v)
+                 for k, v in p.items())
+
+
+class _Resolved(dict):
+    """A parameter set as :meth:`CatalogEntry.resolve` returns it: a plain
+    dict that also records the id of the entry that checked it and a
+    snapshot of its items at that time.  A copy made by ``dict(...)``, by
+    ``dataclasses.asdict`` or by mutating the set no longer matches."""
+
+    entry_id: Optional[str] = None
+    snapshot: Optional[tuple] = None
+
+    def checked_for(self, entry_id: str) -> bool:
+        """True while the set holds the items ``entry_id`` checked."""
+        return self.entry_id == entry_id and self.snapshot == _snapshot(self)
+
+
 @dataclass(frozen=True)
 class ParamSpec:
     """One named parameter of a catalog entry.
@@ -240,8 +261,21 @@ class CatalogEntry:
         return {s.name: s.default for s in self.params if not s.derived}
 
     def resolve(self, params: Mapping[str, float] | None = None) -> dict[str, float]:
-        """Merge ``params`` over the defaults and check admissibility."""
-        p = self.defaults()
+        """Merge ``params`` over the defaults and check admissibility.
+
+        The result is a new dict that remembers this entry and its items.
+        Given such a set back unchanged (the same keys in the same order,
+        the same float bits), ``resolve`` returns a fresh copy and skips the
+        checks, the Laurent screen among them: the checks are deterministic
+        in the values, so they would pass again, and the merge would give
+        the same items.  A set that was mutated, or that another entry
+        resolved, is checked in full.
+        """
+        if isinstance(params, _Resolved) and params.checked_for(self.id):
+            p = _Resolved(params)
+            p.entry_id, p.snapshot = params.entry_id, params.snapshot
+            return p
+        p = _Resolved(self.defaults())
         for k, v in (params or {}).items():
             if k not in p:
                 if any(s.name == k and s.derived for s in self.params):
@@ -258,6 +292,7 @@ class CatalogEntry:
             msg = _violation(check, p)
             if msg:
                 raise ValueError(f"{self.id}: {msg}")
+        p.entry_id, p.snapshot = self.id, _snapshot(p)
         return p
 
     def _values(self, params: Mapping[str, float]) -> dict[str, float]:
@@ -286,7 +321,9 @@ class CatalogEntry:
         return self._labeled(self._values(self.resolve(params)))
 
     def draw(self, rng: np.random.Generator) -> dict[str, float]:
-        """A random admissible parameter set (validated before returning)."""
+        """A random admissible parameter set, checked by :meth:`resolve`
+        before it is returned; ``build``, ``labeled_generators`` and
+        ``verify_entry`` take it without checking it again."""
         drawn: dict[str, float] = {}
         _draw_into(drawn, rng, self.draws)
         free = self.defaults()
@@ -859,7 +896,9 @@ def instantiate(entry_id: str, params: Mapping[str, float] | None = None):
 
 
 def draw_params(entry_id: str, rng=None) -> dict[str, float]:
-    """A random admissible parameter set for an entry.
+    """A random admissible parameter set for an entry, checked once: passed
+    on to :func:`verify_entry` or :func:`instantiate` unchanged, it is not
+    checked again.
 
     ``rng`` may be a seed or a ``numpy.random.Generator``.
     """
@@ -876,6 +915,9 @@ def verify_entry(entry_id: str, params: Mapping[str, float] | None = None,
     first); ``passed`` requires every verdict to hold.  A quarantined entry
     still produces its (failing) report — the flag rides along so callers
     can separate "broken input" from "broken entry".
+
+    ``params`` from :func:`draw_params` or :meth:`CatalogEntry.resolve` of
+    this entry, unchanged since, are not checked again (see ``resolve``).
     """
     e = get_entry(entry_id)
     p = e.resolve(params)

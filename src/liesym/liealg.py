@@ -649,6 +649,6 @@ def kind_to_L4_rep(r: Jordan2Result) -> OptimalRep:
         return OptimalRep(algebra="L4", family=2,
                           params={"alpha": abs(r.params["a11"])}, scale=r.scale)
     m = r.params["a11"]
-    if abs(m) <= 1e-12 * (1.0 + abs(m)):
+    if m == 0.0:  # no absolute floor, as for J1
         return OptimalRep(algebra="L4", family=3, params={"beta": 0.0})
     return OptimalRep(algebra="L4", family=3, params={"beta": 1.0}, scale=m)

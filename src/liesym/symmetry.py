@@ -27,8 +27,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import (RESERVED_NAMES, EvalError, Expr, SamplingDomain, _fmul,
-                   _fsub, _fsum, compile_evaluator, const, differentiate,
+from .expr import (CONSTANT, RESERVED_NAMES, EvalError, Expr, SamplingDomain,
+                   _ZERO, _fmul, _fsub, _fsum, compile_evaluator, const, differentiate,
                    evaluate, fold_constants, free_symbols, parse, sample,
                    substitute, sym, to_string, zero_report_at)
 from .odesys import Mat2, OdeSystem
@@ -156,13 +156,22 @@ class LinearGenerator:
         object.__setattr__(self, "zeta", (_x_only(z1, "zeta[0]"), _x_only(z2, "zeta[1]")))
 
     def expand(self) -> Generator:
-        """The same field written out as a plain :class:`Generator`."""
+        """The same field written out as a plain :class:`Generator`.
+
+        Its components are ``fold_constants`` of 2*(k1 + k2*x) and
+        a11*y + a12*z + zeta[0] (a21, a22, zeta[1] for eta2) as written with
+        the operators, but those trees are never built: the folded
+        constructors give the fold of each operator node from its folded
+        operands, so the result is the same node.
+        """
         x, y, z = sym("x"), sym("y"), sym("z")
-        xi = 2.0 * (self.k1 + self.k2 * x)
-        eta1 = self.A.a11 * y + self.A.a12 * z + self.zeta[0]
-        eta2 = self.A.a21 * y + self.A.a22 * z + self.zeta[1]
-        return Generator(fold_constants(xi), fold_constants(eta1),
-                         fold_constants(eta2))
+        A = self.A
+        xi = _fmul(const(2.0), _fsum(const(self.k1), _fmul(const(self.k2), x)))
+        eta1 = _fsum(_fsum(_fmul(const(A.a11), y), _fmul(const(A.a12), z)),
+                     fold_constants(self.zeta[0]))
+        eta2 = _fsum(_fsum(_fmul(const(A.a21), y), _fmul(const(A.a22), z)),
+                     fold_constants(self.zeta[1]))
+        return Generator(xi, eta1, eta2)
 
     def to_coefficients(self) -> tuple[float, ...]:
         """Coordinates (c1..c8) in the basis of the eight-dimensional algebra.
@@ -201,13 +210,21 @@ def _as_generator(g) -> Generator:
     raise TypeError(f"expected a Generator or LinearGenerator, got {type(g).__name__}")
 
 
+#: The basis fields X1..X8, expanded once.
+_BASIS = tuple(LinearGenerator.from_coefficients([float(j == i) for j in range(8)]).expand()
+               for i in range(8))
+
+
 def basis_generator(i: int) -> Generator:
-    """Basis element i (1..8) of the symmetry algebra as a vector field."""
+    """Basis element i (1..8) of the symmetry algebra as a vector field.
+
+    The fields are built once, at import, and shared: a Generator is
+    immutable and its components are interned nodes, so a new build would
+    give the same parts.
+    """
     if not 1 <= i <= 8:
         raise ValueError(f"basis index must be 1..8, got {i}")
-    c = [0.0] * 8
-    c[i - 1] = 1.0
-    return LinearGenerator.from_coefficients(c).expand()
+    return _BASIS[i - 1]
 
 
 def determining_generator(xi, A: Mat2 | None = None,
@@ -237,7 +254,14 @@ def determining_generator(xi, A: Mat2 | None = None,
 def _total_derivative(e: Expr, F: Expr, G: Expr) -> Expr:
     """Total x-derivative along solutions, d/dx + yp d/dy + zp d/dz with the
     second derivatives already replaced by the folded right-hand sides.  It
-    comes back folded, combined from the folded partial derivatives."""
+    comes back folded, combined from the folded partial derivatives.
+
+    Only the variables ``e`` contains are differentiated.  Without y, the
+    term yp * d(e)/dy is yp times a signed zero, which folds to +0, and
+    adding +0 leaves every folded expression as it is but a constant, as
+    -0 + 0 is +0.  So a missing y or z adds +0 to a constant sum and
+    nothing to any other, which gives the same node as the full formula.
+    """
     terms = [("y", sym("yp")), ("z", sym("zp"))]
     free = free_symbols(e)
     if "yp" in free:
@@ -246,7 +270,10 @@ def _total_derivative(e: Expr, F: Expr, G: Expr) -> Expr:
         terms.append(("zp", G))
     out = fold_constants(differentiate(e, "x"))
     for var, c in terms:
-        out = _fsum(out, _fmul(c, fold_constants(differentiate(e, var))))
+        if var in free:
+            out = _fsum(out, _fmul(c, fold_constants(differentiate(e, var))))
+        elif out.kind == CONSTANT:
+            out = _fsum(out, _ZERO)
     return out
 
 

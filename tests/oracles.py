@@ -219,6 +219,21 @@ def _symbols(e: Expr) -> set:
     return set().union(*(_symbols(a) for a in e.args))
 
 
+def reference_total(e: Expr, F: Expr, G: Expr) -> Expr:
+    """The total x-derivative d/dx + yp d/dy + zp d/dz of ``e`` on
+    solutions (F for y'' and G for z''), with the operators, unfolded: every
+    term is written, also the ones whose derivative is zero."""
+    yp, zp = Expr("symbol", "yp"), Expr("symbol", "zp")
+    d = reference_differentiate
+    out = d(e, "x") + yp * d(e, "y") + zp * d(e, "z")
+    free = _symbols(e)
+    if "yp" in free:
+        out = out + F * d(e, "yp")
+    if "zp" in free:
+        out = out + G * d(e, "zp")
+    return out
+
+
 def reference_residuals(system, g) -> tuple[Expr, Expr]:
     """The symmetry defects (r1, r2) of the field ``g`` (``xi``, ``eta1``,
     ``eta2``) on y'' = F, z'' = G, written with the node operators as the
@@ -231,13 +246,7 @@ def reference_residuals(system, g) -> tuple[Expr, Expr]:
     d = reference_differentiate
 
     def total(e):
-        out = d(e, "x") + yp * d(e, "y") + zp * d(e, "z")
-        free = _symbols(e)
-        if "yp" in free:
-            out = out + F * d(e, "yp")
-        if "zp" in free:
-            out = out + G * d(e, "zp")
-        return out
+        return reference_total(e, F, G)
 
     dxi = reference_fold(total(g.xi))
     out = []

@@ -3,7 +3,11 @@ and at random admissible draws, constraints must reject bad parameters, and
 the side structures (x-profile families, the reduced general solution) must
 satisfy their defining identities."""
 
+import copy
+import dataclasses
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -246,6 +250,101 @@ class TestDraws:
     def test_draws_always_admissible(self, seed):
         for entry_id in ("T1.J2", "T2.1", "T3.S1d", "T3.S1e2", "T3.S6"):
             draw_params(entry_id, rng=seed)  # resolve() inside must not raise
+
+
+class TestResolveOnce:
+    """A set that ``resolve`` returned is not checked again by its entry while
+    it is unchanged; the Laurent screens (``reducibility_hint`` calls) count
+    the checks."""
+
+    @pytest.fixture
+    def screens(self, monkeypatch):
+        calls = []
+        real = catalog.reducibility_hint
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(catalog, "reducibility_hint", counted)
+        return calls
+
+    def test_draw_then_verify_screens_once(self, screens):
+        p = draw_params("T2.1", 3)
+        assert len(screens) == 1
+        rep = verify_entry("T2.1", p)
+        assert len(screens) == 1 and rep.passed and rep.params == p
+
+    def test_resolve_build_and_generators_screen_once(self, screens):
+        e = get_entry("T2.1")
+        p = e.resolve()
+        e.build(p)
+        e.labeled_generators(p)
+        instantiate("T2.1", p)
+        assert len(screens) == 1
+
+    def test_same_result_as_a_full_check(self, screens):
+        e = get_entry("T2.1")
+        p = draw_params("T2.1", 8)
+        fast = e.resolve(p)
+        full = e.resolve(dict(p))
+        assert len(screens) == 2  # the draw's and the plain dict's
+        assert list(fast.items()) == list(full.items()) == list(p.items())
+        assert e.build(fast).resolved() == e.build(full).resolved()
+
+    def test_mutated_set_is_checked_again(self, screens):
+        e = get_entry("T2.1")
+        p = e.resolve()
+        p["fp1"] = 0.5
+        e.build(p)
+        assert len(screens) == 2
+        q = e.resolve()
+        q.update({nm: 0.0 for nm in ("fm2", "fm1", "fp2", "gm2", "gm1", "gp2")})
+        q.update({"fp1": 1.0, "gp1": 2.0})  # g = 2 f
+        with pytest.raises(ValueError, match="profile pair is degenerate"):
+            e.build(q)
+        with pytest.raises(ValueError, match="profile pair is degenerate"):
+            verify_entry("T2.1", q)
+
+    def test_flipped_sign_of_zero_is_a_change(self, screens):
+        e = get_entry("T2.1")
+        p = e.resolve({"fm2": 0.0})
+        p["fm2"] = -0.0  # equal as a number, other bits
+        e.resolve(p)
+        assert len(screens) == 2
+
+    def test_another_entry_checks_again(self, screens):
+        p = get_entry("T2.1").resolve({"alpha": -0.5})
+        with pytest.raises(ValueError, match="unknown parameter 'alpha'"):
+            get_entry("T2.2").resolve(p)
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            get_entry("T2.4").resolve(p)  # the same keys as T2.1
+        q = get_entry("T2.1").resolve()
+        get_entry("T2.4").resolve(q)
+        # T2.1 twice, T2.4 twice; T2.2 stops at the unknown name
+        assert len(screens) == 4
+
+    def test_resolve_returns_a_new_set_each_time(self, screens):
+        e = get_entry("T2.1")
+        p = e.resolve()
+        q, r = e.resolve(p), e.resolve(p)
+        assert p is not q and q is not r and p == q == r
+        q["gamma"] = 2.0
+        assert p["gamma"] == r["gamma"] == 1.0
+        e.resolve(r)
+        assert len(screens) == 1
+
+    def test_resolved_sets_behave_as_plain_dicts(self):
+        p = draw_params("T2.1", 4)
+        plain = dict(p)
+        assert json.dumps(p) == json.dumps(plain) and repr(p) == repr(plain)
+        for other in (copy.deepcopy(p), pickle.loads(pickle.dumps(p)), copy.copy(p)):
+            assert other == plain and list(other.items()) == list(plain.items())
+        rep = verify_entry("T2.1", p)
+        d = dataclasses.asdict(rep)
+        assert d["params"] == plain
+        plain_rep = dataclasses.replace(rep, params=plain)
+        assert json.dumps(d) == json.dumps(dataclasses.asdict(plain_rep))
 
 
 class TestDeterminingMap:

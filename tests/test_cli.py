@@ -9,6 +9,8 @@ import subprocess
 import pytest
 
 from liesym.cli import main
+from liesym.jordan import classify2x2
+from liesym.liealg import kind_to_L4_rep
 from liesym.odesys import Mat2
 from liesym.symmetry import LinearGenerator, generator_to_json
 
@@ -236,6 +238,20 @@ class TestJordan:
         payload = json.loads(out)
         assert (payload["kind"], payload["l4_family"]) == ("J3", 3)
         assert payload["reconstruction_error"] <= 1e-6 * 1e-7
+
+    @pytest.mark.parametrize("matrix, beta, scale", [("1e-13,1e-13,0,1e-13", 1.0, 1e-13),
+                                                     ("-1e-300,1,0,-1e-300", 1.0, -1e-300),
+                                                     ("0,1,0,0", 0.0, 1.0)])
+    def test_only_a_zero_eigenvalue_reads_as_nilpotent(self, capsys, matrix, beta, scale):
+        # a small defective block keeps beta = 1 and its eigenvalue as the
+        # scale; beta = 0 is the nilpotent shape alone
+        code, out, err = run(capsys, "jordan", "--matrix", matrix, "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["kind"], payload["l4_family"]) == ("J3", 3)
+        assert payload["l4_params"] == {"beta": beta}
+        rep = kind_to_L4_rep(classify2x2(Mat2(*map(float, matrix.split(",")))))
+        assert (rep.params, rep.scale) == ({"beta": beta}, scale)
 
 
 class TestCheck:

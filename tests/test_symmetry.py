@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liesym.expr as ex
-from liesym import catalog, liealg
+from liesym import catalog, liealg, symmetry
 from liesym.expr import SamplingDomain, evaluate, parse
 from liesym.odesys import Mat2, OdeSystem, linear_change
 from liesym.symmetry import (Generator, LinearGenerator, admits,
@@ -31,7 +31,8 @@ from liesym.symmetry import (Generator, LinearGenerator, admits,
                              prolong2_residual, residual_expressions,
                              system_from_json, transform_generator)
 
-from oracles import reference_residuals, rk4_second_order
+from oracles import (reference_fold, reference_residuals, reference_total,
+                     rk4_second_order)
 
 # A pair with an exponential right-hand side: admits translation in x but
 # almost nothing else — good for nonzero residuals.
@@ -411,14 +412,38 @@ def _laurent_cases():
                 "x", f"{beta!r} * y", f"{beta!r} * z")
 
 
+def _signed_zero_cases():
+    """Fields whose components lack y or z, several carrying a signed zero in
+    their right spine (``1 - 1`` unfolded, ``-(0)``, ``0 - 0``), on systems
+    that lack a variable too."""
+    systems = [OdeSystem(parse("y - 1"), parse("-(0)")),
+               OdeSystem(parse("-(z^2)"), parse("x - 1")),
+               OdeSystem(parse("0 - y*z"), parse("exp(y) - 0")),
+               POW_SYS, EXP_SYS]
+    fields = [Generator("1 - 1", "-(0)", "-(x)"),
+              Generator("x", "0 - y", "1 - z"),
+              Generator("-(x - x)", "y - 0", "-(1)"),
+              Generator("0 - 0", "x - 1", "-(y)"),
+              Generator("-(0)", "-(z)", "x*x - x*x"),
+              LinearGenerator(-0.0, 0.0, Mat2(-0.0, 0.0, 0.0, -0.0), ("0 - 0", "-(0)")),
+              LinearGenerator(0.5, -0.0, Mat2(0.0, -1.0, 0.0, -0.0), ("-(x)", "1 - 1")),
+              determining_generator("1 - 1", zeta=("0 - 0", "-(x)")),
+              determining_generator("x - x", Mat2(-0.0, 1.0, 0.0, 0.0), ("-(0)", "x")),
+              basis_generator(1), basis_generator(3), basis_generator(8)]
+    for i, system in enumerate(systems):
+        for j, g in enumerate(fields):
+            yield f"system {i} field {j}", system, _expanded(g)
+
+
 class TestResidualDerivation:
     """``residual_expressions`` folds every derivative on its own and
     combines the folded pieces; the reference builds the operator tree the
     formula writes and folds it.  Folding is a bottom-up map, so the two are
     one node."""
 
-    @pytest.mark.parametrize("cases", [_row_cases, _covariance_cases, _laurent_cases],
-                             ids=["rows", "covariance", "laurent"])
+    @pytest.mark.parametrize("cases", [_row_cases, _covariance_cases, _laurent_cases,
+                                       _signed_zero_cases],
+                             ids=["rows", "covariance", "laurent", "signed-zero"])
     def test_residuals_are_the_reference_nodes(self, cases):
         n = 0
         for label, system, g in cases():
@@ -427,6 +452,69 @@ class TestResidualDerivation:
             assert got[0] is want[0] and got[1] is want[1], label
             n += 1
         assert n > 0
+
+    @pytest.mark.parametrize("cases", [_row_cases, _covariance_cases, _signed_zero_cases],
+                             ids=["rows", "covariance", "signed-zero"])
+    def test_total_derivatives_skip_absent_variables(self, cases, monkeypatch):
+        # X(F) and X(G) still differentiate F and G by every variable: a
+        # constant coefficient keeps the sign of the zero there.  Every other
+        # call comes from a total derivative, which differentiates by y or z
+        # only an expression that contains it.
+        calls = []
+        real = symmetry.differentiate
+
+        def counted(e, var):
+            calls.append((e, var))
+            return real(e, var)
+
+        monkeypatch.setattr(symmetry, "differentiate", counted)
+        skipped = 0
+        for label, system, g in cases():
+            calls.clear()
+            rhs = set(system.resolved())
+            residual_expressions(system, g)
+            total = [(e, var) for e, var in calls if e not in rhs]
+            assert total, label
+            for e, var in total:
+                assert var not in ("y", "z") or var in ex.free_symbols(e), (label, var)
+            # each total derivative starts with d/dx; count those that skip
+            skipped += sum(var == "x" and not {"y", "z"} <= ex.free_symbols(e)
+                           for e, var in total)
+        assert skipped > 0
+
+    @pytest.mark.parametrize("text", ["-(0)", "1 - 1", "0 - 0", "-(x - x)", "-(1)",
+                                      "x - 1", "-(x)", "y - 1", "0 - z", "-(y*z)",
+                                      "yp - 1", "x*zp - 0", "-(yp*y)", "exp(y) - x"])
+    def test_total_derivative_is_the_reference_node(self, text):
+        # d/dx of a tree without x is a zero signed by its right spine; a
+        # missing y or z must turn -0 into +0 as the written term yp * 0 does
+        for F, G in (("y - 1", "-(0)"), ("exp(z) * y", "x - z"), ("2", "-(3)")):
+            F, G = ex.fold_constants(parse(F)), ex.fold_constants(parse(G))
+            e = parse(text)
+            want = reference_fold(reference_total(e, F, G))
+            assert symmetry._total_derivative(e, F, G) is want, (text, want)
+
+    def test_expand_is_the_fold_of_the_operator_tree(self):
+        x, y, z = ex.sym("x"), ex.sym("y"), ex.sym("z")
+        for g in (LinearGenerator(0.5, 0.0, Mat2.zero()),
+                  LinearGenerator(-0.0, 0.0, Mat2(-0.0, 0.0, 0.0, -0.0), ("0 - 0", "-(0)")),
+                  LinearGenerator(0.3, -0.7, Mat2(1.1, 0.4, -0.2, 0.6), ("cos(x)", "1 - 1")),
+                  LinearGenerator(1.0, 1.0, Mat2.from_array(np.eye(2)), (2.0, "x - x")),
+                  POW_GEN):
+            xi = ex.fold_constants(2.0 * (g.k1 + g.k2 * x))
+            eta1 = ex.fold_constants(g.A.a11 * y + g.A.a12 * z + g.zeta[0])
+            eta2 = ex.fold_constants(g.A.a21 * y + g.A.a22 * z + g.zeta[1])
+            got = g.expand()
+            assert got.xi is xi and got.eta1 is eta1 and got.eta2 is eta2
+
+    def test_basis_fields_are_built_once(self):
+        for i in range(1, 9):
+            assert basis_generator(i) is basis_generator(i)
+            c = [0.0] * 8
+            c[i - 1] = 1.0
+            assert basis_generator(i) == LinearGenerator.from_coefficients(c).expand()
+        with pytest.raises(ValueError, match="basis index"):
+            basis_generator(9)
 
 
 # ---------------------------------------------------------------------------
