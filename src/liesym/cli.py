@@ -17,7 +17,12 @@ opt-in precisely so the default stays reproducible.  Exit codes:
 0 success/admitted/PASS, 2 rejected/FAIL, 3 quarantined catalog rows in the
 selection, 1 usage or input errors (expressions that fail to evaluate on the
 sample included).  ``LIESYM_SEED`` overrides the default
-sampling seed when ``--seed`` is not given.
+sampling seed when ``--seed`` is not given; either must be a non-negative
+integer.
+
+:func:`main` may be called any number of times in one process (tests,
+notebooks, benchmarks): the argument parser is built once, at import, and
+every call reuses it.
 """
 
 from __future__ import annotations
@@ -189,14 +194,18 @@ def _parse_assignments(pairs: list[str]) -> dict[str, float]:
 
 def _seed(args) -> int:
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get("LIESYM_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ValueError(f"LIESYM_SEED must be an integer, got {env!r}") from exc
+        seed, source = args.seed, "--seed"
+    else:
+        env = os.environ.get("LIESYM_SEED")
+        if env is None:
+            return 0
+        try:
+            seed, source = int(env), "LIESYM_SEED"
+        except ValueError as exc:
+            raise ValueError(f"LIESYM_SEED must be an integer, got {env!r}") from exc
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +462,14 @@ def _cmd_catalog_verify(args) -> tuple[dict, list[str], int]:
     return payload, lines, 2 if failed else 3 if quarantined else 0
 
 
+#: Built once at import and shared by every :func:`main` call in the process;
+#: each parse fills a fresh namespace, so no call sees another's options.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     started = time.perf_counter()

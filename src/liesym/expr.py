@@ -43,6 +43,12 @@ Design notes:
   caches or :func:`free_symbols` already answer: :func:`differentiate`
   does not enter a subtree without its variable, nor :func:`substitute` one
   without a mapped symbol.
+- :func:`parse` splits its text with one regular-expression scan
+  (whitespace, then a number, a name, an operator or a stray character) and
+  applies operator precedence with explicit stacks in one loop.  Tokens
+  carry no positions: an error scans the text again to find its position,
+  and a stray character is reported before any other error, wherever it
+  stands.
 - Printing parenthesizes so that ``parse(to_string(e))`` reproduces the tree
   node-for-node for any parser- or fold-produced tree.
 - Domain errors (log of a non-positive number, division by zero, fractional
@@ -352,69 +358,29 @@ def _postorder(root: Expr, ready: Callable[[Expr], bool]) -> Iterator[Expr]:
 #   base   := number | name | name '(' expr (',' expr)? ')'
 #           | '(' expr ')' | '-' base
 
-_TOKEN = re.compile(
-    r"(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),])"
+#: One token per match, after any whitespace: a number, a name, an operator,
+#: or a character that starts no token (which only an error reads).
+_SCAN = re.compile(
+    r"\s*(?:((?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
+    r"|([A-Za-z_][A-Za-z_0-9]*)"
+    r"|([-+*/^(),])"
+    r"|(\S))"
 )
+_END = ("", "", "", "")
 
 #: binary operator -> precedence; '^' is the one right-associative operator
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
+_BINARY = {"+": SUM, "*": PRODUCT, "/": QUOTIENT, "^": POWER}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", i)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(), i))
-        i = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-def _binary(op: str, a: Expr, b: Expr) -> Expr:
-    if op == "+":
-        return Expr(SUM, None, (a, b))
-    if op == "-":
-        return Expr(SUM, None, (a, Expr(NEG, None, (b,))))
-    if op == "^":
-        return Expr(POWER, None, (a, b))
-    return Expr(PRODUCT if op == "*" else QUOTIENT, None, (a, b))
-
-
-class _Group:
-    """One ``expr`` of the grammar being read: the whole input, a
-    parenthesized expression, or the arguments of a call to ``fn``."""
-
-    def __init__(self, fn: str | None, pos: int):
-        self.fn, self.pos = fn, pos
-        self.operands: list[Expr] = []
-        self.ops: list[str] = []
-        self.negs = 0            # '-' signs read before the next base
-        self.args: list[Expr] = []
-
-    def push_op(self, op: str):
-        prec = _PRECEDENCE[op]
-        while self.ops and (_PRECEDENCE[self.ops[-1]] > prec
-                            or _PRECEDENCE[self.ops[-1]] == prec and op != "^"):
-            self.reduce()
-        self.ops.append(op)
-
-    def reduce(self):
-        b = self.operands.pop()
-        self.operands.append(_binary(self.ops.pop(), self.operands.pop(), b))
-
-    def result(self) -> Expr:
-        while self.ops:
-            self.reduce()
-        return self.operands.pop()
+def _error(text: str, message: str, index: int) -> ParseError:
+    """The error at token ``index`` of ``text``; but a character that starts
+    no token is reported first, wherever it stands."""
+    spans = [(m.lastindex, m.start(m.lastindex)) for m in _SCAN.finditer(text)]
+    for group, pos in spans:
+        if group == 4:
+            return ParseError(f"unexpected character {text[pos]!r}", pos)
+    return ParseError(message, spans[index][1] if index < len(spans) else len(text))
 
 
 def parse(text: str) -> Expr:
@@ -422,73 +388,83 @@ def parse(text: str) -> Expr:
 
     Raises :class:`ParseError` with a position on syntax errors, unknown
     function names, wrong call arities, and numbers beyond the float range.
+    The text is split into tokens by one regular-expression scan, which
+    keeps no positions; an error scans again to find its position.
     Operator precedence and nesting are handled with explicit stacks, so
     deep input costs no Python frames.
     """
-    tokens = _tokenize(text)
+    tokens = _SCAN.findall(text)
+    tokens.append(_END)
     i = 0
-    groups = [_Group(None, 0)]
+    # The group being read: the whole input (fn None), a parenthesized
+    # expression (fn "("), or the arguments of a call to fn, named by token
+    # ``start``.  Its operands wait under its operators; ``negs`` counts the
+    # '-' signs read before the next base.  ``frames`` holds the groups
+    # around it.
+    fn = start = args = None
+    operands, ops, negs, frames = [], [], 0, []
     while True:
         # Read one base, opening a group for each '(' or call on the way.
-        kind, tok, pos = tokens[i]
+        num, name, op, _ = tokens[i]
         i += 1
-        if kind == "op" and tok == "-":
-            groups[-1].negs += 1
+        if op == "-":
+            negs += 1
             continue
-        if kind == "op" and tok == "(":
-            groups.append(_Group("(", pos))
+        if op == "(" or name and tokens[i][2] == "(":
+            if name and name not in FUNCTIONS:
+                raise _error(text, f"unknown function {name!r}", i - 1)
+            frames.append((fn, start, args, operands, ops, negs))
+            fn, start, args, operands, ops, negs = name or "(", i - 1, [], [], [], 0
+            i += bool(name)
             continue
-        if kind == "name" and tokens[i][:2] == ("op", "("):
-            if tok not in FUNCTIONS:
-                raise ParseError(f"unknown function {tok!r}", pos)
-            i += 1
-            groups.append(_Group(tok, pos))
-            continue
-        if kind == "num":
-            if not math.isfinite(float(tok)):
-                raise ParseError(f"number {tok!r} is out of the float range", pos)
-            base = const(float(tok))
-        elif kind == "name":
-            base = sym(tok)
+        if num:
+            base = Expr(CONSTANT, float(num))
+            if not math.isfinite(base.value):
+                raise _error(text, f"number {num!r} is out of the float range", i - 1)
+        elif name:
+            base = Expr(SYMBOL, name)
         else:
-            raise ParseError(f"unexpected token {tok!r}" if tok else "unexpected end of input", pos)
+            raise _error(text, f"unexpected token {op!r}" if op else "unexpected end of input", i - 1)
         # Hand the base to its group; close every group that ends after it.
         while True:
-            g = groups[-1]
-            for _ in range(g.negs):
+            for _ in range(negs):
                 # A negated literal becomes a negative constant right away, so
                 # "y^(-3)" carries an exponent node of -3, not neg(3).
-                base = const(-base.value) if base.kind == CONSTANT else Expr(NEG, None, (base,))
-            g.negs = 0
-            g.operands.append(base)
-            kind, tok, pos = tokens[i]
-            if kind == "op" and tok in _PRECEDENCE:
+                base = (Expr(CONSTANT, -base.value) if base.kind == CONSTANT
+                        else Expr(NEG, None, (base,)))
+            negs = 0
+            # Apply the waiting operators that bind at least as tightly as
+            # the next token; one that is no binary operator applies them all.
+            op = tokens[i][2]
+            prec = _PRECEDENCE.get(op, 0)
+            bound = prec + (op == "^") if prec else 1
+            while ops and _PRECEDENCE[ops[-1]] >= bound:
+                left, o = operands.pop(), ops.pop()
+                base = (Expr(SUM, None, (left, Expr(NEG, None, (base,)))) if o == "-"
+                        else Expr(_BINARY[o], None, (left, base)))
+            if prec:
+                operands.append(base)
+                ops.append(op)
                 i += 1
-                g.push_op(tok)
                 break
-            value = g.result()
-            if g.fn is None:
-                if kind != "end":
-                    raise ParseError(f"trailing input {tok!r}", pos)
-                return value
-            if g.fn != "(":
-                g.args.append(value)
-                if kind == "op" and tok == "," and len(g.args) == 1:
+            if fn is None:
+                if tokens[i] is not _END:
+                    raise _error(text, f"trailing input {''.join(tokens[i])!r}", i)
+                return base
+            if fn != "(":
+                args.append(base)
+                if op == "," and len(args) == 1:
                     i += 1
                     break
-            if kind != "op" or tok != ")":
-                raise ParseError("expected ')'", pos)
+            if op != ")":
+                raise _error(text, "expected ')'", i)
             i += 1
-            groups.pop()
-            if g.fn == "(":
-                base = value
-                continue
-            if len(g.args) != FUNCTIONS[g.fn]:
-                raise ParseError(
-                    f"{g.fn} expects {FUNCTIONS[g.fn]} argument(s), got {len(g.args)}",
-                    g.pos,
-                )
-            base = Expr(CALL, g.fn, tuple(g.args))
+            if fn != "(":
+                if len(args) != FUNCTIONS[fn]:
+                    raise _error(
+                        text, f"{fn} expects {FUNCTIONS[fn]} argument(s), got {len(args)}", start)
+                base = Expr(CALL, fn, tuple(args))
+            fn, start, args, operands, ops, negs = frames.pop()
 
 
 # --------------------------------------------------------------------------
@@ -1027,8 +1003,8 @@ class SamplingDomain:
     """A box of variable ranges to draw ``n`` points from.
 
     Draws are uniform per coordinate from ``numpy.random.default_rng(seed)``,
-    so sampling is reproducible.  Raises ``ValueError`` unless ``n >= 1`` and
-    every interval is finite with ``lo < hi``.
+    so sampling is reproducible.  Raises ``ValueError`` unless ``n >= 1``,
+    ``seed >= 0`` and every interval is finite with ``lo < hi``.
     """
 
     intervals: Mapping[str, tuple[float, float]]
@@ -1038,6 +1014,8 @@ class SamplingDomain:
     def __post_init__(self):
         if not self.n >= 1:
             raise ValueError(f"need at least one sample point, got n={self.n}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         for name, (lo, hi) in self.intervals.items():
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(

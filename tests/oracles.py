@@ -2,18 +2,23 @@
 
 Deliberately written against *formulas*, not against the library under test:
 the only liesym imports are the expression evaluator needed to turn right-hand
-sides into floats and the node constructor the symbolic references build
-with.  Each oracle is a textbook method simple enough to audit by eye, so
+sides into floats, the node constructor the symbolic references build with,
+and the node kinds, function table and error type the reference parser
+needs.  Each oracle is a textbook method simple enough to audit by eye, so
 expected values derived from them count as independent evidence.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
-from liesym.expr import EvalError, Expr, evaluate
+from liesym.expr import (
+    CALL, CONSTANT, FUNCTIONS, NEG, POWER, PRODUCT, QUOTIENT, SUM,
+    EvalError, Expr, ParseError, const, evaluate, sym,
+)
 
 
 def fd_derivative(f, x: float, h: float = 1e-6) -> float:
@@ -256,3 +261,149 @@ def reference_residuals(system, g) -> tuple[Expr, Expr]:
         act = g.xi * d(rhs, "x") + g.eta1 * d(rhs, "y") + g.eta2 * d(rhs, "z")
         out.append(reference_fold(e2 - act))
     return out[0], out[1]
+
+
+# ---------------------------------------------------------------------------
+# The reference parser: a per-character tokenizer and one group object per
+# open parenthesis or call, the parser the library shipped before its
+# one-scan version.  The library's parse must return the same node, or raise
+# the same ParseError message and position, on every input.
+# ---------------------------------------------------------------------------
+
+_TOKEN = re.compile(
+    r"(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^(),])"
+)
+
+#: binary operator -> precedence; '^' is the one right-associative operator
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    i = 0
+    while i < len(text):
+        if text[i].isspace():
+            i += 1
+            continue
+        m = _TOKEN.match(text, i)
+        if m is None:
+            raise ParseError(f"unexpected character {text[i]!r}", i)
+        kind = m.lastgroup
+        tokens.append((kind, m.group(), i))
+        i = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def _binary(op: str, a: Expr, b: Expr) -> Expr:
+    if op == "+":
+        return Expr(SUM, None, (a, b))
+    if op == "-":
+        return Expr(SUM, None, (a, Expr(NEG, None, (b,))))
+    if op == "^":
+        return Expr(POWER, None, (a, b))
+    return Expr(PRODUCT if op == "*" else QUOTIENT, None, (a, b))
+
+
+class _Group:
+    """One ``expr`` of the grammar being read: the whole input, a
+    parenthesized expression, or the arguments of a call to ``fn``."""
+
+    def __init__(self, fn: str | None, pos: int):
+        self.fn, self.pos = fn, pos
+        self.operands: list[Expr] = []
+        self.ops: list[str] = []
+        self.negs = 0            # '-' signs read before the next base
+        self.args: list[Expr] = []
+
+    def push_op(self, op: str):
+        prec = _PRECEDENCE[op]
+        while self.ops and (_PRECEDENCE[self.ops[-1]] > prec
+                            or _PRECEDENCE[self.ops[-1]] == prec and op != "^"):
+            self.reduce()
+        self.ops.append(op)
+
+    def reduce(self):
+        b = self.operands.pop()
+        self.operands.append(_binary(self.ops.pop(), self.operands.pop(), b))
+
+    def result(self) -> Expr:
+        while self.ops:
+            self.reduce()
+        return self.operands.pop()
+
+
+def reference_parse(text: str) -> Expr:
+    """Parse ``text`` into an expression tree.
+
+    Raises :class:`ParseError` with a position on syntax errors, unknown
+    function names, wrong call arities, and numbers beyond the float range.
+    Operator precedence and nesting are handled with explicit stacks, so
+    deep input costs no Python frames.
+    """
+    tokens = _tokenize(text)
+    i = 0
+    groups = [_Group(None, 0)]
+    while True:
+        # Read one base, opening a group for each '(' or call on the way.
+        kind, tok, pos = tokens[i]
+        i += 1
+        if kind == "op" and tok == "-":
+            groups[-1].negs += 1
+            continue
+        if kind == "op" and tok == "(":
+            groups.append(_Group("(", pos))
+            continue
+        if kind == "name" and tokens[i][:2] == ("op", "("):
+            if tok not in FUNCTIONS:
+                raise ParseError(f"unknown function {tok!r}", pos)
+            i += 1
+            groups.append(_Group(tok, pos))
+            continue
+        if kind == "num":
+            if not math.isfinite(float(tok)):
+                raise ParseError(f"number {tok!r} is out of the float range", pos)
+            base = const(float(tok))
+        elif kind == "name":
+            base = sym(tok)
+        else:
+            raise ParseError(f"unexpected token {tok!r}" if tok else "unexpected end of input", pos)
+        # Hand the base to its group; close every group that ends after it.
+        while True:
+            g = groups[-1]
+            for _ in range(g.negs):
+                # A negated literal becomes a negative constant right away, so
+                # "y^(-3)" carries an exponent node of -3, not neg(3).
+                base = const(-base.value) if base.kind == CONSTANT else Expr(NEG, None, (base,))
+            g.negs = 0
+            g.operands.append(base)
+            kind, tok, pos = tokens[i]
+            if kind == "op" and tok in _PRECEDENCE:
+                i += 1
+                g.push_op(tok)
+                break
+            value = g.result()
+            if g.fn is None:
+                if kind != "end":
+                    raise ParseError(f"trailing input {tok!r}", pos)
+                return value
+            if g.fn != "(":
+                g.args.append(value)
+                if kind == "op" and tok == "," and len(g.args) == 1:
+                    i += 1
+                    break
+            if kind != "op" or tok != ")":
+                raise ParseError("expected ')'", pos)
+            i += 1
+            groups.pop()
+            if g.fn == "(":
+                base = value
+                continue
+            if len(g.args) != FUNCTIONS[g.fn]:
+                raise ParseError(
+                    f"{g.fn} expects {FUNCTIONS[g.fn]} argument(s), got {len(g.args)}",
+                    g.pos,
+                )
+            base = Expr(CALL, g.fn, tuple(g.args))

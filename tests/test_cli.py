@@ -8,6 +8,7 @@ import subprocess
 
 import pytest
 
+from liesym import cli
 from liesym.cli import main
 from liesym.jordan import classify2x2
 from liesym.liealg import kind_to_L4_rep
@@ -362,6 +363,27 @@ class TestCheck:
         assert code == 1
         assert "LIESYM_SEED" in err
 
+    @pytest.mark.parametrize("argv, env, source", [
+        (["check", "{system}", "{kernel}", "--seed", "-1"], None, "--seed"),
+        (["check", "{system}", "{kernel}", "--domain", "y=1:2", "--seed", "-1"],
+         None, "--seed"),
+        (["check", "{system}", "{kernel}"], "-1", "LIESYM_SEED"),
+        (["catalog", "verify", "--id", "T1.J1", "--seed", "-1"], None, "--seed"),
+        (["catalog", "verify", "--id", "T1.J1"], "-3", "LIESYM_SEED"),
+    ], ids=["check", "check-domain", "check-env", "catalog", "catalog-env"])
+    def test_negative_seed_names_its_source(self, capsys, sysfile, monkeypatch,
+                                            argv, env, source):
+        # numpy's "expected non-negative integer" must not leak through
+        monkeypatch.delenv("LIESYM_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("LIESYM_SEED", env)
+        files = {"system": sysfile({"F": "exp(y)", "G": "exp(z)"}),
+                 "kernel": sysfile({"xi": "1"}, "kernel.json")}
+        code, out, err = run(capsys, *[a.format(**files) for a in argv])
+        assert (code, out) == (1, "")
+        seed = env or "-1"
+        assert err == f"liesym: error: {source} must be a non-negative integer, got {seed}\n"
+
     def test_missing_and_malformed_files(self, capsys, sysfile, tmp_path):
         g = sysfile({"xi": "1"}, "gen.json")
         code, _, err = run(capsys, "check", str(tmp_path / "none.json"), g)
@@ -599,6 +621,48 @@ class TestCatalogCli:
                            "--set", "gamma=2")
         assert code == 1
         assert "--set" in err
+
+
+class TestSharedParser:
+    """:func:`main` reuses one parser built at import; each call must print
+    what a parser built just for it prints."""
+
+    SEQUENCES = {
+        "set-then-defaults": [
+            ["catalog", "verify", "--id", "T3.S2", "--set", "kappa=0.5"],
+            ["catalog", "verify", "--id", "T3.S2"],
+        ],
+        "json-then-text": [
+            ["catalog", "verify", "--id", "T3.S2", "--json"],
+            ["catalog", "verify", "--id", "T3.S2"],
+            ["commutator", "4", "7", "--json"],
+            ["commutator", "4", "7"],
+        ],
+        "usage-error-then-good": [
+            ["normalize"],
+            ["normalize", "1,0,0,0,0,0,0,0"],
+            ["catalog", "verify", "--id", "T3.S2", "--bogus"],
+            ["catalog", "verify", "--id", "T3.S2"],
+        ],
+    }
+
+    @pytest.mark.parametrize("name", sorted(SEQUENCES))
+    def test_calls_keep_no_state(self, capsys, monkeypatch, clean_seed_env, name):
+        argvs = self.SEQUENCES[name]
+        shared = [run(capsys, *argv) for argv in argvs]
+        fresh = []
+        for argv in argvs:
+            monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+            fresh.append(run(capsys, *argv))
+        assert shared == fresh
+        if name == "usage-error-then-good":
+            assert [code for code, _, _ in shared] == [1, 0, 1, 0]
+
+    def test_main_does_not_build_a_parser(self, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("build_parser called from main")
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert run(capsys, "commutator", "4", "7")[:2] == (0, "[X4, X7] = X3\n")
 
 
 class TestHarness:

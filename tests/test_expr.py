@@ -8,6 +8,7 @@ with no cleverness at all, checked bit-for-bit against the library, and
 from __future__ import annotations
 
 import math
+import random
 import re
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import liesym.expr as ex
+import oracles
 from liesym.expr import (
     EvalError, ParseError, SamplingDomain,
     compile_evaluator, differentiate, evaluate, fold_constants, free_symbols,
@@ -145,13 +147,125 @@ def test_parse_calls():
     assert parse("sin(x)*cos(x)") == ex.sin(ex.sym("x")) * ex.cos(ex.sym("x"))
 
 
-@pytest.mark.parametrize("bad", [
-    "2 ** y", "foo(y)", "y +", "(y", "atan2(y)", "sin(y, z)", "y $ z", "", "3 3",
-])
+#: bad input -> (message, position) of its ParseError
+PARSE_ERRORS = {
+    "2 ** y": ("unexpected token '*'", 3),
+    "y + *": ("unexpected token '*'", 4),
+    "sin()": ("unexpected token ')'", 4),
+    "foo(y)": ("unknown function 'foo'", 0),
+    "y(2)": ("unknown function 'y'", 0),
+    "(y": ("expected ')'", 2),
+    "atan2(y, z, x)": ("expected ')'", 10),
+    "atan2(y)": ("atan2 expects 2 argument(s), got 1", 0),
+    "sin(y, z)": ("sin expects 1 argument(s), got 2", 0),
+    "y $ z": ("unexpected character '$'", 2),
+    "y +  \té": ("unexpected character 'é'", 6),
+    # a character that starts no token is reported before an earlier error
+    "(1e400 + $)": ("unexpected character '$'", 9),
+    ".": ("unexpected character '.'", 0),
+    "3 3": ("trailing input '3'", 2),
+    "y + z)": ("trailing input ')'", 5),
+    "cos y": ("trailing input 'y'", 4),
+    "1.2.3": ("trailing input '.3'", 3),
+    "": ("unexpected end of input", 0),
+    "y +": ("unexpected end of input", 3),
+    "-": ("unexpected end of input", 1),
+}
+
+
+@pytest.mark.parametrize("bad", list(PARSE_ERRORS))
 def test_parse_errors(bad):
+    message, pos = PARSE_ERRORS[bad]
     with pytest.raises(ParseError) as err:
         parse(bad)
-    assert err.value.pos >= 0
+    assert (str(err.value), err.value.pos) == (f"{message} (at position {pos})", pos)
+
+
+# Pieces of token soups: every token kind, whitespace the scanner skips, and
+# characters that start no token ('$', 'é', a superscript two); '٣' is a
+# Unicode decimal digit, which numbers take.
+_SOUP = ["y", "z", "x", "yp", "p1", "_a", "e", "0", "1", "2.5", ".5", "3.", "1e3",
+         "1E+2", "1e400", "2e-999", "٣", "+", "-", "*", "/", "^", "(", ")", ",",
+         " ", "\t", "\n", "$", "é", "²", ".", "..", "sin", "cos", "exp", "ln",
+         "sqrt", "atan", "atan2", "foo", "sin(", "atan2(", "foo("]
+
+
+def _grammatical(rng, depth=0) -> str:
+    """A random text of the grammar, with random spacing."""
+    def sp():
+        return rng.choice(["", " ", "  ", "\t"])
+
+    r = rng.random()
+    if depth > 4 or r < 0.3:
+        return rng.choice(["y", "z", "x", "p", "2", "0.5", "1e-3", "3."])
+    if r < 0.6:
+        op = rng.choice("+-*/^")
+        return _grammatical(rng, depth + 1) + sp() + op + sp() + _grammatical(rng, depth + 1)
+    if r < 0.7:
+        return "-" + sp() + _grammatical(rng, depth + 1)
+    if r < 0.8:
+        return "(" + sp() + _grammatical(rng, depth + 1) + sp() + ")"
+    fn = rng.choice(sorted(ex.FUNCTIONS))
+    args = [_grammatical(rng, depth + 1) for _ in range(ex.FUNCTIONS[fn])]
+    return fn + sp() + "(" + ("," + sp()).join(args) + ")"
+
+
+def _soups(seed: int, n: int):
+    """``n`` seeded texts: half token soups, half grammatical texts with
+    every other one broken by one inserted, dropped or replaced piece."""
+    rng = random.Random(seed)
+    for k in range(n):
+        if k % 2:
+            yield "".join(rng.choice(_SOUP) for _ in range(rng.randint(0, 14)))
+            continue
+        text = _grammatical(rng)
+        if k % 4:
+            at = rng.randint(0, len(text))
+            cut = rng.randint(0, 2)
+            text = text[:at] + rng.choice(_SOUP + [""]) + text[at + cut:]
+        yield text
+
+
+def _laurent_text(rng, k: int) -> str:
+    """A right-hand side as the benchmark's ``check`` workload writes it: a
+    sum of k terms c * y ^ (a) * z ^ (d - a)."""
+    d = float(rng.uniform(-3.0, 0.5))
+    terms = []
+    for a in rng.permutation([i % 7 - 3 for i in range(k)]):
+        c = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+        terms.append(f"{c!r} * y ^ ({int(a)}) * z ^ ({d - int(a)!r})")
+    return " + ".join(terms)
+
+
+def _same_parse(text: str) -> bool:
+    """``parse`` returns the reference parser's node, or raises its error;
+    True when the text parsed."""
+    try:
+        want = oracles.reference_parse(text)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            parse(text)
+        assert (str(got.value), got.value.pos) == (str(err), err.pos), text
+        return False
+    assert parse(text) is want, text
+    return True
+
+
+def test_parse_matches_reference_on_soups():
+    parsed = sum(_same_parse(text) for text in _soups(2024, 20_000))
+    # both outcomes are well represented
+    assert 3_000 < parsed < 17_000
+
+
+@given(trees)
+def test_parse_matches_reference_on_printed_trees(t):
+    _same_parse(to_string(t))
+
+
+def test_parse_matches_reference_on_check_workload_texts():
+    rng = np.random.default_rng(161)
+    for k in (2, 3, 8, 32, 181, 256):
+        _same_parse(_laurent_text(rng, k))
 
 
 def test_parse_rejects_numbers_beyond_float_range():
@@ -201,6 +315,12 @@ def test_roundtrip_corpus(text):
     s = to_string(e)
     assert parse(s) == e
     assert to_string(parse(s)) == s
+
+
+@pytest.mark.parametrize("text", ROUNDTRIP_CORPUS)
+def test_parse_matches_reference_on_corpus(text):
+    _same_parse(text)
+    _same_parse(to_string(parse(text)))
 
 
 @given(trees)
@@ -753,16 +873,20 @@ def test_compile_deep_sum_without_recursion():
     " ^ ".join(["y"] * 5000),
     "sin(" * 5000 + "y" + ")" * 5000,
     " - ".join(["y"] * 5000),
-], ids=["parentheses", "negations", "powers", "calls", "differences"])
+    "(" * 100_000 + "y" + ")" * 100_000,
+    " + ".join(["y"] * 10_000),
+], ids=["parentheses", "negations", "powers", "calls", "differences",
+        "parentheses-100k", "sum-10k"])
 def test_deep_expressions_without_recursion(text):
-    # 5,000 levels of each kind of nesting, far beyond the interpreter's
-    # recursion limit: every walker keeps its own stack
+    # 5,000 levels of each kind of nesting, and 100,000 parentheses and a
+    # 10,000-term sum for the parser, far beyond the interpreter's recursion
+    # limit: every walker keeps its own stack
     e = parse(text)
     assert parse(to_string(e)) is e
     assert repr(e).startswith("Expr(kind=")
     assert free_symbols(e) == {"y"}
     assert substitute(e, {"y": ex.sym("z")}) is parse(text.replace("y", "z"))
-    assert len(top_level_terms(e)) in (1, 5000)
+    assert len(top_level_terms(e)) in (1, 5000, 10_000)
     d = fold_constants(differentiate(e, "y"))
     assert math.isfinite(evaluate(fold_constants(e), {"y": 1.0}))
     assert math.isfinite(evaluate(d, {"y": 1.0}))
@@ -923,7 +1047,7 @@ def test_zero_report_at_rejects_unequal_columns(text):
 @pytest.mark.parametrize("change", [
     {"n": 0}, {"n": -3}, {"intervals": {"y": (1.0, 1.0)}},
     {"intervals": {"y": (2.0, 1.0)}}, {"intervals": {"y": (0.0, math.inf)}},
-    {"intervals": {"y": (math.nan, 1.0)}},
+    {"intervals": {"y": (math.nan, 1.0)}}, {"seed": -1},
 ])
 def test_sampling_domain_rejects_bad_input(change):
     with pytest.raises(ValueError):
