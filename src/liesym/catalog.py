@@ -96,6 +96,16 @@ def _bind(text: str, v: Mapping[str, float]) -> Expr:
 _PROFILE_DOM = SamplingDomain(intervals={"u": (0.3, 2.5)}, n=64, seed=7)
 
 
+@functools.lru_cache(maxsize=16)
+def _screen(f: Expr, g: Expr) -> ReducibilityHint:
+    """The degenerate-profile screen of the pair (f, g) on ``_PROFILE_DOM``,
+    memoized on the pair.  Nodes are interned, so equal profiles are one key
+    (a zero coefficient of either sign binds to the same node).  The memo is
+    small because each pair it holds keeps its nodes' derivative caches
+    alive; a row's defaults and a few draws fit."""
+    return reducibility_hint(f, g, _PROFILE_DOM)
+
+
 def _laurent(prefix: str, u: str) -> str:
     """The truncated Laurent profile c_m2*u^-2 + c_m1*u^-1 + c_p1*u + c_p2*u^2
     with coefficients named ``<prefix>m2`` .. ``<prefix>p2``."""
@@ -106,7 +116,8 @@ def _laurent(prefix: str, u: str) -> str:
 #: The validator table.  A check ``(kind, formula, *args, message)`` fails
 #: when ``_FAILS[kind](value of formula, *args)`` is true.  Two more kinds:
 #: ``("nonzero", name, ...)`` fails when some |name| < 1e-12, and
-#: ``("laurent",)`` when the f/g Laurent profile pair is degenerate.
+#: ``("laurent",)`` when the f/g Laurent profile pair is degenerate (see
+#: ``_screen``).
 _FAILS = {
     "one-of": lambda x, values: x not in values,
     "away": lambda x, values, margin=_EPS: any(abs(x - a) < margin for a in values),
@@ -122,8 +133,7 @@ def _violation(check: tuple, v: Mapping[str, float]) -> Optional[str]:
     if kind == "nonzero":
         return next((f"{nm} must be nonzero" for nm in args if abs(v[nm]) < 1e-12), None)
     if kind == "laurent":
-        f, g = (_bind(_laurent(c, "u"), v) for c in "fg")
-        hint = reducibility_hint(f, g, _PROFILE_DOM)
+        hint = _screen(*(_bind(_laurent(c, "u"), v) for c in "fg"))
         if hint is ReducibilityHint.NoHint:
             return None
         return (f"profile pair is degenerate ({hint.value}); "
@@ -177,6 +187,10 @@ def _spiral_push(v, u, w):
 #: ``alpha`` around the center (y0, z0).
 _PUSHFORWARDS = {"polar": _polar_push, "spiral": _spiral_push}
 
+#: The (u, w) box of those maps, then the coordinates they leave alone.
+_PUSH_BOX = {"u": (-1.2, 1.2), "w": (0.2, 2.0),
+             "x": BOX["x"], "yp": BOX["yp"], "zp": BOX["zp"]}
+
 #: The x-profile pair of the T1 entries, by ``kappa``: (label, xi) for
 #: ``determining_generator``; xi solves xi''' = 4*kappa*xi' (see xi_family).
 _T1_PROFILES = {
@@ -188,27 +202,6 @@ _T1_PROFILES = {
 # ---------------------------------------------------------------------------
 # Schema types
 # ---------------------------------------------------------------------------
-
-
-def _snapshot(p: Mapping) -> tuple:
-    """The items of ``p``, each value by its type and, for a float, its bits
-    (so 0.0 and -0.0 differ, and so do 1.0 and 1)."""
-    return tuple((k, type(v), v.hex() if type(v) is float else v)
-                 for k, v in p.items())
-
-
-class _Resolved(dict):
-    """A parameter set as :meth:`CatalogEntry.resolve` returns it: a plain
-    dict that also records the id of the entry that checked it and a
-    snapshot of its items at that time.  A copy made by ``dict(...)``, by
-    ``dataclasses.asdict`` or by mutating the set no longer matches."""
-
-    entry_id: Optional[str] = None
-    snapshot: Optional[tuple] = None
-
-    def checked_for(self, entry_id: str) -> bool:
-        """True while the set holds the items ``entry_id`` checked."""
-        return self.entry_id == entry_id and self.snapshot == _snapshot(self)
 
 
 @dataclass(frozen=True)
@@ -261,21 +254,11 @@ class CatalogEntry:
         return {s.name: s.default for s in self.params if not s.derived}
 
     def resolve(self, params: Mapping[str, float] | None = None) -> dict[str, float]:
-        """Merge ``params`` over the defaults and check admissibility.
-
-        The result is a new dict that remembers this entry and its items.
-        Given such a set back unchanged (the same keys in the same order,
-        the same float bits), ``resolve`` returns a fresh copy and skips the
-        checks, the Laurent screen among them: the checks are deterministic
-        in the values, so they would pass again, and the merge would give
-        the same items.  A set that was mutated, or that another entry
-        resolved, is checked in full.
-        """
-        if isinstance(params, _Resolved) and params.checked_for(self.id):
-            p = _Resolved(params)
-            p.entry_id, p.snapshot = params.entry_id, params.snapshot
-            return p
-        p = _Resolved(self.defaults())
+        """Merge ``params`` over the defaults and check admissibility; the
+        result is a new dict.  Every check runs on every call; the one costly
+        check, the Laurent screen, is memoized on its profile pair (see
+        ``_screen``)."""
+        p = self.defaults()
         for k, v in (params or {}).items():
             if k not in p:
                 if any(s.name == k and s.derived for s in self.params):
@@ -292,7 +275,6 @@ class CatalogEntry:
             msg = _violation(check, p)
             if msg:
                 raise ValueError(f"{self.id}: {msg}")
-        p.entry_id, p.snapshot = self.id, _snapshot(p)
         return p
 
     def _values(self, params: Mapping[str, float]) -> dict[str, float]:
@@ -321,9 +303,7 @@ class CatalogEntry:
         return self._labeled(self._values(self.resolve(params)))
 
     def draw(self, rng: np.random.Generator) -> dict[str, float]:
-        """A random admissible parameter set, checked by :meth:`resolve`
-        before it is returned; ``build``, ``labeled_generators`` and
-        ``verify_entry`` take it without checking it again."""
+        """A random admissible parameter set, checked by :meth:`resolve`."""
         drawn: dict[str, float] = {}
         _draw_into(drawn, rng, self.draws)
         free = self.defaults()
@@ -339,11 +319,13 @@ class CatalogEntry:
         """
         v = self._values(params)
         if self.pushforward:
-            rng = np.random.default_rng(seed)
-            u, w = rng.uniform(-1.2, 1.2, n), rng.uniform(0.2, 2.0, n)
-            yv, zv = _PUSHFORWARDS[self.pushforward](v, u, w)
-            return {"x": rng.uniform(*BOX["x"], n), "y": yv, "z": zv,
-                    "yp": rng.uniform(*BOX["yp"], n), "zp": rng.uniform(*BOX["zp"], n)}
+            # column by column in _PUSH_BOX order: ``sample`` draws row by row
+            # and would move every point
+            dom = SamplingDomain(intervals=_PUSH_BOX, n=n, seed=seed)
+            rng = np.random.default_rng(dom.seed)
+            c = {nm: rng.uniform(lo, hi, dom.n) for nm, (lo, hi) in dom.intervals.items()}
+            yv, zv = _PUSHFORWARDS[self.pushforward](v, c["u"], c["w"])
+            return {"x": c["x"], "y": yv, "z": zv, "yp": c["yp"], "zp": c["zp"]}
         intervals = dict(BOX)
         for name, bounds in self.box.items():
             intervals[name] = tuple(_value(b, v) if isinstance(b, str) else b for b in bounds)
@@ -896,9 +878,7 @@ def instantiate(entry_id: str, params: Mapping[str, float] | None = None):
 
 
 def draw_params(entry_id: str, rng=None) -> dict[str, float]:
-    """A random admissible parameter set for an entry, checked once: passed
-    on to :func:`verify_entry` or :func:`instantiate` unchanged, it is not
-    checked again.
+    """A random admissible parameter set for an entry.
 
     ``rng`` may be a seed or a ``numpy.random.Generator``.
     """
@@ -915,9 +895,6 @@ def verify_entry(entry_id: str, params: Mapping[str, float] | None = None,
     first); ``passed`` requires every verdict to hold.  A quarantined entry
     still produces its (failing) report — the flag rides along so callers
     can separate "broken input" from "broken entry".
-
-    ``params`` from :func:`draw_params` or :meth:`CatalogEntry.resolve` of
-    this entry, unchanged since, are not checked again (see ``resolve``).
     """
     e = get_entry(entry_id)
     p = e.resolve(params)
@@ -980,7 +957,7 @@ def general_solution_system(a: float, b: float, c: float, f, g) -> OdeSystem:
         if extra:
             raise ValueError(
                 f"profile {nm} may only use the symbol 'u'; found {sorted(extra)}")
-    hint = reducibility_hint(fe, ge, _PROFILE_DOM)
+    hint = _screen(fe, ge)
     if hint is not ReducibilityHint.NoHint:
         raise ValueError(f"degenerate profile pair: {hint.value}")
     y, z = sym("y"), sym("z")

@@ -161,10 +161,14 @@ def _parse_domain(spec: str, samples: int, seed: int) -> SamplingDomain:
         try:
             name, rng = chunk.split("=")
             lo, hi = rng.split(":")
-            intervals[name.strip()] = (float(lo), float(hi))
+            bounds = (float(lo), float(hi))
         except ValueError as exc:
             raise ValueError(
                 f"bad domain chunk {chunk!r}; expected name=lo:hi") from exc
+        name = name.strip()
+        if name in intervals:
+            raise ValueError(f"--domain names {name!r} more than once")
+        intervals[name] = bounds
     return SamplingDomain(intervals=intervals, n=samples, seed=seed)
 
 
@@ -186,9 +190,13 @@ def _parse_assignments(pairs: list[str]) -> dict[str, float]:
         if not eq or not name:
             raise ValueError(f"bad --set {item!r}; expected NAME=VALUE")
         try:
-            out[name.strip()] = float(value)
+            number = float(value)
         except ValueError as exc:
             raise ValueError(f"--set {item!r}: {exc}") from exc
+        name = name.strip()
+        if name in out:
+            raise ValueError(f"--set names {name!r} more than once")
+        out[name] = number
     return out
 
 

@@ -253,12 +253,13 @@ class TestDraws:
 
 
 class TestResolveOnce:
-    """A set that ``resolve`` returned is not checked again by its entry while
-    it is unchanged; the Laurent screens (``reducibility_hint`` calls) count
-    the checks."""
+    """``resolve`` runs every check on every call; the Laurent screen is
+    memoized on its bound profile pair, so a pair is screened once.  The
+    screens (``reducibility_hint`` calls) are counted from a cleared memo."""
 
     @pytest.fixture
     def screens(self, monkeypatch):
+        catalog._screen.cache_clear()
         calls = []
         real = catalog.reducibility_hint
 
@@ -267,7 +268,8 @@ class TestResolveOnce:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(catalog, "reducibility_hint", counted)
-        return calls
+        yield calls
+        catalog._screen.cache_clear()  # drop the pairs the counted screen filled
 
     def test_draw_then_verify_screens_once(self, screens):
         p = draw_params("T2.1", 3)
@@ -286,11 +288,11 @@ class TestResolveOnce:
     def test_same_result_as_a_full_check(self, screens):
         e = get_entry("T2.1")
         p = draw_params("T2.1", 8)
-        fast = e.resolve(p)
-        full = e.resolve(dict(p))
-        assert len(screens) == 2  # the draw's and the plain dict's
-        assert list(fast.items()) == list(full.items()) == list(p.items())
-        assert e.build(fast).resolved() == e.build(full).resolved()
+        again = e.resolve(p)
+        plain = e.resolve(dict(p))
+        assert len(screens) == 1
+        assert list(again.items()) == list(plain.items()) == list(p.items())
+        assert e.build(again).resolved() == e.build(plain).resolved()
 
     def test_mutated_set_is_checked_again(self, screens):
         e = get_entry("T2.1")
@@ -305,12 +307,17 @@ class TestResolveOnce:
             e.build(q)
         with pytest.raises(ValueError, match="profile pair is degenerate"):
             verify_entry("T2.1", q)
+        assert len(screens) == 3  # the degenerate verdict is memoized too
 
-    def test_flipped_sign_of_zero_is_a_change(self, screens):
+    def test_equal_bound_pairs_screen_once(self, screens):
+        # rows with other formulas bind the same profiles in u
+        get_entry("T2.1").resolve()
+        get_entry("T2.4").resolve()
+        assert len(screens) == 1
+        # a zero coefficient binds to one node whatever its sign
         e = get_entry("T2.1")
-        p = e.resolve({"fm2": 0.0})
-        p["fm2"] = -0.0  # equal as a number, other bits
-        e.resolve(p)
+        e.resolve({"fm2": 0.0})
+        e.resolve({"fm2": -0.0})
         assert len(screens) == 2
 
     def test_another_entry_checks_again(self, screens):
@@ -319,10 +326,7 @@ class TestResolveOnce:
             get_entry("T2.2").resolve(p)
         with pytest.raises(ValueError, match="alpha must be positive"):
             get_entry("T2.4").resolve(p)  # the same keys as T2.1
-        q = get_entry("T2.1").resolve()
-        get_entry("T2.4").resolve(q)
-        # T2.1 twice, T2.4 twice; T2.2 stops at the unknown name
-        assert len(screens) == 4
+        assert len(screens) == 1
 
     def test_resolve_returns_a_new_set_each_time(self, screens):
         e = get_entry("T2.1")
@@ -336,15 +340,34 @@ class TestResolveOnce:
 
     def test_resolved_sets_behave_as_plain_dicts(self):
         p = draw_params("T2.1", 4)
+        assert type(p) is dict and type(get_entry("T2.1").resolve(p)) is dict
         plain = dict(p)
         assert json.dumps(p) == json.dumps(plain) and repr(p) == repr(plain)
         for other in (copy.deepcopy(p), pickle.loads(pickle.dumps(p)), copy.copy(p)):
             assert other == plain and list(other.items()) == list(plain.items())
         rep = verify_entry("T2.1", p)
+        assert type(rep.params) is dict
         d = dataclasses.asdict(rep)
         assert d["params"] == plain
         plain_rep = dataclasses.replace(rep, params=plain)
         assert json.dumps(d) == json.dumps(dataclasses.asdict(plain_rep))
+
+    @pytest.mark.parametrize("entry_id", ALL_IDS)
+    def test_memo_never_shows_in_reports(self, entry_id):
+        """A report is the same from a cleared memo and from one warmed by
+        every other row: a wrong key or a cached failure would show here."""
+        sets = [None] + [draw_params(entry_id, s) for s in range(2)]
+
+        def reports():
+            return [repr(verify_entry(entry_id, p)) for p in sets]
+
+        catalog._screen.cache_clear()
+        cold = reports()
+        for other in ALL_IDS:
+            if other != entry_id:
+                verify_entry(other)
+                verify_entry(other, draw_params(other, 0))
+        assert reports() == cold
 
 
 class TestDeterminingMap:
@@ -502,6 +525,19 @@ class TestT2:
             c1, c2 = (a / d, 1.0 / d) if shift else (0.0, 0.0)
             u = np.arctan2(pts["z"] + shift * c2, pts["y"] - shift * c1)
             assert np.max(np.abs(u)) <= 1.2 + 1e-12
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n": 0}, "need at least one sample point, got n=0"),
+        ({"n": -1}, "need at least one sample point, got n=-1"),
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+    ], ids=["n=0", "n=-1", "seed=-1"])
+    @pytest.mark.parametrize("entry_id", ALL_IDS)
+    def test_bad_sample_count_or_seed(self, entry_id, kwargs, message):
+        """Every row, the pushforward rows included, rejects them with the
+        sampling domain's own text, not numpy's."""
+        with pytest.raises(ValueError) as info:
+            verify_entry(entry_id, **kwargs)
+        assert str(info.value) == message
 
     def test_quarantined_row_reports_but_cannot_pass(self):
         rep = verify_entry("T2.3")

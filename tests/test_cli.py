@@ -9,6 +9,7 @@ import subprocess
 import pytest
 
 from liesym import cli
+from liesym.catalog import entry_ids
 from liesym.cli import main
 from liesym.jordan import classify2x2
 from liesym.liealg import kind_to_L4_rep
@@ -342,6 +343,10 @@ class TestCheck:
                            "x=0.2:3,y=0.2:3,z=0.2:3,yp=-1:1")
         assert code == 1
         assert "missing" in err
+        code, out, err = run(capsys, "check", s, g, "--domain",
+                             "x=0.2:3,x=0.5:1,y=0.2:3,z=0.2:3,yp=-1:1,zp=-1:1")
+        assert (code, out) == (1, "")
+        assert err == "liesym: error: --domain names 'x' more than once\n"
 
     def test_json_reports_are_reproducible(self, capsys, sysfile, clean_seed_env):
         s = sysfile({"F": "exp(y)", "G": "exp(z)"})
@@ -584,6 +589,23 @@ class TestCatalogCli:
         code, out, err = run(capsys, "catalog", "verify", "--id", entry_id,
                              "--set", assignment)
         assert (code, out, err) == (1, "", f"liesym: error: {message}\n")
+
+    @pytest.mark.parametrize("opts, message", [
+        (("--samples", "0"), "need at least one sample point, got n=0"),
+        (("--samples", "-1"), "need at least one sample point, got n=-1"),
+        (("--seed", "-1"), "--seed must be a non-negative integer, got -1"),
+    ], ids=["samples=0", "samples=-1", "seed=-1"])
+    @pytest.mark.parametrize("entry_id", entry_ids())
+    def test_verify_rejects_bad_sampling(self, capsys, clean_seed_env, entry_id,
+                                         opts, message):
+        code, out, err = run(capsys, "catalog", "verify", "--id", entry_id, *opts)
+        assert (code, out, err) == (1, "", f"liesym: error: {message}\n")
+
+    def test_verify_rejects_a_repeated_name(self, capsys, clean_seed_env):
+        code, out, err = run(capsys, "catalog", "verify", "--id", "T2.1",
+                             "--set", "fm2=0.1", "--set", " fm2=0.4")
+        assert (code, out) == (1, "")
+        assert err == "liesym: error: --set names 'fm2' more than once\n"
 
     def test_verify_unknown_id(self, capsys, clean_seed_env):
         code, _, err = run(capsys, "catalog", "verify", "--id", "T9.zz")

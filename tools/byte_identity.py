@@ -12,7 +12,7 @@ the one next to this script), so one copy of the script serves both sides:
 
 The inputs are fixed by seeds; the ``check`` and ``covariance`` inputs come
 from the benchmark's generators in ``bench/workloads.py`` next to this
-script.  684 files:
+script.  696 files:
 
 - ``catalog/``: ``liesym catalog verify --all --json`` at seeds 0 and 1, and
   ``liesym catalog list`` with and without ``--json``;
@@ -41,6 +41,11 @@ script.  684 files:
 - ``commutator/``: ``liesym commutator --json`` on all 64 pairs of basis
   indices and all 25 pairs of five generator files (xi/eta and
   ``coefficients`` shapes);
+- ``resolve/``: ``liesym catalog verify --id ... --set ...`` at one
+  violating value per validator kind (``one-of``, ``away``, ``min``,
+  ``max``, ``pinned``, ``nonzero`` and both Laurent degeneracies), at an
+  unknown name, a derived name and a non-finite value, and at one valid
+  override;
 - ``errors/``: eight ``EvalError`` texts;
 - ``sample.txt`` and ``reducibility/``: ``sample`` on a two-variable box and
   four ``reducibility_hint`` calls on parameter-free profile pairs.
@@ -107,6 +112,25 @@ _SIGNED_ZERO_SPINES = (
     "y - 1", "1 - z", "y - z", "-(-(z))", "x * -(z)", "atan2(z, -(z))",
     "-(1 - z) - y * -(2 - zp)", "y - (2 - -(z - yp))", "(z - 1) * y - -(y - 1)",
     "atan2(y - 1, x - (z - 1)) + -(-(yp - zp))",
+)
+
+#: ``catalog verify`` overrides, each breaking one check of ``resolve``
+#: (the last is admissible): (output name, row, ``--set`` values).
+_ZERO_F = ("fm2=0", "fm1=0", "fp1=0", "fp2=0")
+_G_TWICE_F = ("fm2=0", "fm1=0", "fp2=0", "gm2=0", "gm1=0", "gp2=0", "fp1=1", "gp1=2")
+_RESOLVE_RUNS = (
+    ("one-of", "T1.J1", ("kappa=0.5",)),
+    ("away", "T1.J1", ("gamma=1",)),
+    ("min", "T2.4", ("alpha=-1",)),
+    ("max", "T2.1", ("alpha=2",)),
+    ("pinned", "T3.S5a", ("gamma=0.7",)),
+    ("nonzero", "T1.J1", ("f1=0",)),
+    ("laurent-flat", "T2.1", _ZERO_F),
+    ("laurent-proportional", "T2.7", _G_TWICE_F),
+    ("unknown", "T1.J1", ("beta=1",)),
+    ("derived", "T3.S2", ("gamma=0.1",)),
+    ("non-finite", "T2.1", ("fm2=1e309",)),
+    ("valid", "T2.1", ("fm2=0.1", "alpha=-0.5")),
 )
 
 #: System files whose params enter F and G.
@@ -253,6 +277,9 @@ def write_outputs(out: Path, work: Path) -> int:
     generators = [_write_json(work / f"generator-{k}.json", obj)
                   for k, obj in enumerate(_GENERATOR_FILES)]
     runs = [*_algebra_runs(liealg, generators), *_system_runs(work, generators)]
+    runs += [(f"resolve/{name}.txt",
+              ["catalog", "verify", "--id", eid, *(a for v in values for a in ("--set", v))])
+             for name, eid, values in _RESOLVE_RUNS]
     for rel, argv in runs:
         code, stdout, stderr = _cli(cli, argv)
         emit(rel, f"exit {code}\n{stdout}{stderr}".replace(str(work), "<work>"))
