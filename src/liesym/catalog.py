@@ -52,7 +52,7 @@ from .expr import (
     parse,
     sample,
     sin,
-    substitute,
+    substitute_folded,
     sym,
     zero_report_at,
 )
@@ -90,7 +90,7 @@ def _value(text: str, v: Mapping[str, float]) -> float:
 
 def _bind(text: str, v: Mapping[str, float]) -> Expr:
     """The formula with the values ``v`` bound as constants, folded."""
-    return fold_constants(substitute(_formula(text), v))
+    return substitute_folded(_formula(text), v)
 
 
 _PROFILE_DOM = SamplingDomain(intervals={"u": (0.3, 2.5)}, n=64, seed=7)
@@ -962,6 +962,6 @@ def general_solution_system(a: float, b: float, c: float, f, g) -> OdeSystem:
         raise ValueError(f"degenerate profile pair: {hint.value}")
     y, z = sym("y"), sym("z")
     v = z / y
-    F = const(b / 3.0) + (a / 4.0) * y + y ** (-3.0) * substitute(fe, {"u": v})
-    G = const(c / 3.0) + (a / 4.0) * z + z ** (-3.0) * substitute(ge, {"u": v})
+    F = const(b / 3.0) + (a / 4.0) * y + y ** (-3.0) * substitute_folded(fe, {"u": v})
+    G = const(c / 3.0) + (a / 4.0) * z + z ** (-3.0) * substitute_folded(ge, {"u": v})
     return OdeSystem(fold_constants(F), fold_constants(G))

@@ -158,14 +158,16 @@ def _load(path: str, from_json):
 def _parse_domain(spec: str, samples: int, seed: int) -> SamplingDomain:
     intervals = {}
     for chunk in spec.split(","):
+        bad = ValueError(f"bad domain chunk {chunk!r}; expected name=lo:hi")
         try:
             name, rng = chunk.split("=")
             lo, hi = rng.split(":")
             bounds = (float(lo), float(hi))
         except ValueError as exc:
-            raise ValueError(
-                f"bad domain chunk {chunk!r}; expected name=lo:hi") from exc
+            raise bad from exc
         name = name.strip()
+        if not name:
+            raise bad
         if name in intervals:
             raise ValueError(f"--domain names {name!r} more than once")
         intervals[name] = bounds
@@ -187,13 +189,13 @@ def _parse_assignments(pairs: list[str]) -> dict[str, float]:
     out = {}
     for item in pairs:
         name, eq, value = item.partition("=")
+        name = name.strip()
         if not eq or not name:
             raise ValueError(f"bad --set {item!r}; expected NAME=VALUE")
         try:
             number = float(value)
         except ValueError as exc:
             raise ValueError(f"--set {item!r}: {exc}") from exc
-        name = name.strip()
         if name in out:
             raise ValueError(f"--set names {name!r} more than once")
         out[name] = number

@@ -19,10 +19,10 @@ Design notes:
   a new node is filled by plain attribute stores on the field-only base
   class ``_Node`` and then made an ``Expr``, whose guards refuse any later
   assignment.
-- Each node caches its :func:`fold_constants` result, its derivative by
-  each variable it contains and its :func:`free_symbols`, so repeated and
-  shared work is done once per distinct node, and a cached result dies with
-  its node.  A result equal to the node is stored as a sentinel, not as a
+- Each node caches its :func:`fold_constants` result, its derivatives (raw
+  and folded) by each variable it contains and its :func:`free_symbols`,
+  so repeated and shared work is done once per distinct node, and a cached
+  result dies with its node.  A result equal to the node is stored as a sentinel, not as a
   self-reference; a fold result is cached as its own fold, since folding is
   idempotent.  A derivative that contains its node (``exp(u)``,
   ``sqrt(u)``, ``u ^ v``) or another node whose derivative contains this
@@ -34,8 +34,10 @@ Design notes:
   directly with the folded constructors (:func:`_fsum`, :func:`_fmul`,
   :func:`_fneg`, :func:`_fsub`), and the unfolded tree is never born.  The
   residuals of :func:`liesym.symmetry.residual_expressions` are built this
-  way.  :func:`differentiate` and :func:`substitute` return unfolded
-  trees.
+  way.  :func:`derivative` and :func:`substitute_folded` build the folds of
+  what :func:`differentiate` and :func:`substitute` return (unfolded
+  trees) in the same walk: one derivative rule table runs over two
+  constructor sets, the raw one and a folded one.
 - Every walk over a tree uses an explicit stack, so depth costs no Python
   frames.  :func:`_postorder` asks its readiness test once per edge: a node
   that is not ready goes back on the stack under a marker, above it go its
@@ -73,7 +75,7 @@ import operator
 import re
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,9 +83,9 @@ __all__ = [
     "Expr", "ParseError", "EvalError", "SamplingDomain",
     "ZeroReport", "RESERVED_NAMES", "FUNCTIONS",
     "const", "sym", "call", "sin", "cos", "exp", "ln", "sqrt", "atan", "atan2",
-    "parse", "to_string", "evaluate", "differentiate", "fold_constants",
-    "substitute", "free_symbols", "top_level_terms", "compile_evaluator",
-    "sample", "zero_report_at",
+    "parse", "to_string", "evaluate", "differentiate", "derivative",
+    "fold_constants", "substitute", "substitute_folded", "free_symbols",
+    "top_level_terms", "compile_evaluator", "sample", "zero_report_at",
 ]
 
 # Node kinds.
@@ -604,6 +606,8 @@ def evaluate(e: Expr, binding: Mapping[str, float]) -> float:
 
 _ZERO = const(0.0)
 _ONE = const(1.0)
+_TWO = const(2.0)
+_MINUS_ONE = const(-1.0)
 
 
 def _is_const(e: Expr, v: float) -> bool:
@@ -626,10 +630,6 @@ def _add(a: Expr, b: Expr) -> Expr:
     return Expr(SUM, None, (a, b))
 
 
-def _sub(a: Expr, b: Expr) -> Expr:
-    return _add(a, _neg(b))
-
-
 def _mul(a: Expr, b: Expr) -> Expr:
     if _is_const(a, 0.0) or _is_const(b, 0.0):
         return _ZERO
@@ -648,75 +648,89 @@ def _div(a: Expr, b: Expr) -> Expr:
     return Expr(QUOTIENT, None, (a, b))
 
 
-def _minus_one(v: Expr) -> Expr:
-    if v.kind == CONSTANT:
-        return const(v.value - 1.0)
-    return Expr(SUM, None, (v, const(-1.0)))
+class _Rules(NamedTuple):
+    """A constructor set for the rule table :func:`_derivative`.  ``add``,
+    ``mul``, ``div`` and ``neg`` drop identities as :func:`_add` and friends
+    do; ``node`` builds a node as written, ``lift`` turns a node that exists
+    (of the input, or a constant) into a value, and ``zero`` tells whether a
+    value is the literal constant zero."""
+
+    add: Callable
+    mul: Callable
+    div: Callable
+    neg: Callable
+    node: Callable
+    lift: Callable
+    zero: Callable
 
 
-def _derivative(e: Expr, d: list[Expr]) -> Expr:
-    """The derivative of the non-leaf ``e`` from its children's derivatives ``d``."""
+def _same(e: Expr) -> Expr:
+    return e
+
+
+#: The raw set: values are the derivative trees themselves.
+_RAW = _Rules(_add, _mul, _div, _neg, Expr, _same, lambda r: _is_const(r, 0.0))
+
+
+def _derivative(e: Expr, d: list, rules: _Rules):
+    """The derivative of the non-leaf ``e`` from its children's derivatives
+    ``d``, built by ``rules``."""
+    add, mul, div, neg, node, lift, zero = rules
     k = e.kind
     if k == SUM:
-        return _add(d[0], d[1])
+        return add(d[0], d[1])
     if k == NEG:
-        return _neg(d[0])
+        return neg(d[0])
     if k == PRODUCT:
         a, b = e.args
-        return _add(_mul(d[0], b), _mul(a, d[1]))
+        return add(mul(d[0], lift(b)), mul(lift(a), d[1]))
     if k == QUOTIENT:
-        a, b = e.args
-        return _div(_sub(_mul(d[0], b), _mul(a, d[1])), Expr(POWER, None, (b, const(2.0))))
+        a, b = map(lift, e.args)
+        return div(add(mul(d[0], b), neg(mul(a, d[1]))), node(POWER, None, (b, lift(_TWO))))
     if k == POWER:
         u, v = e.args
         du, dv = d
-        if _is_const(dv, 0.0):
-            return _mul(_mul(v, Expr(POWER, None, (u, _minus_one(v)))), du)
-        if _is_const(du, 0.0):
-            return _mul(_mul(e, ln(u)), dv)
-        return _mul(e, _add(_mul(dv, ln(u)), _div(_mul(v, du), u)))
+        if zero(dv):
+            w = (lift(const(v.value - 1.0)) if v.kind == CONSTANT
+                 else node(SUM, None, (lift(v), lift(_MINUS_ONE))))
+            return mul(mul(lift(v), node(POWER, None, (lift(u), w))), du)
+        ln_u = node(CALL, "ln", (lift(u),))
+        if zero(du):
+            return mul(mul(lift(e), ln_u), dv)
+        return mul(lift(e), add(mul(dv, ln_u), div(mul(lift(v), du), lift(u))))
     if k == CALL:
         fn = e.value
         if fn == "atan2":
-            a, b = e.args
-            num = _sub(_mul(d[0], b), _mul(a, d[1]))
-            den = _add(Expr(POWER, None, (a, const(2.0))), Expr(POWER, None, (b, const(2.0))))
-            return _div(num, den)
-        u, du = e.args[0], d[0]
-        if _is_const(du, 0.0):
-            return _ZERO
+            a, b = map(lift, e.args)
+            num = add(mul(d[0], b), neg(mul(a, d[1])))
+            two = lift(_TWO)
+            return div(num, add(node(POWER, None, (a, two)), node(POWER, None, (b, two))))
+        du = d[0]
+        if zero(du):
+            return lift(_ZERO)
+        u = lift(e.args[0])
         if fn == "sin":
-            return _mul(cos(u), du)
+            return mul(node(CALL, "cos", (u,)), du)
         if fn == "cos":
-            return _neg(_mul(sin(u), du))
+            return neg(mul(node(CALL, "sin", (u,)), du))
         if fn == "exp":
-            return _mul(e, du)
+            return mul(lift(e), du)
         if fn == "ln":
-            return _div(du, u)
+            return div(du, u)
         if fn == "sqrt":
-            return _div(du, _mul(const(2.0), e))
+            return div(du, mul(lift(_TWO), lift(e)))
         if fn == "atan":
-            return _div(du, _add(_ONE, Expr(POWER, None, (u, const(2.0)))))
+            return div(du, add(lift(_ONE), node(POWER, None, (u, lift(_TWO)))))
     raise ValueError(f"unknown node kind {k!r}")  # pragma: no cover
 
 
-def differentiate(e: Expr, var: str) -> Expr:
-    """Partial derivative with respect to ``var``.
-
-    The result is built through identity-dropping constructors (``0*e``,
-    ``e+0`` and friends never appear) but is not otherwise simplified; apply
-    :func:`fold_constants` when a tidy tree matters.  Each node that
-    contains ``var`` keeps its derivative by ``var``.
-
-    A subtree without ``var`` (known from the cached :func:`free_symbols`)
-    is not walked.  These constructors make its derivative a zero whose
-    sign follows its right spine of sums and negations: a sum whose left
-    derivative is zero keeps the right one, a negation flips the sign, and
-    every other kind gives +0.  So d(y - 1)/dz is -0, which atan2 tells
-    apart from 0.
-    """
+def _differentiate(e: Expr, var: str, rules: _Rules, key):
+    """The value under ``rules`` of the derivative of ``e`` by ``var``,
+    kept on each node that contains ``var`` under ``key``."""
     free_symbols(e)  # fills every node's _free, read by ready() below
-    done: dict[Expr, Expr] = {}
+    lift, neg = rules.lift, rules.neg
+    zero_value, one_value = lift(_ZERO), lift(_ONE)
+    done: dict[Expr, object] = {}
 
     def ready(n: Expr) -> bool:
         if n in done:
@@ -728,36 +742,55 @@ def differentiate(e: Expr, var: str) -> Expr:
             while n not in done and (n.kind == SUM or n.kind == NEG):
                 spine.append(n)
                 n = n.args[-1]
-            d = done.setdefault(n, _ZERO)
+            d = done.setdefault(n, zero_value)
             for m in reversed(spine):
                 if m.kind == NEG:
-                    d = _neg(d)
+                    d = neg(d)
                 done[m] = d
             return True
         if n.kind == SYMBOL:
-            done[n] = _ONE
+            done[n] = one_value
             return True
-        r = None if n._diff is None else n._diff.get(var)
+        r = None if n._diff is None else n._diff.get(key)
         if r is not None:
-            done[n] = n if r is _SELF else r
+            done[n] = lift(n) if r is _SELF else r
             return True
         return False
 
     for n in _postorder(e, ready):
-        r = done[n] = _derivative(n, [done[a] for a in n.args])
+        r = done[n] = _derivative(n, [done[a] for a in n.args], rules)
         if n._diff is None:
             _set(n, "_diff", {})
-        n._diff[var] = _SELF if r is n else r
+        n._diff[key] = _SELF if r == lift(n) else r
     return done[e]
+
+
+def differentiate(e: Expr, var: str) -> Expr:
+    """Partial derivative with respect to ``var``.
+
+    The result is built through identity-dropping constructors (``0*e``,
+    ``e+0`` and friends never appear) but is not otherwise simplified;
+    :func:`derivative` returns its :func:`fold_constants` in one walk.  Each
+    node that contains ``var`` keeps its derivative by ``var``.
+
+    A subtree without ``var`` (known from the cached :func:`free_symbols`)
+    is not walked.  These constructors make its derivative a zero whose
+    sign follows its right spine of sums and negations: a sum whose left
+    derivative is zero keeps the right one, a negation flips the sign, and
+    every other kind gives +0.  So d(y - 1)/dz is -0, which atan2 tells
+    apart from 0.
+    """
+    return _differentiate(e, var, _RAW, var)
 
 
 # --------------------------------------------------------------------------
 # Folding, substitution, inspection
 # --------------------------------------------------------------------------
 
-def _folded(e: Expr) -> Expr:
+def _fold_of(e: Expr) -> Expr:
+    """``fold_constants(e)``, read from the cache when it is there."""
     r = e._fold
-    return e if r is _SELF else r
+    return e if r is _SELF else fold_constants(e) if r is None else r
 
 
 def _fold_op(k: str, value, args: tuple[Expr, ...]) -> Expr:
@@ -768,7 +801,7 @@ def _fold_op(k: str, value, args: tuple[Expr, ...]) -> Expr:
     ``b``, ``_fold_op(SUM, None, (a, b)) is fold_constants(a + b)``.  The
     result is marked as its own fold.
     """
-    if all(a.kind == CONSTANT for a in args):
+    if args[0].kind == CONSTANT and (len(args) == 1 or args[1].kind == CONSTANT):
         try:
             v = _apply(k, value, [a.value for a in args])
         except EvalError:
@@ -825,20 +858,101 @@ def fold_constants(e: Expr) -> Expr:
     itself.
     """
     for n in _postorder(e, lambda n: n._fold is not None):
-        r = _fold_op(n.kind, n.value, tuple([_folded(a) for a in n.args]))
+        r = _fold_op(n.kind, n.value, tuple([_fold_of(a) for a in n.args]))
         if r is not n:
             _set(n, "_fold", r)
-    return _folded(e)
+    return _fold_of(e)
 
 
-def substitute(e: Expr, mapping: Mapping[str, "Expr | float"]) -> Expr:
-    """Replace symbols by expressions (numbers are coerced to constants).
+# The folded set of the rule table: a value stands for a raw derivative r (the
+# tree :func:`differentiate` builds) by the pair (fold_constants(r), shadow).
+# The shadow is r itself where r is a node that exists (a node of the input,
+# or a constant) and None where r would be built here.  That is all the raw
+# constructors' identity drops test: a built r is never a literal constant,
+# and a built negation has a child that is neither a literal nor a negation,
+# so negating it again gives the child's fold (``_fneg`` twice is the
+# identity on folded nodes) with nothing more to know about it.  With these
+# facts each constructor takes the branch its raw twin takes, and a built
+# node's fold is the fold of its kind over its children's folds.
 
-    A subtree with none of the mapped symbols comes back as it is, found
-    from the cached :func:`free_symbols` without walking it.
+def _lift(o: Expr) -> tuple:
+    return _fold_of(o), o
+
+
+def _raw_is(v: tuple, c: float) -> bool:
+    s = v[1]
+    return s is not None and s.kind == CONSTANT and s.value == c
+
+
+_ZERO_VALUE = (_ZERO, _ZERO)
+
+
+def _vneg(v: tuple) -> tuple:
+    s = v[1]
+    if s is not None:
+        if s.kind == CONSTANT:
+            c = const(-s.value)
+            return c, c
+        if s.kind == NEG:
+            return _lift(s.args[0])
+    return _fneg(v[0]), None
+
+
+def _vadd(a: tuple, b: tuple) -> tuple:
+    if _raw_is(a, 0.0):
+        return b
+    if _raw_is(b, 0.0):
+        return a
+    return _fsum(a[0], b[0]), None
+
+
+def _vmul(a: tuple, b: tuple) -> tuple:
+    if _raw_is(a, 0.0) or _raw_is(b, 0.0):
+        return _ZERO_VALUE
+    if _raw_is(a, 1.0):
+        return b
+    if _raw_is(b, 1.0):
+        return a
+    return _fmul(a[0], b[0]), None
+
+
+def _vdiv(a: tuple, b: tuple) -> tuple:
+    if _raw_is(a, 0.0):
+        return _ZERO_VALUE
+    if _raw_is(b, 1.0):
+        return a
+    return _fold_op(QUOTIENT, None, (a[0], b[0])), None
+
+
+def _vnode(k: str, value, args: tuple) -> tuple:
+    return _fold_op(k, value, tuple([a[0] for a in args])), None
+
+
+_FOLDED = _Rules(_vadd, _vmul, _vdiv, _vneg, _vnode, _lift, lambda v: _raw_is(v, 0.0))
+
+
+def derivative(e: Expr, var: str) -> Expr:
+    """The :func:`fold_constants` of ``differentiate(e, var)``, built in one
+    walk.
+
+    The rule table of :func:`differentiate` runs over constructors that
+    build folded nodes, and alongside each folded node goes what the
+    identity drops of the raw form test (is the raw derivative a literal
+    constant, is it a negation), so signed zeros come out as in the two-pass
+    form.  The unfolded derivative is never built.  Each node that contains
+    ``var`` keeps this result, under a key of its own beside the raw
+    derivative's.
     """
+    return _differentiate(e, var, _FOLDED, (var,))[0]
+
+
+def _substitute(e: Expr, mapping: Mapping[str, "Expr | float"],
+                leaf: Callable[[Expr], Expr], build: Callable) -> Expr:
+    """The one walk of :func:`substitute` and :func:`substitute_folded`:
+    ``leaf`` maps a subtree without mapped symbols and each mapped value,
+    ``build`` makes a node from its kind, value and mapped children."""
     if not mapping:
-        return e
+        return leaf(e)
     names = mapping.keys()
     free_symbols(e)  # fills every node's _free, read by ready() below
     done: dict[Expr, Expr] = {}
@@ -847,16 +961,37 @@ def substitute(e: Expr, mapping: Mapping[str, "Expr | float"]) -> Expr:
         if n in done:
             return True
         if names.isdisjoint(n._free):
-            done[n] = n
+            done[n] = leaf(n)
             return True
         if n.kind == SYMBOL:
-            done[n] = _as_expr(mapping[n.value])
+            done[n] = leaf(_as_expr(mapping[n.value]))
             return True
         return False
 
     for n in _postorder(e, ready):
-        done[n] = Expr(n.kind, n.value, tuple([done[a] for a in n.args]))
+        done[n] = build(n.kind, n.value, tuple([done[a] for a in n.args]))
     return done[e]
+
+
+def substitute(e: Expr, mapping: Mapping[str, "Expr | float"]) -> Expr:
+    """Replace symbols by expressions (numbers are coerced to constants).
+
+    A subtree with none of the mapped symbols comes back as it is, found
+    from the cached :func:`free_symbols` without walking it.  The result is
+    not folded; :func:`substitute_folded` returns its fold in one walk.
+    """
+    return _substitute(e, mapping, _same, Expr)
+
+
+def substitute_folded(e: Expr, mapping: Mapping[str, "Expr | float"]) -> Expr:
+    """The :func:`fold_constants` of ``substitute(e, mapping)``, built in one
+    walk.
+
+    Substitution drops no identities, so its fold is :func:`_fold_op` applied
+    bottom-up over the folds of the untouched subtrees and of the mapped
+    values; the unfolded tree is never built.
+    """
+    return _substitute(e, mapping, _fold_of, _fold_op)
 
 
 def free_symbols(e: Expr) -> frozenset[str]:

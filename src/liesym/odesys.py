@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import (
-    Expr, _as_expr, differentiate, fold_constants, free_symbols,
-    sample, sqrt, substitute, sym, SamplingDomain, zero_report_at,
+    Expr, _as_expr, derivative, differentiate, fold_constants, free_symbols,
+    sample, sqrt, substitute_folded, sym, SamplingDomain, zero_report_at,
 )
 
 __all__ = ["Mat2", "OdeSystem", "ReducibilityHint", "linear_change",
@@ -161,8 +161,8 @@ def linear_change(sys: OdeSystem, P: Mat2) -> OdeSystem:
     Q = P.inv()
     y_, z_ = sym("y"), sym("z")
     ysub, zsub = (fold_constants(e) for e in Q.apply_vec(y_, z_))
-    Fi = substitute(sys.F, {"y": ysub, "z": zsub})
-    Gi = substitute(sys.G, {"y": ysub, "z": zsub})
+    Fi = substitute_folded(sys.F, {"y": ysub, "z": zsub})
+    Gi = substitute_folded(sys.G, {"y": ysub, "z": zsub})
     Fn, Gn = P.apply_vec(Fi, Gi)
     return OdeSystem(fold_constants(Fn), fold_constants(Gn))
 
@@ -184,8 +184,8 @@ def shift_change(sys: OdeSystem, phi: Expr, psi: Expr) -> OdeSystem:
     y_, z_ = sym("y"), sym("z")
     ysub = fold_constants(y_ - phi)
     zsub = fold_constants(z_ - psi)
-    Fi = substitute(sys.F, {"y": ysub, "z": zsub})
-    Gi = substitute(sys.G, {"y": ysub, "z": zsub})
+    Fi = substitute_folded(sys.F, {"y": ysub, "z": zsub})
+    Gi = substitute_folded(sys.G, {"y": ysub, "z": zsub})
     phi2 = differentiate(differentiate(phi, "x"), "x")
     psi2 = differentiate(differentiate(psi, "x"), "x")
     return OdeSystem(fold_constants(Fi + phi2), fold_constants(Gi + psi2))
@@ -207,13 +207,13 @@ def reparam_change(sys: OdeSystem, phi: Expr, phi_inv: Expr | None = None) -> Od
     _check_x_only(phi, "phi")
     x_, y_, z_ = sym("x"), sym("y"), sym("z")
 
-    d1 = fold_constants(differentiate(phi, "x"))
+    d1 = derivative(phi, "x")
     if phi_inv is None:
         if "x" in free_symbols(d1):
             raise ValueError("phi is not affine; pass phi_inv explicitly")
         if d1.kind == "constant" and d1.value == 0.0:
             raise ValueError("phi is constant; not a reparametrization")
-        a = fold_constants(substitute(phi, {"x": 0.0}))
+        a = substitute_folded(phi, {"x": 0.0})
         phi_inv = fold_constants((x_ - a) / d1)
     else:
         _check_x_only(phi_inv, "phi_inv")
@@ -223,15 +223,14 @@ def reparam_change(sys: OdeSystem, phi: Expr, phi_inv: Expr | None = None) -> Od
     psi2 = differentiate(psi1, "x")
 
     def transform(rhs: Expr, w: Expr) -> Expr:
-        core = substitute(rhs, {"y": y_ / psi, "z": z_ / psi})
+        core = substitute_folded(rhs, {"y": y_ / psi, "z": z_ / psi})
         return (psi * core + (psi2 - 2.0 * psi1 * psi1 / psi) * (w / psi)) / (d1 * d1)
 
     Ftil = transform(sys.F, y_)
     Gtil = transform(sys.G, z_)
 
-    Fn = fold_constants(substitute(fold_constants(Ftil), {"x": phi_inv}))
-    Gn = fold_constants(substitute(fold_constants(Gtil), {"x": phi_inv}))
-    return OdeSystem(Fn, Gn)
+    return OdeSystem(substitute_folded(fold_constants(Ftil), {"x": phi_inv}),
+                     substitute_folded(fold_constants(Gtil), {"x": phi_inv}))
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +259,8 @@ def reducibility_hint(f: Expr, g: Expr, dom: SamplingDomain) -> ReducibilityHint
     if len(names) != 1:
         raise ValueError("reducibility_hint needs a one-variable sampling domain")
     u = names[0]
-    fp = fold_constants(differentiate(f, u))
-    gp = fold_constants(differentiate(g, u))
+    fp = derivative(f, u)
+    gp = derivative(g, u)
     pts = sample(dom)
     if zero_report_at(fp, pts, _HINT_TOL).ok or zero_report_at(gp, pts, _HINT_TOL).ok:
         return ReducibilityHint.ReducibleFPrimeGPrimeZero

@@ -28,9 +28,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (CONSTANT, RESERVED_NAMES, EvalError, Expr, SamplingDomain,
-                   _ZERO, _fmul, _fsub, _fsum, compile_evaluator, const, differentiate,
+                   _ZERO, _fmul, _fsub, _fsum, compile_evaluator, const, derivative,
                    evaluate, fold_constants, free_symbols, parse, sample,
                    substitute, sym, to_string, zero_report_at)
+# The raw derivative is no longer called here, but the benchmark's layer
+# tracer (bench/layertrace.py) still wraps it under this module's name.
+from .expr import differentiate  # noqa: F401
 from .odesys import Mat2, OdeSystem
 
 __all__ = [
@@ -239,7 +242,7 @@ def determining_generator(xi, A: Mat2 | None = None,
     cos(2x) d/dx - sin(2x) (y d/dy + z d/dz)).
     """
     xi, A, (z1, z2) = _determining_data(xi, Mat2.zero() if A is None else A, zeta)
-    xp = differentiate(xi, "x")
+    xp = derivative(xi, "x")
     y, z = sym("y"), sym("z")
     eta1 = (A.a11 + xp) * y + A.a12 * z + z1
     eta2 = A.a21 * y + (A.a22 + xp) * z + z2
@@ -268,10 +271,10 @@ def _total_derivative(e: Expr, F: Expr, G: Expr) -> Expr:
         terms.append(("yp", F))
     if "zp" in free:
         terms.append(("zp", G))
-    out = fold_constants(differentiate(e, "x"))
+    out = derivative(e, "x")
     for var, c in terms:
         if var in free:
-            out = _fsum(out, _fmul(c, fold_constants(differentiate(e, var))))
+            out = _fsum(out, _fmul(c, derivative(e, var)))
         elif out.kind == CONSTANT:
             out = _fsum(out, _ZERO)
     return out
@@ -287,9 +290,9 @@ def residual_expressions(sys: OdeSystem, g) -> tuple[Expr, Expr]:
 
     Each r_i is ``fold_constants`` of the tree the formula writes with
     operators, but that tree is never built: folding is a bottom-up map, so
-    every derivative is folded on its own (a cached call per node) and the
-    folded pieces are combined by the folded constructors of
-    :mod:`liesym.expr`.
+    every derivative is built folded by :func:`~liesym.expr.derivative` (a
+    cached call per node) and the folded pieces are combined by the folded
+    constructors of :mod:`liesym.expr`.
     """
     F, G = sys.resolved()
     gen = _as_generator(g)
@@ -303,9 +306,9 @@ def residual_expressions(sys: OdeSystem, g) -> tuple[Expr, Expr]:
     for eta, vel, rhs in ((gen.eta1, "yp", F), (gen.eta2, "zp", G)):
         e1 = _fsub(D(eta), _fmul(sym(vel), dxi))
         e2 = _fsub(D(e1), _fmul(rhs, dxi))
-        act = _fmul(xi, fold_constants(differentiate(rhs, "x")))
+        act = _fmul(xi, derivative(rhs, "x"))
         for c, var in ((eta1, "y"), (eta2, "z")):
-            act = _fsum(act, _fmul(c, fold_constants(differentiate(rhs, var))))
+            act = _fsum(act, _fmul(c, derivative(rhs, var)))
         out.append(_fsub(e2, act))
     return out[0], out[1]
 
@@ -340,7 +343,7 @@ def determining_matrix(sys: OdeSystem, cols: Mapping[str, np.ndarray]) -> np.nda
     """
     F, G = sys.resolved()
     x, y, z = (np.asarray(cols[nm], dtype=float) for nm in "xyz")
-    partials = [fold_constants(differentiate(rhs, v)) for rhs in (F, G) for v in "xyz"]
+    partials = [derivative(rhs, v) for rhs in (F, G) for v in "xyz"]
     run = compile_evaluator(F, tuple("xyz"), (G, *partials))
     f, (g, fx, fy, fz, gx, gy, gz) = run(x, y, z)
     one, zero = np.ones_like(f), np.zeros_like(f)
@@ -373,7 +376,7 @@ def determining_residual(sys: OdeSystem, xi, A: Mat2, zeta, point) -> tuple[floa
 
     def at(e: Expr, order: int) -> float:  # the order-th x-derivative at b
         for _ in range(order):
-            e = fold_constants(differentiate(e, "x"))
+            e = derivative(e, "x")
         return evaluate(e, b)
 
     u = np.array([at(xi, 0), at(xi, 1), at(xi, 3), A.a11, A.a12, A.a21, A.a22,
@@ -487,8 +490,8 @@ def transform_generator(g: LinearGenerator, P: Mat2) -> LinearGenerator:
 
 
 def _apply_field(gen: Generator, f: Expr) -> Expr:
-    return (gen.xi * differentiate(f, "x") + gen.eta1 * differentiate(f, "y")
-            + gen.eta2 * differentiate(f, "z"))
+    return (gen.xi * derivative(f, "x") + gen.eta1 * derivative(f, "y")
+            + gen.eta2 * derivative(f, "z"))
 
 
 def commutator_vf(g1, g2) -> Generator:

@@ -347,6 +347,11 @@ class TestCheck:
                              "x=0.2:3,x=0.5:1,y=0.2:3,z=0.2:3,yp=-1:1,zp=-1:1")
         assert (code, out) == (1, "")
         assert err == "liesym: error: --domain names 'x' more than once\n"
+        # a blank name is no name, not an extra column named ''
+        blank = " =0.2:3,x=0.2:3,y=0.2:3,z=0.2:3,yp=-1:1,zp=-1:1"
+        code, out, err = run(capsys, "check", s, g, "--domain", blank)
+        assert (code, out) == (1, "")
+        assert err == "liesym: error: bad domain chunk ' =0.2:3'; expected name=lo:hi\n"
 
     def test_json_reports_are_reproducible(self, capsys, sysfile, clean_seed_env):
         s = sysfile({"F": "exp(y)", "G": "exp(z)"})
@@ -606,6 +611,10 @@ class TestCatalogCli:
                              "--set", "fm2=0.1", "--set", " fm2=0.4")
         assert (code, out) == (1, "")
         assert err == "liesym: error: --set names 'fm2' more than once\n"
+        # a blank name is no name, not an unknown parameter ''
+        code, out, err = run(capsys, "catalog", "verify", "--id", "T2.4", "--set", " =1")
+        assert (code, out) == (1, "")
+        assert err == "liesym: error: bad --set ' =1'; expected NAME=VALUE\n"
 
     def test_verify_unknown_id(self, capsys, clean_seed_env):
         code, _, err = run(capsys, "catalog", "verify", "--id", "T9.zz")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +18,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 import liesym.expr as ex
 import oracles
+from liesym import catalog
 from liesym.expr import (
     EvalError, ParseError, SamplingDomain,
-    compile_evaluator, differentiate, evaluate, fold_constants, free_symbols,
-    parse, sample, substitute, to_string, top_level_terms,
-    zero_report_at,
+    compile_evaluator, derivative, differentiate, evaluate, fold_constants,
+    free_symbols, parse, sample, substitute, substitute_folded, to_string,
+    top_level_terms, zero_report_at,
 )
 
 # ---------------------------------------------------------------------------
@@ -824,6 +826,108 @@ def test_cached_walkers_match_recursive_reference(t, var, b):
             assert _run(lambda: to_string(got)) == _run(lambda: to_string(want))
             assert _same_value(_run(lambda: evaluate(got, b)),
                                _run(lambda: evaluate(want, b)))
+
+
+# ---------------------------------------------------------------------------
+# One-pass folded derivatives and substitutions
+# ---------------------------------------------------------------------------
+
+#: trees that meet signed zeros more often than ``_consts`` draws them
+_signed_zeros = st.sampled_from([0.0, -0.0]).map(ex.const)
+zero_trees = st.recursive(st.one_of(_consts, _signed_zeros, _syms), _extend, max_leaves=10)
+
+mappings = st.dictionaries(
+    st.sampled_from(["x", "y", "z", "p"]),
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), _consts, zero_trees),
+    max_size=3)
+
+
+def _assert_one_pass(e, var=None, mapping=None):
+    # twice each: once filling the caches, once reading them
+    for _ in range(2):
+        if var is not None:
+            assert derivative(e, var) is fold_constants(differentiate(e, var)), (e, var)
+        if mapping is not None:
+            assert substitute_folded(e, mapping) is fold_constants(substitute(e, mapping)), \
+                (e, mapping)
+
+
+@given(zero_trees, st.sampled_from(["x", "y", "z"]))
+@settings(max_examples=300)
+def test_derivative_is_the_fold_of_the_raw_derivative(t, var):
+    for e in (t, fold_constants(t)):
+        _assert_one_pass(e, var=var)
+
+
+@given(zero_trees, mappings)
+@settings(max_examples=300)
+def test_substitute_folded_is_the_fold_of_the_substitution(t, mapping):
+    for e in (t, fold_constants(t)):
+        _assert_one_pass(e, mapping=mapping)
+
+
+@pytest.mark.parametrize("text", [
+    # a raw derivative that is a negation of the input, of a literal, of a
+    # sum that folds to a constant, or of a negation written twice
+    "-(-(y))", "-(y * -(-(z)))", "-(y * -(1 - 1))", "y * -(0 - z)",
+    "-(y * -(-0))", "0 - y * -(-(0 - 1))", "atan2(0 - y, -(0))",
+    "atan2(-(z * y), 0 - 0)", "-(sqrt(y) * -(z))", "y ^ -(0 - 1)",
+    "(0 * y) ^ z", "-(y / -(1))", "exp(-(-(y))) - -(z)", "-(ln(-(-(y))))",
+])
+def test_one_pass_forms_on_unfolded_negations(text):
+    e = parse(text)
+    for var in ("x", "y", "z"):
+        _assert_one_pass(e, var=var)
+        _assert_one_pass(fold_constants(e), var=var)
+    for mapping in ({"y": 0.0}, {"y": -0.0}, {"z": -0.0, "y": parse("0 - z")}):
+        _assert_one_pass(e, mapping=mapping)
+
+
+def _zero_signs_through_negations():
+    # The operators keep a negated literal as a negation node, which the
+    # parser never does.  In each tree the raw derivative of the left part
+    # by y is a literal zero only because a negation of the input is
+    # dropped; its fold alone would let the zero's sign through.
+    y, z, c = ex.sym("y"), ex.sym("z"), ex.const
+    for lit in (c(0.0), c(-0.0), -c(0.0), -(-c(0.0))):
+        left = -(y * -lit)
+        yield left + (z - 1)
+        yield left * c(-3.0)
+        yield (z - 1) + left
+        yield ex.atan2(left, -left)
+
+
+@pytest.mark.parametrize("e", list(_zero_signs_through_negations()), ids=str)
+def test_one_pass_forms_on_zero_signs_through_negations(e):
+    for var in ("y", "z"):
+        _assert_one_pass(e, var=var)
+        _assert_one_pass(-e, var=var)
+
+
+@pytest.mark.parametrize("entry_id", catalog.entry_ids())
+def test_one_pass_forms_on_catalog_rows(entry_id):
+    entry = catalog.get_entry(entry_id)
+    y, z = ex.sym("y"), ex.sym("z")
+    # the (y, z) of a linear change, and signed zeros
+    changes = ({"y": fold_constants(0.9 * y - 0.2 * z), "z": fold_constants(0.3 * y + 1.1 * z)},
+               {"y": 0.0, "z": -0.0})
+    for params in (None, *(catalog.draw_params(entry_id, s) for s in range(4))):
+        system = entry.build(params)
+        for rhs in (system.F, system.G):
+            for var in ("x", "y", "z", "yp", "zp"):
+                _assert_one_pass(rhs, var=var)
+            for mapping in changes:
+                _assert_one_pass(rhs, mapping=mapping)
+
+
+def test_the_package_writes_no_two_pass_fold():
+    # derivative and substitute_folded build these folds in one walk
+    package = Path(ex.__file__).resolve().parent
+    for path in sorted(package.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for idiom in ("fold_constants(differentiate(", "fold_constants(substitute("):
+            assert idiom not in text, \
+                f"{path.name} writes {idiom!r}; use derivative or substitute_folded"
 
 
 # ---------------------------------------------------------------------------

@@ -461,13 +461,13 @@ class TestResidualDerivation:
         # call comes from a total derivative, which differentiates by y or z
         # only an expression that contains it.
         calls = []
-        real = symmetry.differentiate
+        real = symmetry.derivative
 
         def counted(e, var):
             calls.append((e, var))
             return real(e, var)
 
-        monkeypatch.setattr(symmetry, "differentiate", counted)
+        monkeypatch.setattr(symmetry, "derivative", counted)
         skipped = 0
         for label, system, g in cases():
             calls.clear()
