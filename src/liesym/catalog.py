@@ -43,6 +43,7 @@ import numpy as np
 from .expr import (
     Expr,
     SamplingDomain,
+    ValueTable,
     const,
     cos,
     evaluate,
@@ -894,18 +895,23 @@ def verify_entry(entry_id: str, params: Mapping[str, float] | None = None,
     The report lists one verdict per generator (the x-translation kernel
     first); ``passed`` requires every verdict to hold.  A quarantined entry
     still produces its (failing) report — the flag rides along so callers
-    can separate "broken input" from "broken entry".
+    can separate "broken input" from "broken entry".  Every residual is
+    zero-tested on one set of points, so all of them share one
+    :class:`~liesym.expr.ValueTable`: F, G and the partials that several
+    generators' residuals contain are evaluated once per call.  The report
+    is the one unshared tests give.
     """
     e = get_entry(entry_id)
     p = e.resolve(params)
     v = e._values(p)
     system = e._system(v)
     pts = e.sample_points(p, n=n, seed=seed)
+    table = ValueTable()
     checks = []
     for label, gen in [("kernel", basis_generator(1))] + e._labeled(v):
         r1, r2 = residual_expressions(system, gen)
-        rep1 = zero_report_at(r1, pts, tol)
-        rep2 = zero_report_at(r2, pts, tol)
+        rep1 = zero_report_at(r1, pts, tol, shared=table)
+        rep2 = zero_report_at(r2, pts, tol, shared=table)
         worse, comp = (rep1, 1) if rep1.max_ratio >= rep2.max_ratio else (rep2, 2)
         checks.append(GeneratorCheck(
             label=label, ok=bool(rep1.ok and rep2.ok), component=comp,

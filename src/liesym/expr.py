@@ -58,7 +58,13 @@ Design notes:
   overflow) raise :class:`EvalError` — never a silent NaN or infinity.
 - :func:`compile_evaluator` lays expressions out as one tape with a slot per
   distinct node and one numpy call per slot; a zero test reads the value and
-  its cancellation-scale terms from that single pass.
+  its cancellation-scale terms from that single pass.  Zero tests on one set
+  of points may share a :class:`ValueTable` (``shared=``): the tape reads a
+  node the table holds from it and walks nothing below it, and a run that
+  finishes adds every non-leaf value it computed.  The table remembers the
+  columns it was filled at and refuses others.  Each value is the numpy call
+  it would be without the table, on the same operands, so results are
+  bit-identical.
 - The tape runs with numpy's floating-point flags trapping (overflow, divide
   by zero and invalid raise; underflow does not) instead of checking every
   slot for finiteness.  From finite operands, the first step that yields a
@@ -81,7 +87,7 @@ import numpy as np
 
 __all__ = [
     "Expr", "ParseError", "EvalError", "SamplingDomain",
-    "ZeroReport", "RESERVED_NAMES", "FUNCTIONS",
+    "ZeroReport", "ValueTable", "RESERVED_NAMES", "FUNCTIONS",
     "const", "sym", "call", "sin", "cos", "exp", "ln", "sqrt", "atan", "atan2",
     "parse", "to_string", "evaluate", "differentiate", "derivative",
     "fold_constants", "substitute", "substitute_folded", "free_symbols",
@@ -1040,7 +1046,46 @@ _TAPE_FNS = {
 }
 
 
-def _tape(roots: Sequence[Expr], idx: Mapping[str, int]):
+#: The op of a tape slot whose value the tape holds: a value table's entry.
+_FILLED = "filled"
+
+
+class ValueTable(dict):
+    """Values of non-leaf nodes at one set of points, shared by the runs of
+    :func:`compile_evaluator` (and the zero tests of :func:`zero_report_at`)
+    made on those points: node -> numpy value.
+
+    A tape reads a node the table holds from it and walks nothing below it; a
+    run that finishes adds every non-leaf value it computed, and a run that
+    raises adds nothing.  ``points`` holds copies of the columns of the first
+    run that filled the table (name -> array); a run on other columns, or on
+    the same arrays changed in place, raises ``ValueError``.  Do not write to
+    the arrays an evaluator returns while they may be in a table.
+    """
+
+    __slots__ = ("points", "_key")
+
+    def __init__(self):
+        super().__init__()
+        self.points: dict[str, np.ndarray] | None = None
+
+    @staticmethod
+    def _columns(names: tuple[str, ...], arrs: list[np.ndarray]) -> tuple:
+        return names, [a.shape for a in arrs], [a.tobytes() for a in arrs]
+
+    def _check(self, names: tuple[str, ...], arrs: list[np.ndarray]) -> None:
+        if self.points is not None and self._columns(names, arrs) != self._key:
+            raise ValueError("the value table was filled at other points")
+
+    def _fill(self, names, arrs, values: dict) -> None:
+        if self.points is None:
+            self.points = {n: a.copy() for n, a in zip(names, arrs)}
+            self._key = self._columns(names, arrs)
+        self.update(values)
+
+
+def _tape(roots: Sequence[Expr], idx: Mapping[str, int],
+          shared: Mapping[Expr, object] | None = None):
     """Lay the roots out as a Wengert list: one slot per distinct node.
 
     Slots are ordered by first occurrence in a left-to-right post-order walk.
@@ -1049,12 +1094,26 @@ def _tape(roots: Sequence[Expr], idx: Mapping[str, int]):
     outs)``: ``steps[i]`` is ``(op, a, b, node)`` and ``outs[j]`` the slot
     holding ``roots[j]``.  An operation reads slots ``a`` and ``b`` (``b`` is
     None for one operand); a constant step holds its value in ``a``, a symbol
-    step its column index.
+    step its column index.  A node in ``shared`` gets a ``_FILLED`` slot
+    holding its value in ``a`` when the walk first meets it, and nothing
+    below it is walked (unless another path reaches it).
     """
     steps: list[tuple] = []
     seen: dict[Expr, int] = {}
+    ready = seen.__contains__
+    if shared:
+        def ready(e: Expr) -> bool:
+            if e in seen:
+                return True
+            v = shared.get(e)
+            if v is None:
+                return False
+            seen[e] = len(steps)
+            steps.append((_FILLED, v, None, e))
+            return True
+
     for root in roots:
-        for e in _postorder(root, seen.__contains__):
+        for e in _postorder(root, ready):
             k = e.kind
             if k == CONSTANT:
                 # np.float64, not float: scalar 0/0 must go through numpy's
@@ -1073,7 +1132,8 @@ def _tape(roots: Sequence[Expr], idx: Mapping[str, int]):
     return steps, [seen[r] for r in roots]
 
 
-def compile_evaluator(e: Expr, names: Sequence[str], terms: Sequence[Expr] = ()):
+def compile_evaluator(e: Expr, names: Sequence[str], terms: Sequence[Expr] = (), *,
+                      shared: ValueTable | None = None):
     """Compile ``e`` to a callable over equal-length numpy arrays.
 
     The returned callable takes one array per name (in order) and returns the
@@ -1083,13 +1143,21 @@ def compile_evaluator(e: Expr, names: Sequence[str], terms: Sequence[Expr] = ())
     intermediate step — raises :class:`EvalError` naming the first such
     sub-expression and the point, so the vectorized path enforces the same
     no-silent-NaN policy as :func:`evaluate`.
+
+    With ``shared``, a :class:`ValueTable` of the points the callable will be
+    run on, the tape takes each node the table holds at compile time from
+    it instead of computing it, and a run that finishes adds the values it
+    computed.  The callable raises ``ValueError`` if the table was filled at
+    other columns.  Values and errors are those of a run without the table.
     """
     names = tuple(names)
-    steps, outs = _tape((e, *terms), {n: i for i, n in enumerate(names)})
+    steps, outs = _tape((e, *terms), {n: i for i, n in enumerate(names)}, shared)
 
     def run(*cols):
         arrs = [np.asarray(c, dtype=float) for c in cols]
         shape = np.broadcast_shapes(*(a.shape for a in arrs)) if arrs else ()
+        if shared is not None:
+            shared._check(names, arrs)
 
         def fail(node, v):
             i = int(np.argmax(np.ravel(~np.isfinite(v))))
@@ -1102,6 +1170,7 @@ def compile_evaluator(e: Expr, names: Sequence[str], terms: Sequence[Expr] = ())
         # overflow, divide or invalid flag, so the first such step traps here;
         # it alone is recomputed with the flags off, and a finite value (a
         # spurious flag) is kept.  Leaves raise no flag: they are checked.
+        # A table's values come from finished runs, so they are finite.
         with np.errstate(all="raise", under="ignore"):
             for op, a, b, node in steps:
                 if op is CONSTANT:
@@ -1112,6 +1181,8 @@ def compile_evaluator(e: Expr, names: Sequence[str], terms: Sequence[Expr] = ())
                     v = arrs[a]
                     if not np.isfinite(v).all():
                         fail(node, v)
+                elif op is _FILLED:
+                    v = a
                 else:
                     operands = (vals[a],) if b is None else (vals[a], vals[b])
                     try:
@@ -1122,6 +1193,10 @@ def compile_evaluator(e: Expr, names: Sequence[str], terms: Sequence[Expr] = ())
                         if not np.isfinite(v).all():
                             fail(node, v)
                 vals.append(v)
+        if shared is not None:
+            # the values of the operations: neither leaves nor the table's own
+            shared._fill(names, arrs, {step[3]: v for step, v in zip(steps, vals)
+                                       if callable(step[0])})
         res = [np.asarray(vals[s], dtype=float) for s in outs]
         res = [r if r.shape == shape else np.broadcast_to(r, shape) for r in res]
         return (res[0], res[1:]) if terms else res[0]
@@ -1187,7 +1262,7 @@ class ZeroReport:
 
 
 def zero_report_at(e: Expr, pts: Mapping[str, np.ndarray],
-                   tol: float = 1e-9) -> ZeroReport:
+                   tol: float = 1e-9, *, shared: ValueTable | None = None) -> ZeroReport:
     """Zero test of ``e`` at explicit sample points (one array per symbol).
 
     At each point the test is |e| <= tol * (1 + scale), the scale being the
@@ -1197,13 +1272,18 @@ def zero_report_at(e: Expr, pts: Mapping[str, np.ndarray],
     :func:`sample` or, e.g., a change of coordinates pushed onto a slice.
     Raises ``ValueError`` unless ``tol`` is finite and positive and there is
     at least one point, with one column shape for all symbols.
+
+    Several tests on the same ``pts`` may pass one :class:`ValueTable` as
+    ``shared``: each node that an earlier test evaluated is read from it, not
+    evaluated again, and the report is the one an unshared call gives.  A
+    table filled at other points raises ``ValueError``.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number > 0, got {tol}")
     ee = fold_constants(e)
     names = tuple(pts)
     try:
-        run = compile_evaluator(ee, names, top_level_terms(ee))
+        run = compile_evaluator(ee, names, top_level_terms(ee), shared=shared)
     except EvalError:  # the tape meets a symbol without a column
         extra = free_symbols(ee) - set(names)
         raise EvalError(

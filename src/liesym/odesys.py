@@ -19,7 +19,7 @@ import numpy as np
 
 from .expr import (
     Expr, _as_expr, derivative, differentiate, fold_constants, free_symbols,
-    sample, sqrt, substitute_folded, sym, SamplingDomain, zero_report_at,
+    sample, sqrt, substitute_folded, sym, SamplingDomain, ValueTable, zero_report_at,
 )
 
 __all__ = ["Mat2", "OdeSystem", "ReducibilityHint", "linear_change",
@@ -252,8 +252,11 @@ def reducibility_hint(f: Expr, g: Expr, dom: SamplingDomain) -> ReducibilityHint
 
     The tests are numeric-probabilistic: f' ≡ 0 or g' ≡ 0, then the
     proportionality Wronskian f·g' − f'·g ≡ 0, all at one set of points drawn
-    from ``dom`` and at the fixed zero-test tolerance 1e-9.  Bind any
-    parameters in ``f`` and ``g`` with :func:`~liesym.expr.substitute` first.
+    from ``dom`` and at the fixed zero-test tolerance 1e-9.  The three tests
+    share one :class:`~liesym.expr.ValueTable`, so the Wronskian reads f'
+    and g' from the first two instead of evaluating them again; each still
+    returns as soon as it decides.  Bind any parameters in ``f`` and ``g``
+    with :func:`~liesym.expr.substitute` first.
     """
     names = dom.names()
     if len(names) != 1:
@@ -262,8 +265,10 @@ def reducibility_hint(f: Expr, g: Expr, dom: SamplingDomain) -> ReducibilityHint
     fp = derivative(f, u)
     gp = derivative(g, u)
     pts = sample(dom)
-    if zero_report_at(fp, pts, _HINT_TOL).ok or zero_report_at(gp, pts, _HINT_TOL).ok:
+    table = ValueTable()
+    if (zero_report_at(fp, pts, _HINT_TOL, shared=table).ok
+            or zero_report_at(gp, pts, _HINT_TOL, shared=table).ok):
         return ReducibilityHint.ReducibleFPrimeGPrimeZero
-    if zero_report_at(f * gp - fp * g, pts, _HINT_TOL).ok:
+    if zero_report_at(f * gp - fp * g, pts, _HINT_TOL, shared=table).ok:
         return ReducibilityHint.ReducibleProportional
     return ReducibilityHint.NoHint

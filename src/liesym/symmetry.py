@@ -19,6 +19,7 @@ variables (`transform_generator`) and the commutator (`commutator_vf`).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from sys import float_info
@@ -331,21 +332,29 @@ def prolong2_residual(sys: OdeSystem, g, point) -> tuple[float, float]:
     return evaluate(r1, b), evaluate(r2, b)
 
 
+@functools.lru_cache(maxsize=16)
+def _rhs_evaluator(F: Expr, G: Expr):
+    """One compiled pass over F, G and their six first partials in (x, y, z),
+    memoized on the resolved pair.  Nodes are interned, so equal right-hand
+    sides are one key; the memo is small because each pair keeps its nodes'
+    derivative caches alive."""
+    partials = [derivative(rhs, v) for rhs in (F, G) for v in "xyz"]
+    return compile_evaluator(F, tuple("xyz"), (G, *partials))
+
+
 def determining_matrix(sys: OdeSystem, cols: Mapping[str, np.ndarray]) -> np.ndarray:
     """The determining equations as one linear map, at each point of ``cols``.
 
     ``cols`` holds arrays of shape (n,) for x, y and z, as from ``sample``;
     ``M[i, j] @ u``, with M of shape (2, n, 11), is determining defect i + 1
     at point j for the data u of :func:`determining_residual` at its x.  F,
-    G and their six first partials come from one compiled pass; the xi
-    column (2 F_x, 2 G_x) vanishes on an autonomous system.  A value that
-    is not finite raises :class:`~liesym.expr.EvalError`.
+    G and their six first partials come from one compiled pass, compiled
+    once per resolved (F, G) pair; the xi column (2 F_x, 2 G_x) vanishes on
+    an autonomous system.  A value that is not finite raises
+    :class:`~liesym.expr.EvalError`.
     """
-    F, G = sys.resolved()
     x, y, z = (np.asarray(cols[nm], dtype=float) for nm in "xyz")
-    partials = [derivative(rhs, v) for rhs in (F, G) for v in "xyz"]
-    run = compile_evaluator(F, tuple("xyz"), (G, *partials))
-    f, (g, fx, fy, fz, gx, gy, gz) = run(x, y, z)
+    f, (g, fx, fy, fz, gx, gy, gz) = _rhs_evaluator(*sys.resolved())(x, y, z)
     one, zero = np.ones_like(f), np.zeros_like(f)
     with np.errstate(all="ignore"):
         M = np.array([
@@ -450,6 +459,13 @@ def admits(sys: OdeSystem, g, dom: SamplingDomain | None = None,
     :func:`liesym.expr.zero_report_at` at one set of points drawn from ``dom``
     (default: :func:`default_domain`); the field is admitted iff both pass at
     ``tol``.
+
+    The two tests do not share a :class:`~liesym.expr.ValueTable`, as
+    :func:`liesym.catalog.verify_entry`'s do: r1 and r2 of one field have
+    few nodes in common (on the ``check`` benchmark's Laurent sums, 44,346
+    distinct slots against 46,060 in the two separate tapes), so a table
+    saves no time there, and holding every value of r1 while r2 runs raised
+    that benchmark's peak memory by about 9%.
     """
     if dom is None:
         dom = default_domain()

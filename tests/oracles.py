@@ -6,6 +6,11 @@ sides into floats, the node constructor the symbolic references build with,
 and the node kinds, function table and error type the reference parser
 needs.  Each oracle is a textbook method simple enough to audit by eye, so
 expected values derived from them count as independent evidence.
+
+The call-pattern references at the end are the exception: they rebuild a
+catalog report and a reducibility hint from the library's own pieces, each
+residual put through its own unshared zero test, so that the shared-table
+paths can be compared with the plain ones.
 """
 
 from __future__ import annotations
@@ -407,3 +412,48 @@ def reference_parse(text: str) -> Expr:
                     g.pos,
                 )
             base = Expr(CALL, g.fn, tuple(g.args))
+
+
+# ---------------------------------------------------------------------------
+# Call-pattern references: one unshared zero test per residual, in the order
+# the library runs them, with no value table between the tests.
+# ---------------------------------------------------------------------------
+
+def unshared_verify_entry(entry_id: str, params=None, tol: float = 1e-8,
+                          n: int = 200, seed: int = 0):
+    """``catalog.verify_entry`` with each residual zero-tested on its own."""
+    from liesym import catalog
+    from liesym.expr import zero_report_at
+    from liesym.symmetry import basis_generator, residual_expressions
+
+    e = catalog.get_entry(entry_id)
+    p = e.resolve(params)
+    v = e._values(p)
+    system = e._system(v)
+    pts = e.sample_points(p, n=n, seed=seed)
+    checks = []
+    for label, gen in [("kernel", basis_generator(1))] + e._labeled(v):
+        r1, r2 = residual_expressions(system, gen)
+        rep1, rep2 = zero_report_at(r1, pts, tol), zero_report_at(r2, pts, tol)
+        worse, comp = (rep1, 1) if rep1.max_ratio >= rep2.max_ratio else (rep2, 2)
+        checks.append(catalog.GeneratorCheck(
+            label=label, ok=bool(rep1.ok and rep2.ok), component=comp,
+            max_ratio=worse.max_ratio, witness=worse.witness, value=worse.value))
+    return catalog.EntryReport(
+        entry_id=e.id, params=p, quarantined=e.quarantined,
+        passed=all(c.ok for c in checks), checks=tuple(checks))
+
+
+def unshared_reducibility_hint(f: Expr, g: Expr, dom):
+    """``odesys.reducibility_hint`` with each of its tests on its own."""
+    from liesym.expr import derivative, sample, zero_report_at
+    from liesym.odesys import ReducibilityHint
+
+    (u,) = dom.names()
+    fp, gp = derivative(f, u), derivative(g, u)
+    pts = sample(dom)
+    if zero_report_at(fp, pts, 1e-9).ok or zero_report_at(gp, pts, 1e-9).ok:
+        return ReducibilityHint.ReducibleFPrimeGPrimeZero
+    if zero_report_at(f * gp - fp * g, pts, 1e-9).ok:
+        return ReducibilityHint.ReducibleProportional
+    return ReducibilityHint.NoHint

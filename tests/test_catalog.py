@@ -11,6 +11,9 @@ import pickle
 
 import numpy as np
 import pytest
+
+import liesym.expr as ex
+from oracles import unshared_verify_entry
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -229,6 +232,46 @@ class TestVerifyDefaults:
         assert bad and bad[0].label == "extension"
         assert bad[0].max_ratio > 1e-3
         assert set(bad[0].witness) == {"x", "y", "z", "yp", "zp"}
+
+
+class TestSharedValueTable:
+    """``verify_entry`` runs all of its zero tests on one value table; its
+    reports must be those of one unshared zero test per residual."""
+
+    CASES = [(eid, None) for eid in ALL_IDS] + [
+        (eid, s) for eid in ALL_IDS for s in range(4)]
+
+    @pytest.mark.parametrize("order", ["forward", "reverse"])
+    def test_reports_match_unshared_tests(self, order):
+        cases = self.CASES if order == "forward" else self.CASES[::-1]
+        for eid, s in cases:
+            p = None if s is None else draw_params(eid, s)
+            assert repr(verify_entry(eid, p)) == repr(unshared_verify_entry(eid, p)), (eid, s)
+
+    def test_each_distinct_node_is_evaluated_once(self, monkeypatch):
+        e = get_entry("T1.J1")
+        v = e._values(e.resolve())
+        system = e._system(v)
+        distinct = set()
+        for _, gen in [("kernel", basis_generator(1))] + e._labeled(v):
+            stack = [fold_constants(r) for r in residual_expressions(system, gen)]
+            while stack:
+                n = stack.pop()
+                if n.args and n not in distinct:
+                    distinct.add(n)
+                    stack.extend(n.args)
+        calls = []
+        for key, fn in list(ex._TAPE_FNS.items()):
+            def counted(*operands, fn=fn):
+                if np.geterr()["over"] == "raise":  # not a flag's recomputation
+                    calls.append(fn)
+                return fn(*operands)
+            monkeypatch.setitem(ex._TAPE_FNS, key, counted)
+        shared = verify_entry("T1.J1")
+        assert len(calls) == len(distinct) > 0
+        calls.clear()
+        assert repr(unshared_verify_entry("T1.J1")) == repr(shared)
+        assert len(calls) > len(distinct)  # the unshared tests repeat nodes
 
 
 class TestDraws:

@@ -20,7 +20,7 @@ import liesym.expr as ex
 import oracles
 from liesym import catalog
 from liesym.expr import (
-    EvalError, ParseError, SamplingDomain,
+    EvalError, ParseError, SamplingDomain, ValueTable,
     compile_evaluator, derivative, differentiate, evaluate, fold_constants,
     free_symbols, parse, sample, substitute, substitute_folded, to_string,
     top_level_terms, zero_report_at,
@@ -1015,6 +1015,119 @@ def test_compile_terms_come_from_the_same_pass():
     for t, g in zip(terms, got):
         assert g.shape == y.shape
         assert np.array_equal(g, compile_evaluator(t, names)(y, z))
+
+
+# ---------------------------------------------------------------------------
+# Value tables shared by runs on the same points
+# ---------------------------------------------------------------------------
+
+_NAMES = ("x", "y", "z", "p")
+
+
+def _outcome(thunk):
+    """The bytes of a result, or the text of the EvalError raised."""
+    try:
+        return ("ok", np.asarray(thunk()).tobytes())
+    except EvalError as exc:
+        return ("err", str(exc))
+
+
+@given(st.lists(trees, min_size=2, max_size=4), st.lists(bindings, min_size=1, max_size=5))
+@settings(max_examples=150)
+def test_table_runs_match_fresh_runs(ts, pts):
+    # values bit for bit, and the same first non-finite sub-expression and
+    # point, whatever earlier runs left in the table
+    cols = [np.array([p[n] for p in pts]) for n in _NAMES]
+    table = ValueTable()
+    for t in ts:
+        before = dict(table)
+        got = _outcome(lambda: compile_evaluator(t, _NAMES, shared=table)(*cols))
+        assert got == _outcome(lambda: compile_evaluator(t, _NAMES)(*cols))
+        if got[0] == "err":
+            assert table == before  # a run that raises adds nothing
+        for node, v in before.items():
+            assert table[node] is v
+
+
+def test_table_skips_what_it_holds():
+    # the second run reads y * z and exp(y) from the table: only the two
+    # new operations are computed
+    y, z = np.array([0.5, 1.0, 2.0]), np.array([3.0, -1.0, 0.25])
+    table = ValueTable()
+    compile_evaluator(parse("y * z + exp(y)"), ("y", "z"), shared=table)(y, z)
+    assert set(table) == {parse("y * z"), parse("exp(y)"), parse("y * z + exp(y)")}
+    steps, _ = ex._tape([parse("(y * z + exp(y)) * sin(y * z)")], {"y": 0, "z": 1}, table)
+    assert [op for op, *_ in steps] == [ex._FILLED, ex._FILLED, np.sin,
+                                        ex._TAPE_FNS[ex.PRODUCT]]
+
+
+def test_table_run_that_raises_adds_nothing():
+    y, z = np.array([0.5, 1.0, 2.0]), np.array([0.2, 1.0, 1.0])
+    table = ValueTable()
+    with pytest.raises(EvalError):
+        compile_evaluator(parse("ln(y + z) * (y - z) + 1 / (y - z)"), ("y", "z"),
+                          shared=table)(y, z)
+    assert len(table) == 0 and table.points is None
+    compile_evaluator(parse("ln(y + z) * (y - z)"), ("y", "z"), shared=table)(y, z)
+    filled = dict(table)
+    with pytest.raises(EvalError, match=re.escape(
+            "non-finite value in '1 / (y - z)' near {'y': 1.0, 'z': 1.0}")):
+        compile_evaluator(parse("ln(y + z) * (y - z) + 1 / (y - z)"), ("y", "z"),
+                          shared=table)(y, z)
+    assert table == filled
+
+
+@pytest.mark.parametrize("first, second", [
+    ("y * z + exp(y)", "exp(y) * 2 + 1 / (y - z) + ln(y * z - 3)"),
+    ("ln(y) + y * z", "ln(y) * (y * z) + sqrt(z - 1) + 1 / (y - z)"),
+    ("exp(y) + sin(z)", "exp(exp(exp(y + sin(z))))"),
+], ids=["quotient", "sqrt-before-quotient", "overflow"])
+def test_table_keeps_the_first_failure_and_its_point(first, second):
+    y, z = np.array([1.5, 1.0, 2.0, 3.0]), np.array([3.0, 0.5, 2.0, 1.0])
+    table = ValueTable()
+    compile_evaluator(parse(first), ("y", "z"), shared=table)(y, z)
+    assert len(table) > 0
+    with pytest.raises(EvalError) as plain:
+        compile_evaluator(parse(second), ("y", "z"))(y, z)
+    with pytest.raises(EvalError) as shared:
+        compile_evaluator(parse(second), ("y", "z"), shared=table)(y, z)
+    assert str(shared.value) == str(plain.value)
+
+
+def test_table_zero_reports_match_unshared_reports():
+    dom = SamplingDomain(intervals={"y": (0.2, 3.0), "z": (0.2, 3.0)}, n=100, seed=4)
+    pts = sample(dom)
+    texts = ["y * z - z * y", "exp(y) * sin(z) - y * z", "sin(z) * exp(y) + 1e-12 * y",
+             "exp(y) * sin(z) - sin(z) * exp(y)", "y * z - exp(y) * sin(z)"]
+    table = ValueTable()
+    for text in texts:
+        e = parse(text)
+        assert zero_report_at(e, pts, shared=table) == zero_report_at(e, pts)
+
+
+def test_table_from_other_points_is_refused():
+    dom = SamplingDomain(intervals={"y": (0.2, 3.0), "z": (0.2, 3.0)}, n=50, seed=0)
+    pts = sample(dom)
+    e = parse("y * z + exp(y)")
+    table = ValueTable()
+    zero_report_at(e, pts, shared=table)
+    # the table holds copies of its columns
+    assert all(np.array_equal(table.points[n], pts[n])
+               and table.points[n] is not pts[n] for n in pts)
+    other = sample(SamplingDomain(intervals=dom.intervals, n=50, seed=1))
+    with pytest.raises(ValueError, match="filled at other points"):
+        zero_report_at(e, other, shared=table)
+    with pytest.raises(ValueError, match="filled at other points"):
+        zero_report_at(parse("y"), {"y": pts["y"]}, shared=table)  # a column fewer
+    changed = {n: c.copy() for n, c in pts.items()}
+    changed["z"][7] = 0.5
+    with pytest.raises(ValueError, match="filled at other points"):
+        zero_report_at(e, changed, shared=table)
+    pts["y"][3] = 1.25  # a column changed in place
+    with pytest.raises(ValueError, match="filled at other points"):
+        zero_report_at(e, pts, shared=table)
+    with pytest.raises(ValueError, match="filled at other points"):
+        compile_evaluator(parse("y"), ("y", "z"), shared=table)(pts["y"], pts["z"])
 
 
 # ---------------------------------------------------------------------------

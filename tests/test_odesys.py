@@ -22,7 +22,8 @@ from liesym.odesys import (
     Mat2, OdeSystem, ReducibilityHint, linear_change, reducibility_hint,
     reparam_change, shift_change,
 )
-from oracles import rk4_second_order
+import liesym.odesys as odesys
+from oracles import rk4_second_order, unshared_reducibility_hint
 
 
 def _rhs_fn(e):
@@ -308,3 +309,49 @@ def test_reducibility_hint_needs_univariate_domain():
     dom = SamplingDomain(intervals={"u": (0.2, 3.0), "v": (0.2, 3.0)}, n=50, seed=0)
     with pytest.raises(ValueError):
         reducibility_hint(parse("u"), parse("u^2"), dom)
+
+
+#: The T2 rows' default Laurent coefficients, one power at a time.
+_F_POWERS = ("0.4 * u ^ -2", "-0.6 / u", "0.8 * u", "0.3 * u ^ 2")
+_G_POWERS = ("-0.5 * u ^ -2", "0.7 / u", "-0.4 * u", "0.6 * u ^ 2")
+_LAURENT_F = " + ".join(_F_POWERS)
+_PROFILE_DOM = SamplingDomain(intervals={"u": (0.3, 2.5)}, n=64, seed=7)
+
+
+@pytest.mark.parametrize("dom", [_PROFILE_DOM, U_DOM], ids=["profile-box", "u-box"])
+@pytest.mark.parametrize("i, j", [(i, j) for i in range(4) for j in range(4)])
+def test_shared_hint_matches_unshared_tests_on_single_powers(i, j, dom):
+    f, g = parse(_F_POWERS[i]), parse(_G_POWERS[j])
+    got = reducibility_hint(f, g, dom)
+    assert got is unshared_reducibility_hint(f, g, dom)
+    # u^a against u^b: proportional exactly when a == b
+    assert got is (ReducibilityHint.ReducibleProportional if i == j
+                   else ReducibilityHint.NoHint)
+
+
+@pytest.mark.parametrize("f, g, want", [
+    ("0", " + ".join(_G_POWERS), ReducibilityHint.ReducibleFPrimeGPrimeZero),
+    (_LAURENT_F, "0", ReducibilityHint.ReducibleFPrimeGPrimeZero),
+    (_LAURENT_F, f"2 * ({_LAURENT_F})", ReducibilityHint.ReducibleProportional),
+], ids=["f-zero", "g-zero", "g-twice-f"])
+def test_shared_hint_matches_unshared_tests_on_degenerate_pairs(f, g, want):
+    f, g = parse(f), parse(g)
+    assert reducibility_hint(f, g, _PROFILE_DOM) is want
+    assert unshared_reducibility_hint(f, g, _PROFILE_DOM) is want
+
+
+def test_hint_tests_share_one_table(monkeypatch):
+    tables = []
+    real = odesys.zero_report_at
+
+    def recording(e, pts, tol, *, shared=None):
+        tables.append(shared)
+        return real(e, pts, tol, shared=shared)
+
+    monkeypatch.setattr(odesys, "zero_report_at", recording)
+    f, g = parse(_LAURENT_F), parse(" + ".join(_G_POWERS))
+    assert reducibility_hint(f, g, _PROFILE_DOM) is ReducibilityHint.NoHint
+    assert len(tables) == 3 and tables[0] is not None
+    assert all(t is tables[0] for t in tables)
+    # f' and g' were read from the table, so it holds their values
+    assert odesys.derivative(f, "u") in tables[0]

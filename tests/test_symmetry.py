@@ -648,6 +648,29 @@ class TestDeterminingMatrix:
             with pytest.raises(ex.EvalError):
                 autonomous_residual(sys, 0.5, A, (0.0, 0.0), point)
 
+    def test_one_compile_per_system(self, monkeypatch):
+        """200 one-point residuals on one system compile its tape once, and
+        give the values of a tape compiled afresh for every call."""
+        sys = catalog.get_entry("T3.S1a").build(None)
+        A = Mat2(0.3, 0.1, 0.2, -0.4)
+        points = np.random.default_rng(3).uniform(0.3, 2.5, size=(200, 3))
+
+        def residuals():
+            return [(determining_residual(sys, "x", A, (0.1, 0.2), p),
+                     autonomous_residual(sys, 0.5, A, (0.1, 0.2), p)) for p in points]
+
+        compiles = []
+        real = symmetry.compile_evaluator
+        monkeypatch.setattr(symmetry, "compile_evaluator",
+                            lambda *a, **k: compiles.append(a[0]) or real(*a, **k))
+        symmetry._rhs_evaluator.cache_clear()
+        cached = residuals()
+        assert len(compiles) == 1
+        monkeypatch.setattr(symmetry, "_rhs_evaluator", symmetry._rhs_evaluator.__wrapped__)
+        fresh = residuals()
+        assert len(compiles) == 1 + 2 * len(points)
+        assert np.array(cached).tobytes() == np.array(fresh).tobytes()
+
 
 class TestAdmits:
     def test_translation_admitted_for_autonomous_systems(self):

@@ -12,7 +12,7 @@ the one next to this script), so one copy of the script serves both sides:
 
 The inputs are fixed by seeds; the ``check`` and ``covariance`` inputs come
 from the benchmark's generators in ``bench/workloads.py`` next to this
-script.  696 files:
+script.  704 files:
 
 - ``catalog/``: ``liesym catalog verify --all --json`` at seeds 0 and 1, and
   ``liesym catalog list`` with and without ``--json``;
@@ -46,9 +46,13 @@ script.  696 files:
   ``max``, ``pinned``, ``nonzero`` and both Laurent degeneracies), at an
   unknown name, a derived name and a non-finite value, and at one valid
   override;
-- ``errors/``: eight ``EvalError`` texts;
+- ``errors/``: ten ``EvalError`` texts, two of them raised by a zero test
+  after earlier tests of the same call filled its value table: a later
+  generator's in ``verify_entry`` and the Wronskian's in
+  ``reducibility_hint``;
 - ``sample.txt`` and ``reducibility/``: ``sample`` on a two-variable box and
-  four ``reducibility_hint`` calls on parameter-free profile pairs.
+  ten ``reducibility_hint`` calls on parameter-free profile pairs, eight of
+  which reach the Wronskian test.
 
 Needs only the standard library and numpy; writes nothing outside ``OUT``
 but the benchmark's input files, which go to a temporary directory.
@@ -285,6 +289,7 @@ def write_outputs(out: Path, work: Path) -> int:
         emit(rel, f"exit {code}\n{stdout}{stderr}".replace(str(work), "<work>"))
 
     dom = SamplingDomain(intervals={"y": (0.2, 3.0)}, n=20, seed=0)
+    xdom = SamplingDomain(intervals={"x": (0.2, 3.0)}, n=50, seed=1)
     errors = {
         "compile-shared-subtree": lambda: compile_evaluator(
             parse("ln(y - z) * ln(y - z) + 1 / (y - z)"), ("y", "z"))(
@@ -297,6 +302,13 @@ def write_outputs(out: Path, work: Path) -> int:
         "evaluate-power": lambda: evaluate(parse("y ^ 0.5"), {"y": -2.0}),
         "evaluate-call": lambda: evaluate(parse("sin(y) + ln(y)"), {"y": -1.0}),
         "zero-report-unbound": lambda: zero_report_at(parse("gamma * y"), sample(dom)),
+        # the kernel and the first two fields pass; the third field's
+        # residual overflows
+        "verify-entry-later-generator": lambda: catalog.verify_entry(
+            "T1.J1", {"gamma": 1e306}),
+        # f' and g' are finite; the Wronskian's product overflows
+        "reducibility-wronskian-overflow": lambda: odesys.reducibility_hint(
+            parse("1e200 * x"), parse("1e200 * x ^ 2"), xdom),
     }
     for name, thunk in errors.items():
         emit(f"errors/{name}.txt", _error_text(thunk))
@@ -305,16 +317,22 @@ def write_outputs(out: Path, work: Path) -> int:
     pts = sample(box)
     emit("sample.txt", "".join(f"{k} = {[float(v) for v in pts[k]]!r}\n" for k in pts))
 
-    xdom = SamplingDomain(intervals={"x": (0.2, 3.0)}, n=50, seed=1)
+    laurent_f = "0.4 * x ^ -2 - 0.6 / x + 0.8 * x + 0.3 * x ^ 2"
     hints = {
-        "constant": (parse("3"), parse("x")),
-        "proportional": (parse("x ^ 2"), parse("3 * x ^ 2")),
-        "none": (parse("sin(x)"), parse("cos(x)")),
-        "exp": (parse("exp(2 * x)"), parse("x * exp(x)")),
+        "constant": ("3", "x"),
+        "proportional": ("x ^ 2", "3 * x ^ 2"),
+        "none": ("sin(x)", "cos(x)"),
+        "exp": ("exp(2 * x)", "x * exp(x)"),
+        "g-constant": ("x ^ 2", "5"),
+        "powers": ("x ^ -1", "x ^ 2"),
+        "laurent": (laurent_f, "-0.5 * x ^ -2 + 0.7 / x - 0.4 * x + 0.6 * x ^ 2"),
+        "laurent-twice": (laurent_f, f"2 * ({laurent_f})"),
+        "laurent-negated": (laurent_f, f"-({laurent_f})"),
+        "shared-factor": ("sin(x) + x ^ 2", "(sin(x) + x ^ 2) * exp(x)"),
     }
     for name, (f, g) in hints.items():
         emit(f"reducibility/{name}.txt",
-             repr(odesys.reducibility_hint(f, g, xdom)) + "\n")
+             repr(odesys.reducibility_hint(parse(f), parse(g), xdom)) + "\n")
     return files
 
 
