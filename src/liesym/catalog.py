@@ -41,6 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .expr import (
+    EvalError,
     Expr,
     SamplingDomain,
     ValueTable,
@@ -86,7 +87,14 @@ def _formula(text: str) -> Expr:
 
 
 def _value(text: str, v: Mapping[str, float]) -> float:
-    return evaluate(_formula(text), v)
+    """The formula's value at ``v``; a ValueError naming the values it uses if
+    that is not finite."""
+    e = _formula(text)
+    try:
+        return evaluate(e, v)
+    except EvalError:
+        at = ", ".join(f"{n} = {v[n]!r}" for n in sorted(free_symbols(e)))
+        raise ValueError(f"{text!r} has no finite value at {at}") from None
 
 
 def _bind(text: str, v: Mapping[str, float]) -> Expr:
@@ -140,7 +148,11 @@ def _violation(check: tuple, v: Mapping[str, float]) -> Optional[str]:
         return (f"profile pair is degenerate ({hint.value}); "
                 "pick genuinely independent nonzero profiles")
     text, *rest, msg = args
-    return msg if _FAILS[kind](_value(text, v), *rest) else None
+    try:
+        x = _value(text, v)
+    except ValueError as exc:
+        return f"{msg}; {exc}"
+    return msg if _FAILS[kind](x, *rest) else None
 
 
 def _draw_into(v: dict, rng: np.random.Generator, specs: tuple) -> None:

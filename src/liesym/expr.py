@@ -34,10 +34,14 @@ Design notes:
   directly with the folded constructors (:func:`_fsum`, :func:`_fmul`,
   :func:`_fneg`, :func:`_fsub`), and the unfolded tree is never born.  The
   residuals of :func:`liesym.symmetry.residual_expressions` are built this
-  way.  :func:`derivative` and :func:`substitute_folded` build the folds of
-  what :func:`differentiate` and :func:`substitute` return (unfolded
-  trees) in the same walk: one derivative rule table runs over two
-  constructor sets, the raw one and a folded one.
+  way.  :func:`substitute_folded` builds the fold of what
+  :func:`substitute` returns in the same walk, and :func:`derivative` is
+  one folded rule set: the derivative rule table of :func:`differentiate`
+  run over the folded constructors.
+- No value depends on the sign of a zero: ``atan2``, the one operation
+  whose finite result could (Kahan, "Branch Cuts for Complex Elementary
+  Functions, or Much Ado About Nothing's Sign Bit", 1987), reads -0 as +0.
+  A zero's sign shows only in the node and its text.
 - Every walk over a tree uses an explicit stack, so depth costs no Python
   frames.  :func:`_postorder` asks its readiness test once per edge: a node
   that is not ready goes back on the stack under a marker, above it go its
@@ -485,7 +489,8 @@ _LEVEL = {SUM: 1, PRODUCT: 2, QUOTIENT: 2, NEG: 2, POWER: 4,
 
 def _fmt_number(v: float) -> str:
     if abs(v) <= 1e15 and v == int(v):  # inf and NaN fall through to repr
-        # int() drops the sign of -0.0, which atan2 tells apart from 0.0
+        # int() drops the sign of -0.0; "-0" keeps it, so the text re-parses
+        # to the same node (no value depends on it)
         return "-0" if v == 0 and math.copysign(1.0, v) < 0 else str(int(v))
     return repr(v)
 
@@ -548,9 +553,13 @@ def to_string(e: Expr) -> str:
 # Evaluation (scalar)
 # --------------------------------------------------------------------------
 
+# atan2 adds +0.0 to each operand, which turns -0.0 into +0.0 and leaves
+# every other value as it is: the principal value in (-pi, pi] then does not
+# depend on the sign of a zero, and no value in this package does.
 _SCALAR_FNS: dict[str, Callable] = {
     "sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log,
-    "sqrt": math.sqrt, "atan": math.atan, "atan2": math.atan2,
+    "sqrt": math.sqrt, "atan": math.atan,
+    "atan2": lambda a, b: math.atan2(a + 0.0, b + 0.0),
 }
 
 
@@ -657,9 +666,8 @@ def _div(a: Expr, b: Expr) -> Expr:
 class _Rules(NamedTuple):
     """A constructor set for the rule table :func:`_derivative`.  ``add``,
     ``mul``, ``div`` and ``neg`` drop identities as :func:`_add` and friends
-    do; ``node`` builds a node as written, ``lift`` turns a node that exists
-    (of the input, or a constant) into a value, and ``zero`` tells whether a
-    value is the literal constant zero."""
+    do; ``node`` builds a node of a kind, value and children, and ``lift``
+    gives the form (as it is, or folded) of a node of the input."""
 
     add: Callable
     mul: Callable
@@ -667,7 +675,6 @@ class _Rules(NamedTuple):
     neg: Callable
     node: Callable
     lift: Callable
-    zero: Callable
 
 
 def _same(e: Expr) -> Expr:
@@ -675,13 +682,13 @@ def _same(e: Expr) -> Expr:
 
 
 #: The raw set: values are the derivative trees themselves.
-_RAW = _Rules(_add, _mul, _div, _neg, Expr, _same, lambda r: _is_const(r, 0.0))
+_RAW = _Rules(_add, _mul, _div, _neg, Expr, _same)
 
 
 def _derivative(e: Expr, d: list, rules: _Rules):
     """The derivative of the non-leaf ``e`` from its children's derivatives
     ``d``, built by ``rules``."""
-    add, mul, div, neg, node, lift, zero = rules
+    add, mul, div, neg, node, lift = rules
     k = e.kind
     if k == SUM:
         return add(d[0], d[1])
@@ -692,16 +699,16 @@ def _derivative(e: Expr, d: list, rules: _Rules):
         return add(mul(d[0], lift(b)), mul(lift(a), d[1]))
     if k == QUOTIENT:
         a, b = map(lift, e.args)
-        return div(add(mul(d[0], b), neg(mul(a, d[1]))), node(POWER, None, (b, lift(_TWO))))
+        return div(add(mul(d[0], b), neg(mul(a, d[1]))), node(POWER, None, (b, _TWO)))
     if k == POWER:
         u, v = e.args
         du, dv = d
-        if zero(dv):
-            w = (lift(const(v.value - 1.0)) if v.kind == CONSTANT
-                 else node(SUM, None, (lift(v), lift(_MINUS_ONE))))
+        if _is_const(dv, 0.0):
+            w = (const(v.value - 1.0) if v.kind == CONSTANT
+                 else node(SUM, None, (lift(v), _MINUS_ONE)))
             return mul(mul(lift(v), node(POWER, None, (lift(u), w))), du)
         ln_u = node(CALL, "ln", (lift(u),))
-        if zero(du):
+        if _is_const(du, 0.0):
             return mul(mul(lift(e), ln_u), dv)
         return mul(lift(e), add(mul(dv, ln_u), div(mul(lift(v), du), lift(u))))
     if k == CALL:
@@ -709,11 +716,10 @@ def _derivative(e: Expr, d: list, rules: _Rules):
         if fn == "atan2":
             a, b = map(lift, e.args)
             num = add(mul(d[0], b), neg(mul(a, d[1])))
-            two = lift(_TWO)
-            return div(num, add(node(POWER, None, (a, two)), node(POWER, None, (b, two))))
+            return div(num, add(node(POWER, None, (a, _TWO)), node(POWER, None, (b, _TWO))))
         du = d[0]
-        if zero(du):
-            return lift(_ZERO)
+        if _is_const(du, 0.0):
+            return _ZERO
         u = lift(e.args[0])
         if fn == "sin":
             return mul(node(CALL, "cos", (u,)), du)
@@ -724,19 +730,18 @@ def _derivative(e: Expr, d: list, rules: _Rules):
         if fn == "ln":
             return div(du, u)
         if fn == "sqrt":
-            return div(du, mul(lift(_TWO), lift(e)))
+            return div(du, mul(_TWO, lift(e)))
         if fn == "atan":
-            return div(du, add(lift(_ONE), node(POWER, None, (u, lift(_TWO)))))
+            return div(du, add(_ONE, node(POWER, None, (u, _TWO))))
     raise ValueError(f"unknown node kind {k!r}")  # pragma: no cover
 
 
 def _differentiate(e: Expr, var: str, rules: _Rules, key):
-    """The value under ``rules`` of the derivative of ``e`` by ``var``,
-    kept on each node that contains ``var`` under ``key``."""
+    """The derivative of ``e`` by ``var`` built by ``rules``, kept on each
+    node that contains ``var`` under ``key``."""
     free_symbols(e)  # fills every node's _free, read by ready() below
     lift, neg = rules.lift, rules.neg
-    zero_value, one_value = lift(_ZERO), lift(_ONE)
-    done: dict[Expr, object] = {}
+    done: dict[Expr, Expr] = {}
 
     def ready(n: Expr) -> bool:
         if n in done:
@@ -748,14 +753,14 @@ def _differentiate(e: Expr, var: str, rules: _Rules, key):
             while n not in done and (n.kind == SUM or n.kind == NEG):
                 spine.append(n)
                 n = n.args[-1]
-            d = done.setdefault(n, zero_value)
+            d = done.setdefault(n, _ZERO)
             for m in reversed(spine):
                 if m.kind == NEG:
                     d = neg(d)
                 done[m] = d
             return True
         if n.kind == SYMBOL:
-            done[n] = one_value
+            done[n] = _ONE
             return True
         r = None if n._diff is None else n._diff.get(key)
         if r is not None:
@@ -776,15 +781,15 @@ def differentiate(e: Expr, var: str) -> Expr:
 
     The result is built through identity-dropping constructors (``0*e``,
     ``e+0`` and friends never appear) but is not otherwise simplified;
-    :func:`derivative` returns its :func:`fold_constants` in one walk.  Each
-    node that contains ``var`` keeps its derivative by ``var``.
+    the library calls the folded :func:`derivative`.  Each node that
+    contains ``var`` keeps its derivative by ``var``.
 
     A subtree without ``var`` (known from the cached :func:`free_symbols`)
     is not walked.  These constructors make its derivative a zero whose
     sign follows its right spine of sums and negations: a sum whose left
     derivative is zero keeps the right one, a negation flips the sign, and
-    every other kind gives +0.  So d(y - 1)/dz is -0, which atan2 tells
-    apart from 0.
+    every other kind gives +0.  So d(y - 1)/dz is -0; no value depends on
+    that sign.
     """
     return _differentiate(e, var, _RAW, var)
 
@@ -870,86 +875,23 @@ def fold_constants(e: Expr) -> Expr:
     return _fold_of(e)
 
 
-# The folded set of the rule table: a value stands for a raw derivative r (the
-# tree :func:`differentiate` builds) by the pair (fold_constants(r), shadow).
-# The shadow is r itself where r is a node that exists (a node of the input,
-# or a constant) and None where r would be built here.  That is all the raw
-# constructors' identity drops test: a built r is never a literal constant,
-# and a built negation has a child that is neither a literal nor a negation,
-# so negating it again gives the child's fold (``_fneg`` twice is the
-# identity on folded nodes) with nothing more to know about it.  With these
-# facts each constructor takes the branch its raw twin takes, and a built
-# node's fold is the fold of its kind over its children's folds.
-
-def _lift(o: Expr) -> tuple:
-    return _fold_of(o), o
+def _fdiv(a: Expr, b: Expr) -> Expr:
+    # a literal zero numerator is dropped, as :func:`_div` drops it, so the
+    # derivative of atan2(0 * y, 0 * y) by y is 0, not 0 / 0
+    return _ZERO if _is_const(a, 0.0) else _fold_op(QUOTIENT, None, (a, b))
 
 
-def _raw_is(v: tuple, c: float) -> bool:
-    s = v[1]
-    return s is not None and s.kind == CONSTANT and s.value == c
-
-
-_ZERO_VALUE = (_ZERO, _ZERO)
-
-
-def _vneg(v: tuple) -> tuple:
-    s = v[1]
-    if s is not None:
-        if s.kind == CONSTANT:
-            c = const(-s.value)
-            return c, c
-        if s.kind == NEG:
-            return _lift(s.args[0])
-    return _fneg(v[0]), None
-
-
-def _vadd(a: tuple, b: tuple) -> tuple:
-    if _raw_is(a, 0.0):
-        return b
-    if _raw_is(b, 0.0):
-        return a
-    return _fsum(a[0], b[0]), None
-
-
-def _vmul(a: tuple, b: tuple) -> tuple:
-    if _raw_is(a, 0.0) or _raw_is(b, 0.0):
-        return _ZERO_VALUE
-    if _raw_is(a, 1.0):
-        return b
-    if _raw_is(b, 1.0):
-        return a
-    return _fmul(a[0], b[0]), None
-
-
-def _vdiv(a: tuple, b: tuple) -> tuple:
-    if _raw_is(a, 0.0):
-        return _ZERO_VALUE
-    if _raw_is(b, 1.0):
-        return a
-    return _fold_op(QUOTIENT, None, (a[0], b[0])), None
-
-
-def _vnode(k: str, value, args: tuple) -> tuple:
-    return _fold_op(k, value, tuple([a[0] for a in args])), None
-
-
-_FOLDED = _Rules(_vadd, _vmul, _vdiv, _vneg, _vnode, _lift, lambda v: _raw_is(v, 0.0))
+#: The folded set: values are folded nodes, built by the folded constructors.
+_FOLDED = _Rules(_fsum, _fmul, _fdiv, _fneg, _fold_op, _fold_of)
 
 
 def derivative(e: Expr, var: str) -> Expr:
-    """The :func:`fold_constants` of ``differentiate(e, var)``, built in one
-    walk.
-
-    The rule table of :func:`differentiate` runs over constructors that
-    build folded nodes, and alongside each folded node goes what the
-    identity drops of the raw form test (is the raw derivative a literal
-    constant, is it a negation), so signed zeros come out as in the two-pass
-    form.  The unfolded derivative is never built.  Each node that contains
-    ``var`` keeps this result, under a key of its own beside the raw
-    derivative's.
-    """
-    return _differentiate(e, var, _FOLDED, (var,))[0]
+    """The folded partial derivative by ``var``: the rule table of
+    :func:`differentiate` run over the folded constructors, in one walk.
+    Where both evaluate, its values are those of the folded
+    :func:`differentiate` tree, up to the sign of a zero.  Each node that
+    contains ``var`` keeps it, under a key beside the raw derivative's."""
+    return _differentiate(e, var, _FOLDED, (var,))
 
 
 def _substitute(e: Expr, mapping: Mapping[str, "Expr | float"],
@@ -1042,7 +984,8 @@ _TAPE_FNS = {
     SUM: operator.add, PRODUCT: operator.mul, QUOTIENT: operator.truediv,
     POWER: np.power, NEG: operator.neg,
     "sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log,
-    "sqrt": np.sqrt, "atan": np.arctan, "atan2": np.arctan2,
+    "sqrt": np.sqrt, "atan": np.arctan,
+    "atan2": lambda a, b: np.arctan2(a + 0.0, b + 0.0),  # as in _SCALAR_FNS
 }
 
 
@@ -1090,7 +1033,7 @@ def _tape(roots: Sequence[Expr], idx: Mapping[str, int],
 
     Slots are ordered by first occurrence in a left-to-right post-order walk.
     Nodes are interned, so a slot is a node: equal subtrees share it, and
-    0.0 and -0.0 (which ``atan2`` tells apart) do not.  Returns ``(steps,
+    0.0 and -0.0 (two nodes with one value) do not.  Returns ``(steps,
     outs)``: ``steps[i]`` is ``(op, a, b, node)`` and ``outs[j]`` the slot
     holding ``roots[j]``.  An operation reads slots ``a`` and ``b`` (``b`` is
     None for one operand); a constant step holds its value in ``a``, a symbol

