@@ -291,10 +291,14 @@ class CatalogEntry:
         return p
 
     def _values(self, params: Mapping[str, float]) -> dict[str, float]:
-        """Resolved ``params`` plus the derived values."""
+        """Resolved ``params`` plus the derived values; a derived value that
+        is not finite is a ValueError naming the row, as ``resolve``'s are."""
         v = dict(params)
         for name, text in self.derived.items():
-            v[name] = _value(text, v)
+            try:
+                v[name] = _value(text, v)
+            except ValueError as exc:
+                raise ValueError(f"{self.id}: {exc}") from None
         return v
 
     def _system(self, v: Mapping[str, float]) -> OdeSystem:
@@ -908,10 +912,12 @@ def verify_entry(entry_id: str, params: Mapping[str, float] | None = None,
     first); ``passed`` requires every verdict to hold.  A quarantined entry
     still produces its (failing) report — the flag rides along so callers
     can separate "broken input" from "broken entry".  Every residual is
-    zero-tested on one set of points, so all of them share one
-    :class:`~liesym.expr.ValueTable`: F, G and the partials that several
-    generators' residuals contain are evaluated once per call.  The report
-    is the one unshared tests give.
+    zero-tested on one set of points, so all of the tests grow one
+    :class:`~liesym.expr.ValueTable`, one tape of those points: each test
+    lays out and runs only the nodes no earlier test has, so the sample
+    columns, F, G and the partials that several generators' residuals
+    contain are evaluated once per call.  The report is the one unshared
+    tests give.
     """
     e = get_entry(entry_id)
     p = e.resolve(params)

@@ -21,61 +21,44 @@ Design notes:
   assignment.
 - Each node caches its :func:`fold_constants` result, its derivatives (raw
   and folded) by each variable it contains and its :func:`free_symbols`,
-  so repeated and shared work is done once per distinct node, and a cached
-  result dies with its node.  A result equal to the node is stored as a sentinel, not as a
-  self-reference; a fold result is cached as its own fold, since folding is
-  idempotent.  A derivative that contains its node (``exp(u)``,
-  ``sqrt(u)``, ``u ^ v``) or another node whose derivative contains this
-  one (``sin(u)`` and ``cos(u)``) forms a reference cycle, which the cycle
+  so shared work is done once per distinct node, and a cached result dies
+  with its node.  A result equal to the node is stored as a sentinel; a
+  fold result is cached as its own fold.  A derivative that contains its
+  node (``exp(u)``) or another node whose derivative contains this one
+  (``sin(u)`` and ``cos(u)``) forms a reference cycle, which the cycle
   collector frees.
-- Folding is a bottom-up map: a node's fold depends only on its kind, its
-  value and its children's folds (:func:`_fold_op`).  So a derivation that
-  would fold a tree it has just built from folded pieces builds the fold
-  directly with the folded constructors (:func:`_fsum`, :func:`_fmul`,
-  :func:`_fneg`, :func:`_fsub`), and the unfolded tree is never born.  The
-  residuals of :func:`liesym.symmetry.residual_expressions` are built this
-  way.  :func:`substitute_folded` builds the fold of what
-  :func:`substitute` returns in the same walk, and :func:`derivative` is
-  one folded rule set: the derivative rule table of :func:`differentiate`
-  run over the folded constructors.
+- Folding is a bottom-up map (:func:`_fold_op`), so a derivation that would
+  fold what it builds from folded pieces builds the fold directly with the
+  folded constructors (:func:`_fsum` and friends), as the residuals of
+  :func:`liesym.symmetry.residual_expressions`, :func:`substitute_folded`
+  and :func:`derivative` do; the unfolded tree is never born.
 - No value depends on the sign of a zero: ``atan2``, the one operation
   whose finite result could (Kahan, "Branch Cuts for Complex Elementary
   Functions, or Much Ado About Nothing's Sign Bit", 1987), reads -0 as +0.
   A zero's sign shows only in the node and its text.
-- Every walk over a tree uses an explicit stack, so depth costs no Python
-  frames.  :func:`_postorder` asks its readiness test once per edge: a node
-  that is not ready goes back on the stack under a marker, above it go its
-  children, and popping the marker yields the node.  A walk skips what its
-  caches or :func:`free_symbols` already answer: :func:`differentiate`
-  does not enter a subtree without its variable, nor :func:`substitute` one
-  without a mapped symbol.
-- :func:`parse` splits its text with one regular-expression scan
-  (whitespace, then a number, a name, an operator or a stray character) and
-  applies operator precedence with explicit stacks in one loop.  Tokens
-  carry no positions: an error scans the text again to find its position,
-  and a stray character is reported before any other error, wherever it
-  stands.
+- Every walk over a tree, pickling included, uses an explicit stack, so
+  depth costs no Python frames; :func:`_postorder` asks its readiness test
+  once per edge.  A walk skips what its caches or :func:`free_symbols`
+  already answer: :func:`differentiate` does not enter a subtree without
+  its variable, nor :func:`substitute` one without a mapped symbol.
+- :func:`parse` splits its text with one regular-expression scan and
+  applies operator precedence with explicit stacks in one loop.
 - Printing parenthesizes so that ``parse(to_string(e))`` reproduces the tree
   node-for-node for any parser- or fold-produced tree.
 - Domain errors (log of a non-positive number, division by zero, fractional
   power of a negative base) and any other result that is not finite (an
   overflow) raise :class:`EvalError` — never a silent NaN or infinity.
-- :func:`compile_evaluator` lays expressions out as one tape with a slot per
-  distinct node and one numpy call per slot; a zero test reads the value and
-  its cancellation-scale terms from that single pass.  Zero tests on one set
-  of points may share a :class:`ValueTable` (``shared=``): the tape reads a
-  node the table holds from it and walks nothing below it, and a run that
-  finishes adds every non-leaf value it computed.  The table remembers the
-  columns it was filled at and refuses others.  Each value is the numpy call
-  it would be without the table, on the same operands, so results are
-  bit-identical.
+- :func:`compile_evaluator` lays expressions out as a tape (a Wengert
+  list) with one numpy call per distinct node; a zero test reads the value
+  and its cancellation-scale terms from that one pass.  Zero tests on one
+  set of points may grow one tape, a :class:`ValueTable`: each lays out and
+  runs only the nodes the table lacks, with the numpy call and operands it
+  would have without the table, so results are bit-identical.
 - The tape runs with numpy's floating-point flags trapping (overflow, divide
-  by zero and invalid raise; underflow does not) instead of checking every
-  slot for finiteness.  From finite operands, the first step that yields a
-  non-finite value is the first to raise a flag; that step alone is
-  recomputed with the flags off to find the point, and a finite
-  recomputation (a spurious flag) is kept.  Symbol columns and constants
-  raise no flag, so those slots are checked by hand.
+  by zero and invalid; not underflow).  From finite operands the first
+  non-finite step is the first to trap; it alone is recomputed with the
+  flags off to find the point, and a finite recomputation (a spurious flag)
+  is kept.  Columns and constants raise no flag: their slots are checked.
 """
 
 from __future__ import annotations
@@ -84,8 +67,9 @@ import math
 import operator
 import re
 import weakref
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -229,7 +213,15 @@ class Expr(_Node):
         raise AttributeError("Expr nodes are immutable")
 
     def __reduce__(self):
-        return (Expr, (self.kind, self.value, self.args))
+        # (kind, value, *child positions) per distinct node in post-order:
+        # flat, so depth costs no frames in pickle or in _rebuild
+        pos: dict[Expr, int] = {}
+        for n in _postorder(self, pos.__contains__):
+            pos[n] = len(pos)
+        return (_rebuild, ([(n.kind, n.value, *map(pos.get, n.args)) for n in pos],))
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __repr__(self):
         out, stack = [], [self]
@@ -326,6 +318,14 @@ def atan(e):
 
 def atan2(a, b):
     return call("atan2", a, b)
+
+
+def _rebuild(flat: list) -> Expr:
+    """The node :meth:`Expr.__reduce__` flattened (the live one if any)."""
+    nodes: list[Expr] = []
+    for kind, value, *kids in flat:
+        nodes.append(Expr(kind, value, tuple(map(nodes.__getitem__, kids))))
+    return nodes[-1]
 
 
 def _as_expr(v) -> Expr:
@@ -864,9 +864,8 @@ def fold_constants(e: Expr) -> Expr:
     ``neg(neg(e))`` are dropped.  Idempotent; preserves values everywhere the
     input evaluates.  A constant subtree whose evaluation fails (say ``1/0``)
     or overflows (``1e308*10``) is kept as-is so the error still surfaces at
-    evaluation time, naming what the input wrote.  The result
-    is cached on every node it visits, and on the result, which folds to
-    itself.
+    evaluation time, naming what the input wrote.  The result is cached on
+    every node it visits, and on the result, which folds to itself.
     """
     for n in _postorder(e, lambda n: n._fold is not None):
         r = _fold_op(n.kind, n.value, tuple([_fold_of(a) for a in n.args]))
@@ -989,73 +988,52 @@ _TAPE_FNS = {
 }
 
 
-#: The op of a tape slot whose value the tape holds: a value table's entry.
-_FILLED = "filled"
-
-
 class ValueTable(dict):
-    """Values of non-leaf nodes at one set of points, shared by the runs of
-    :func:`compile_evaluator` (and the zero tests of :func:`zero_report_at`)
-    made on those points: node -> numpy value.
-
-    A tape reads a node the table holds from it and walks nothing below it; a
-    run that finishes adds every non-leaf value it computed, and a run that
-    raises adds nothing.  ``points`` holds copies of the columns of the first
-    run that filled the table (name -> array); a run on other columns, or on
-    the same arrays changed in place, raises ``ValueError``.  Do not write to
-    the arrays an evaluator returns while they may be in a table.
+    """The tape of one set of points: node -> value of each node, leaves
+    included, that the callables :func:`compile_evaluator` makes on it have
+    evaluated.  A compile lays out only the nodes the table lacks, and its
+    callable's first run evaluates exactly those, so a column is read and
+    checked once per table; compiling while an earlier callable waits for
+    that run raises ``ValueError``.  The first run binds the table:
+    ``points`` holds copies of its columns, and a run on other names or
+    columns (or these changed in place) raises ``ValueError``.  A refused
+    compile adds nothing, and a run that raises takes its values off again.
+    Do not write to the arrays an evaluator returns while in a table.
     """
 
-    __slots__ = ("points", "_key")
+    __slots__ = ("points", "_key", "_cols", "_pending")
 
     def __init__(self):
         super().__init__()
         self.points: dict[str, np.ndarray] | None = None
+        self._pending: list | None = None  # steps laid out, not yet run
 
-    @staticmethod
-    def _columns(names: tuple[str, ...], arrs: list[np.ndarray]) -> tuple:
-        return names, [a.shape for a in arrs], [a.tobytes() for a in arrs]
+    def _lay_out(self, roots: Sequence[Expr], idx: Mapping[str, int]) -> list[tuple]:
+        if self._pending:
+            raise ValueError("an earlier evaluator on this value table has not run")
+        self._pending = _tape(roots, idx, self)
+        return self._pending
 
-    def _check(self, names: tuple[str, ...], arrs: list[np.ndarray]) -> None:
-        if self.points is not None and self._columns(names, arrs) != self._key:
+    def _bind(self, names: tuple[str, ...], arrs: list[np.ndarray]) -> None:
+        key = names, [a.shape for a in arrs], [a.tobytes() for a in arrs]
+        if self.points is None:
+            self._cols = [a.copy() for a in arrs]
+            self.points, self._key = dict(zip(names, self._cols)), key
+        elif key != self._key:
             raise ValueError("the value table was filled at other points")
 
-    def _fill(self, names, arrs, values: dict) -> None:
-        if self.points is None:
-            self.points = {n: a.copy() for n, a in zip(names, arrs)}
-            self._key = self._columns(names, arrs)
-        self.update(values)
 
-
-def _tape(roots: Sequence[Expr], idx: Mapping[str, int],
-          shared: Mapping[Expr, object] | None = None):
-    """Lay the roots out as a Wengert list: one slot per distinct node.
-
-    Slots are ordered by first occurrence in a left-to-right post-order walk.
-    Nodes are interned, so a slot is a node: equal subtrees share it, and
-    0.0 and -0.0 (two nodes with one value) do not.  Returns ``(steps,
-    outs)``: ``steps[i]`` is ``(op, a, b, node)`` and ``outs[j]`` the slot
-    holding ``roots[j]``.  An operation reads slots ``a`` and ``b`` (``b`` is
-    None for one operand); a constant step holds its value in ``a``, a symbol
-    step its column index.  A node in ``shared`` gets a ``_FILLED`` slot
-    holding its value in ``a`` when the walk first meets it, and nothing
-    below it is walked (unless another path reaches it).
-    """
-    steps: list[tuple] = []
-    seen: dict[Expr, int] = {}
-    ready = seen.__contains__
-    if shared:
-        def ready(e: Expr) -> bool:
-            if e in seen:
-                return True
-            v = shared.get(e)
-            if v is None:
-                return False
-            seen[e] = len(steps)
-            steps.append((_FILLED, v, None, e))
-            return True
-
+def _tape(roots: Sequence[Expr], idx: Mapping[str, int], held=()) -> list[tuple]:
+    """Lay the roots out as a Wengert list: one step per distinct node not in
+    ``held`` (nothing held is walked), in left-to-right post-order of first
+    occurrence.  A step is ``(op, a, b, node)``: an operation reads nodes
+    ``a`` and ``b`` (``b`` is None for one operand); a constant step holds
+    its value in ``a``, a symbol step its column index."""
+    laid: dict[Expr, tuple] = {}  # node -> its step, in tape order
+    ready = (lambda e: e in laid or e in held) if held else laid.__contains__
     for root in roots:
+        if ready(root):
+            continue
         for e in _postorder(root, ready):
             k = e.kind
             if k == CONSTANT:
@@ -1068,11 +1046,52 @@ def _tape(roots: Sequence[Expr], idx: Mapping[str, int],
                 step = (SYMBOL, idx[e.value], None, e)
             else:
                 args = e.args
-                step = (_TAPE_FNS[e.value if k == CALL else k], seen[args[0]],
-                        seen[args[1]] if len(args) == 2 else None, e)
-            seen[e] = len(steps)
-            steps.append(step)
-    return steps, [seen[r] for r in roots]
+                step = (_TAPE_FNS[e.value if k == CALL else k], args[0],
+                        args[1] if len(args) == 2 else None, e)
+            laid[e] = step
+    return list(laid.values())
+
+
+def _run(steps: list[tuple], vals: dict, names: tuple[str, ...], arrs: list[np.ndarray],
+         roots: tuple[Expr, ...], terms) -> object:
+    """Add each step's value to ``vals`` at the columns ``arrs`` of ``names``;
+    return the roots' values in the columns' shape, as documented for the
+    callable of :func:`compile_evaluator`."""
+
+    def fail(node, v):
+        i = int(np.argmax(np.ravel(~np.isfinite(v))))
+        point = {n: float(a.ravel()[i % a.size]) if a.size else float("nan")
+                 for n, a in zip(names, arrs)}
+        raise EvalError(f"non-finite value in {to_string(node)!r} near {point}")
+
+    # the first step whose value is not finite traps (see the module notes);
+    # it alone is recomputed with the flags off, and a finite value is kept
+    with np.errstate(all="raise", under="ignore"):
+        for op, a, b, node in steps:
+            if op is CONSTANT:
+                v = a
+                if not math.isfinite(v):
+                    fail(node, v)
+            elif op is SYMBOL:
+                v = arrs[a]
+                if not np.isfinite(v).all():
+                    fail(node, v)
+            else:
+                operands = (vals[a],) if b is None else (vals[a], vals[b])
+                try:
+                    v = op(*operands)
+                except FloatingPointError:
+                    with np.errstate(all="ignore"):
+                        v = op(*operands)
+                    if not np.isfinite(v).all():
+                        fail(node, v)
+            vals[node] = v
+    shapes = {a.shape for a in arrs}
+    shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+    # a value is a float64 array or scalar; np.full broadcasts every bit
+    res = [v if type(v) is np.ndarray and v.shape == shape else np.full(shape, v)
+           for v in map(vals.__getitem__, roots)]
+    return (res[0], res[1:]) if terms else res[0]
 
 
 def compile_evaluator(e: Expr, names: Sequence[str], terms: Sequence[Expr] = (), *,
@@ -1087,62 +1106,40 @@ def compile_evaluator(e: Expr, names: Sequence[str], terms: Sequence[Expr] = (),
     sub-expression and the point, so the vectorized path enforces the same
     no-silent-NaN policy as :func:`evaluate`.
 
-    With ``shared``, a :class:`ValueTable` of the points the callable will be
-    run on, the tape takes each node the table holds at compile time from
-    it instead of computing it, and a run that finishes adds the values it
-    computed.  The callable raises ``ValueError`` if the table was filled at
-    other columns.  Values and errors are those of a run without the table.
+    With ``shared``, a :class:`ValueTable`, only the nodes the table lacks
+    are laid out, and only the first call evaluates them; a call that raises
+    takes them off, for a later call to lay out again.  Values and errors
+    are those of a callable without the table.
     """
     names = tuple(names)
-    steps, outs = _tape((e, *terms), {n: i for i, n in enumerate(names)}, shared)
+    roots = (e, *terms)
+    idx = {n: i for i, n in enumerate(names)}
+    if shared is None:
+        steps = _tape(roots, idx)
+        return lambda *cols: _run(steps, {}, names,
+                                  [np.asarray(c, dtype=float) for c in cols], roots, terms)
+
+    table = shared
+    steps = table._lay_out(roots, idx)
 
     def run(*cols):
-        arrs = [np.asarray(c, dtype=float) for c in cols]
-        shape = np.broadcast_shapes(*(a.shape for a in arrs)) if arrs else ()
-        if shared is not None:
-            shared._check(names, arrs)
-
-        def fail(node, v):
-            i = int(np.argmax(np.ravel(~np.isfinite(v))))
-            point = {n: float(a.ravel()[i % a.size]) if a.size else float("nan")
-                     for n, a in zip(names, arrs)}
-            raise EvalError(f"non-finite value in {to_string(node)!r} near {point}")
-
-        vals = []
-        # From finite operands, a step whose value is not finite raises the
-        # overflow, divide or invalid flag, so the first such step traps here;
-        # it alone is recomputed with the flags off, and a finite value (a
-        # spurious flag) is kept.  Leaves raise no flag: they are checked.
-        # A table's values come from finished runs, so they are finite.
-        with np.errstate(all="raise", under="ignore"):
-            for op, a, b, node in steps:
-                if op is CONSTANT:
-                    v = a
-                    if not math.isfinite(v):
-                        fail(node, v)
-                elif op is SYMBOL:
-                    v = arrs[a]
-                    if not np.isfinite(v).all():
-                        fail(node, v)
-                elif op is _FILLED:
-                    v = a
-                else:
-                    operands = (vals[a],) if b is None else (vals[a], vals[b])
-                    try:
-                        v = op(*operands)
-                    except FloatingPointError:
-                        with np.errstate(all="ignore"):
-                            v = op(*operands)
-                        if not np.isfinite(v).all():
-                            fail(node, v)
-                vals.append(v)
-        if shared is not None:
-            # the values of the operations: neither leaves nor the table's own
-            shared._fill(names, arrs, {step[3]: v for step, v in zip(steps, vals)
-                                       if callable(step[0])})
-        res = [np.asarray(vals[s], dtype=float) for s in outs]
-        res = [r if r.shape == shape else np.broadcast_to(r, shape) for r in res]
-        return (res[0], res[1:]) if terms else res[0]
+        nonlocal steps
+        if steps is None:  # taken off by a run that raised
+            steps = table._lay_out(roots, idx)
+        try:
+            table._bind(names, [np.asarray(c, dtype=float) for c in cols])
+            out = _run(steps, table, names, table._cols, roots, terms)
+        except BaseException:
+            if steps:  # take its values off; an emptied table is unbound
+                for step in steps:
+                    table.pop(step[3], None)
+                if not table:
+                    table.points = None
+                steps = table._pending = None
+            raise
+        if steps:  # run: its values are the table's now
+            steps, table._pending = (), None
+        return out
 
     return run
 
@@ -1216,30 +1213,31 @@ def zero_report_at(e: Expr, pts: Mapping[str, np.ndarray],
     Raises ``ValueError`` unless ``tol`` is finite and positive and there is
     at least one point, with one column shape for all symbols.
 
-    Several tests on the same ``pts`` may pass one :class:`ValueTable` as
-    ``shared``: each node that an earlier test evaluated is read from it, not
-    evaluated again, and the report is the one an unshared call gives.  A
-    table filled at other points raises ``ValueError``.
+    Several tests on the same ``pts`` may grow one :class:`ValueTable`, passed
+    as ``shared``: each test lays out and runs only the nodes the table
+    lacks, and its report is the one an unshared call gives.  A table bound
+    to other points raises ``ValueError``; a refused test adds nothing.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number > 0, got {tol}")
     ee = fold_constants(e)
     names = tuple(pts)
-    try:
+    try:  # columns before the compile, but an unbound symbol is reported first
+        cols = [np.asarray(pts[nm], dtype=float) for nm in names]
+        if not cols or any(c.size == 0 for c in cols):
+            raise ValueError("need at least one sample point, got none")
+        if len({c.shape for c in cols}) > 1:
+            raise ValueError("sample columns differ in shape: "
+                             + ", ".join(f"{nm} {c.shape}" for nm, c in zip(names, cols)))
         run = compile_evaluator(ee, names, top_level_terms(ee), shared=shared)
-    except EvalError:  # the tape meets a symbol without a column
-        extra = free_symbols(ee) - set(names)
-        raise EvalError(
-            f"expression has unbound symbols {sorted(extra)}; supply a column for each"
-        ) from None
-    cols = [np.asarray(pts[nm], dtype=float) for nm in names]
-    if not cols or any(c.size == 0 for c in cols):
-        raise ValueError("need at least one sample point, got none")
-    if len({c.shape for c in cols}) > 1:
-        raise ValueError("sample columns differ in shape: "
-                         + ", ".join(f"{nm} {c.shape}" for nm, c in zip(names, cols)))
+    except (EvalError, ValueError):
+        extra = free_symbols(ee).difference(names)
+        if extra:
+            raise EvalError(f"expression has unbound symbols {sorted(extra)}; "
+                            "supply a column for each") from None
+        raise
     vals, terms = run(*cols)
-    scale = np.maximum.reduce([np.abs(t) for t in terms])
+    scale = np.abs(terms[0]) if len(terms) == 1 else np.abs(np.stack(terms)).max(axis=0)
     ratio = np.abs(vals) / (1.0 + scale)
     i = int(np.argmax(ratio))
     witness = {nm: float(cols[k][i]) for k, nm in enumerate(names)}

@@ -253,10 +253,11 @@ def reducibility_hint(f: Expr, g: Expr, dom: SamplingDomain) -> ReducibilityHint
     The tests are numeric-probabilistic: f' ≡ 0 or g' ≡ 0, then the
     proportionality Wronskian f·g' − f'·g ≡ 0, all at one set of points drawn
     from ``dom`` and at the fixed zero-test tolerance 1e-9.  The three tests
-    share one :class:`~liesym.expr.ValueTable`, so the Wronskian reads f'
-    and g' from the first two instead of evaluating them again; each still
-    returns as soon as it decides.  Bind any parameters in ``f`` and ``g``
-    with :func:`~liesym.expr.substitute` first.
+    grow one :class:`~liesym.expr.ValueTable`, one tape of those points, so
+    the Wronskian lays out and runs only the nodes the first two did not,
+    not f' and g' again.  The screen still returns as soon as a test
+    decides.  Bind any parameters in ``f`` and ``g`` with
+    :func:`~liesym.expr.substitute` first.
     """
     names = dom.names()
     if len(names) != 1:

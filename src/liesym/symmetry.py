@@ -452,7 +452,7 @@ def admits(sys: OdeSystem, g, dom: SamplingDomain | None = None,
     (default: :func:`default_domain`); the field is admitted iff both pass at
     ``tol``.
 
-    The two tests do not share a :class:`~liesym.expr.ValueTable`, as
+    The two tests do not grow one :class:`~liesym.expr.ValueTable` tape, as
     :func:`liesym.catalog.verify_entry`'s do: r1 and r2 of one field have
     few nodes in common (on the ``check`` benchmark's Laurent sums, 44,346
     distinct slots against 46,060 in the two separate tapes), so a table

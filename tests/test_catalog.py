@@ -12,7 +12,6 @@ import pickle
 import numpy as np
 import pytest
 
-import liesym.expr as ex
 from oracles import unshared_verify_entry
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -248,7 +247,7 @@ class TestSharedValueTable:
             p = None if s is None else draw_params(eid, s)
             assert repr(verify_entry(eid, p)) == repr(unshared_verify_entry(eid, p)), (eid, s)
 
-    def test_each_distinct_node_is_evaluated_once(self, monkeypatch):
+    def test_each_distinct_node_is_evaluated_once(self, tape_ops):
         e = get_entry("T1.J1")
         v = e._values(e.resolve())
         system = e._system(v)
@@ -260,18 +259,11 @@ class TestSharedValueTable:
                 if n.args and n not in distinct:
                     distinct.add(n)
                     stack.extend(n.args)
-        calls = []
-        for key, fn in list(ex._TAPE_FNS.items()):
-            def counted(*operands, fn=fn):
-                if np.geterr()["over"] == "raise":  # not a flag's recomputation
-                    calls.append(fn)
-                return fn(*operands)
-            monkeypatch.setitem(ex._TAPE_FNS, key, counted)
         shared = verify_entry("T1.J1")
-        assert len(calls) == len(distinct) > 0
-        calls.clear()
+        assert len(tape_ops) == len(distinct) > 0
+        tape_ops.clear()
         assert repr(unshared_verify_entry("T1.J1")) == repr(shared)
-        assert len(calls) > len(distinct)  # the unshared tests repeat nodes
+        assert len(tape_ops) > len(distinct)  # the unshared tests repeat nodes
 
 
 class TestDraws:

@@ -605,6 +605,17 @@ class TestCatalogCli:
                        "quadratic); '4*kappa - lam*lam' has no finite value at "
                        "kappa = 1.25, lam = 1e+200\n")
 
+    @pytest.mark.parametrize("entry_id", ["T2.4", "T2.5", "T3.S4a", "T3.S4b"])
+    def test_verify_names_the_row_of_a_derived_value_that_overflows(
+            self, capsys, clean_seed_env, entry_id):
+        # chi1 = alpha/(alpha*alpha + 1) overflows in alpha*alpha: the error
+        # names the row, as a failed check does
+        code, out, err = run(capsys, "catalog", "verify", "--id", entry_id,
+                             "--set", "alpha=1e200")
+        assert (code, out) == (1, "")
+        assert err == (f"liesym: error: {entry_id}: 'alpha/(alpha*alpha + 1)' has no "
+                       "finite value at alpha = 1e+200\n")
+
     @pytest.mark.parametrize("opts, message", [
         (("--samples", "0"), "need at least one sample point, got n=0"),
         (("--samples", "-1"), "need at least one sample point, got n=-1"),

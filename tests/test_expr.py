@@ -760,6 +760,20 @@ def test_copy_and_pickle_return_the_interned_node():
     e = parse("atan2(z, y) - 2.5 * y ^ -3")
     assert copy.deepcopy(e) is e
     assert pickle.loads(pickle.dumps(e)) is e
+    # large inputs: the encoding is flat, so neither depth nor width recurses
+    odd = [ex.const(-0.0), ex.const(math.inf), ex.const(-math.inf), ex.const(math.nan)]
+    wide = ex.const(0.0)
+    for k in range(5000):
+        wide = wide + odd[k % 4] * ex.sym("y") ** k
+    deep = ex.sym("z") * odd[0]
+    for _ in range(3000):
+        deep = -deep
+    for big in (wide, deep, ex.call("atan2", wide, deep)):
+        assert copy.deepcopy(big) is big
+        assert copy.copy(big) is big
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(big, protocol)) is big
+    assert pickle.loads(pickle.dumps(odd)) == odd
 
 
 def _one_node_per_kind():
@@ -1060,8 +1074,11 @@ def test_compile_keeps_signed_zeros_apart():
         assert fold_constants(e) is ex.const(want)
         assert np.array_equal(compile_evaluator(e * ex.sym("y"), ("y",))(y), want * y)
     e = ex.atan2(0, -0.0) + ex.atan2(0, 0.0) * ex.sym("y")
-    steps, _ = ex._tape([e], {"y": 0})
-    assert sum(step[0] == "constant" for step in steps) == 2
+    table = ValueTable()
+    assert np.array_equal(compile_evaluator(e, ("y",), shared=table)(y), [0.0, 0.0])
+    # the tape's slots, read through the table: 0.0 and -0.0 have one each
+    assert sorted(n.value for n in table if n.kind == "constant") == [0.0, 0.0]
+    assert {math.copysign(1.0, table[n]) for n in table if n.kind == "constant"} == {-1.0, 1.0}
     assert np.array_equal(compile_evaluator(e, ("y",))(y), [0.0, 0.0])
 
 
@@ -1111,15 +1128,17 @@ def test_table_runs_match_fresh_runs(ts, pts):
 
 
 def test_table_skips_what_it_holds():
-    # the second run reads y * z and exp(y) from the table: only the two
-    # new operations are computed
+    # the second compile lays out only the two new operations: the leaves,
+    # y * z and y * z + exp(y) are the table's already
     y, z = np.array([0.5, 1.0, 2.0]), np.array([3.0, -1.0, 0.25])
     table = ValueTable()
     compile_evaluator(parse("y * z + exp(y)"), ("y", "z"), shared=table)(y, z)
-    assert set(table) == {parse("y * z"), parse("exp(y)"), parse("y * z + exp(y)")}
-    steps, _ = ex._tape([parse("(y * z + exp(y)) * sin(y * z)")], {"y": 0, "z": 1}, table)
-    assert [op for op, *_ in steps] == [ex._FILLED, ex._FILLED, np.sin,
-                                        ex._TAPE_FNS[ex.PRODUCT]]
+    assert list(table) == [parse(t) for t in ("y", "z", "y * z", "exp(y)", "y * z + exp(y)")]
+    held = len(table)
+    run = compile_evaluator(parse("(y * z + exp(y)) * sin(y * z)"), ("y", "z"), shared=table)
+    assert [op for op, *_ in table._pending] == [np.sin, ex._TAPE_FNS[ex.PRODUCT]]
+    assert np.array_equal(run(y, z), (y * z + np.exp(y)) * np.sin(y * z))
+    assert len(table) == held + 2 and not table._pending
 
 
 def test_table_run_that_raises_adds_nothing():
@@ -1189,6 +1208,101 @@ def test_table_from_other_points_is_refused():
         zero_report_at(e, pts, shared=table)
     with pytest.raises(ValueError, match="filled at other points"):
         compile_evaluator(parse("y"), ("y", "z"), shared=table)(pts["y"], pts["z"])
+
+
+def _layout(table):
+    """Everything a table holds: its values, its points and whether steps
+    wait for their run."""
+    return dict(table), table.points and dict(table.points), bool(table._pending)
+
+
+def test_table_rollback_leaves_slots_and_values_as_they_were():
+    y, z = np.array([0.5, 1.0, 2.0]), np.array([0.2, 1.0, 1.0])
+    table = ValueTable()
+    compile_evaluator(parse("ln(y + z) * (y - z)"), ("y", "z"), shared=table)(y, z)
+    held = _layout(table)
+    raising = compile_evaluator(parse("ln(y + z) * (y - z) + 1 / (y - z)"), ("y", "z"),
+                                shared=table)
+    assert table._pending  # laid out, not yet run
+    with pytest.raises(EvalError, match=re.escape("'1 / (y - z)' near {'y': 1.0, 'z': 1.0}")):
+        raising(y, z)
+    assert _layout(table) == held
+    with pytest.raises(EvalError, match="unbound symbol 'q'"):
+        compile_evaluator(parse("exp(y + z) * q"), ("y", "z"), shared=table)
+    assert _layout(table) == held
+    with pytest.raises(ValueError, match="filled at other points"):
+        compile_evaluator(parse("exp(y + z)"), ("y", "z"), shared=table)(z, y)
+    assert _layout(table) == held
+    # a callable whose slots were taken off lays them out again when called
+    with pytest.raises(EvalError, match=re.escape("'1 / (y - z)' near {'y': 1.0, 'z': 1.0}")):
+        raising(y, z)
+    assert _layout(table) == held
+    # a refused first run leaves the table empty and unbound
+    fresh = ValueTable()
+    with pytest.raises(EvalError):
+        compile_evaluator(parse("1 / (y - z)"), ("y", "z"), shared=fresh)(y, z)
+    assert _layout(fresh) == ({}, None, False)
+
+
+def test_table_refuses_a_compile_while_an_earlier_callable_waits():
+    y, z = np.array([0.5, 1.0, 2.0]), np.array([3.0, -1.0, 0.25])
+    table = ValueTable()
+    first = compile_evaluator(parse("y * z"), ("y", "z"), shared=table)
+    with pytest.raises(ValueError, match="has not run"):
+        compile_evaluator(parse("exp(y)"), ("y", "z"), shared=table)
+    assert np.array_equal(first(y, z), y * z)
+    assert np.array_equal(compile_evaluator(parse("exp(y)"), ("y", "z"), shared=table)(y, z),
+                          np.exp(y))
+    # a compile that lays out nothing new leaves nothing waiting
+    compile_evaluator(parse("y * z"), ("y", "z"), shared=table)
+    compile_evaluator(parse("z"), ("y", "z"), shared=table)
+
+
+def test_table_callable_called_twice_appends_and_runs_once(tape_ops):
+    y, z = np.array([0.5, 1.0, 2.0]), np.array([3.0, -1.0, 0.25])
+    table = ValueTable()
+    run = compile_evaluator(parse("y * z + exp(y)"), ("y", "z"), shared=table)
+    steps = len(table._pending)
+    first = run(y, z)
+    assert len(tape_ops) == 3 and len(table) == steps == 5
+    second = run(y, z)
+    assert len(tape_ops) == 3 and len(table) == steps and second is first
+    with pytest.raises(ValueError, match="filled at other points"):
+        run(z, y)
+    assert len(tape_ops) == 3 and len(table) == steps
+
+
+def test_zero_test_of_held_nodes_runs_no_operation(tape_ops):
+    pts = sample(SamplingDomain(intervals={"y": (0.2, 3.0), "z": (0.2, 3.0)}, n=40, seed=2))
+    e = parse("exp(y) * sin(z) - y * z + 2 * z")
+    table = ValueTable()
+    rep = zero_report_at(e, pts, shared=table)
+    ran = len(tape_ops)
+    assert ran > 0
+    # the same test, and one on a held term, lay out and run nothing
+    assert zero_report_at(e, pts, shared=table) == rep
+    assert zero_report_at(parse("y * z"), pts, shared=table) == zero_report_at(
+        parse("y * z"), pts)
+    assert len(tape_ops) == ran + 1  # the unshared y * z
+    assert not table._pending
+
+
+def test_table_reads_as_a_mapping_of_node_values():
+    y, z = np.array([0.5, 1.0, 2.0]), np.array([3.0, -1.0, 0.25])
+    table = ValueTable()
+    assert len(table) == 0 and table.points is None and parse("y") not in table
+    compile_evaluator(parse("y * z + 2"), ("y", "z"), shared=table)(y, z)
+    assert len(table) == 5 and parse("y * z") in table and parse("exp(y)") not in table
+    assert np.array_equal(table[parse("y * z")], y * z)
+    assert np.array_equal(table[parse("y")], y) and table[parse("2")] == 2.0
+    assert set(table.points) == {"y", "z"} and np.array_equal(table.points["z"], z)
+    with pytest.raises(KeyError):
+        table[parse("exp(y)")]
+    # a node laid out but not yet run is not in the table
+    compile_evaluator(parse("exp(y)"), ("y", "z"), shared=table)
+    assert parse("exp(y)") not in table and len(table) == 5
+    with pytest.raises(KeyError):
+        table[parse("exp(y)")]
 
 
 # ---------------------------------------------------------------------------

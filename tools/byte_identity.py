@@ -12,7 +12,7 @@ the one next to this script), so one copy of the script serves both sides:
 
 The inputs are fixed by seeds; the ``check`` and ``covariance`` inputs come
 from the benchmark's generators in ``bench/workloads.py`` next to this
-script.  704 files:
+script.  709 files:
 
 - ``catalog/``: ``liesym catalog verify --all --json`` at seeds 0 and 1, and
   ``liesym catalog list`` with and without ``--json``;
@@ -49,7 +49,10 @@ script.  704 files:
 - ``errors/``: ten ``EvalError`` texts, two of them raised by a zero test
   after earlier tests of the same call filled its value table: a later
   generator's in ``verify_entry`` and the Wronskian's in
-  ``reducibility_hint``;
+  ``reducibility_hint``; and five zero tests in turn on one value table,
+  each report or error text a file: a passing test, one that raises
+  (``1 / (y - z)`` where y = z), the passing test again, one refused for an
+  unbound symbol, and the passing test once more;
 - ``sample.txt`` and ``reducibility/``: ``sample`` on a two-variable box and
   ten ``reducibility_hint`` calls on parameter-free profile pairs, eight of
   which reach the Wronskian test.
@@ -82,10 +85,10 @@ def _cli(cli, argv) -> tuple[int, str, str]:
 
 def _error_text(thunk) -> str:
     try:
-        thunk()
+        out = thunk()
     except Exception as exc:  # the text of whatever it raises is the output
         return f"{type(exc).__name__}: {exc}\n"
-    return "no error\n"
+    return f"{out!r}\n"
 
 
 #: One representative per row of the optimal-system table (c1..c8), with
@@ -215,8 +218,9 @@ def write_outputs(out: Path, work: Path) -> int:
     # imported here: main() puts the package under test on sys.path first
     import workloads
     from liesym import catalog, cli, liealg, odesys, symmetry
-    from liesym.expr import (SamplingDomain, compile_evaluator, differentiate,
-                             evaluate, parse, sample, to_string, zero_report_at)
+    from liesym.expr import (SamplingDomain, ValueTable, compile_evaluator,
+                             differentiate, evaluate, parse, sample, to_string,
+                             zero_report_at)
 
     files = 0
 
@@ -312,6 +316,19 @@ def write_outputs(out: Path, work: Path) -> int:
     }
     for name, thunk in errors.items():
         emit(f"errors/{name}.txt", _error_text(thunk))
+
+    # a raising test and a refused one must leave the table as the passing
+    # test left it, so the passing test reports the same each time
+    table = ValueTable()
+    tpts = sample(SamplingDomain(intervals={"y": (0.2, 3.0), "z": (0.2, 3.0)}, n=20, seed=5))
+    tpts["z"][7] = tpts["y"][7]
+    passing = parse("ln(y + z) * (y - z) + 1e-12 * exp(y) - (y - z) * ln(y + z)")
+    table_tests = [("pass", passing), ("raise", parse("ln(y + z) * (y - z) + 1 / (y - z)")),
+                   ("pass-again", passing), ("unbound", parse("gamma * ln(y + z)")),
+                   ("pass-once-more", passing)]
+    for k, (name, e) in enumerate(table_tests):
+        emit(f"errors/table-{k}-{name}.txt",
+             _error_text(lambda: zero_report_at(e, tpts, shared=table)))
 
     box = SamplingDomain(intervals={"y": (-1.0, 1.0), "z": (-1.0, 1.0)}, n=50, seed=3)
     pts = sample(box)
