@@ -51,9 +51,10 @@ Design notes:
 - :func:`compile_evaluator` lays expressions out as a tape (a Wengert
   list) with one numpy call per distinct node; a zero test reads the value
   and its cancellation-scale terms from that one pass.  Zero tests on one
-  set of points may grow one tape, a :class:`ValueTable`: each lays out and
-  runs only the nodes the table lacks, with the numpy call and operands it
-  would have without the table, so results are bit-identical.
+  set of points may grow one tape, a :class:`ValueTable`, that only grows:
+  each lays out and runs only the nodes the table lacks, with the numpy
+  call and operands it would have without it, so every value in it is the
+  node's unshared value at its points.  A run that raises keeps its values.
 - The tape runs with numpy's floating-point flags trapping (overflow, divide
   by zero and invalid; not underflow).  From finite operands the first
   non-finite step is the first to trap; it alone is recomputed with the
@@ -64,6 +65,7 @@ Design notes:
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import re
 import weakref
@@ -991,28 +993,19 @@ _TAPE_FNS = {
 class ValueTable(dict):
     """The tape of one set of points: node -> value of each node, leaves
     included, that the callables :func:`compile_evaluator` makes on it have
-    evaluated.  A compile lays out only the nodes the table lacks, and its
-    callable's first run evaluates exactly those, so a column is read and
-    checked once per table; compiling while an earlier callable waits for
-    that run raises ``ValueError``.  The first run binds the table:
-    ``points`` holds copies of its columns, and a run on other names or
-    columns (or these changed in place) raises ``ValueError``.  A refused
-    compile adds nothing, and a run that raises takes its values off again.
-    Do not write to the arrays an evaluator returns while in a table.
+    evaluated.  It only grows, and every value in it is its node's value at
+    its points.  A compile lays out only the nodes the table lacks, so a
+    column is read and checked once per table.  The first run binds the
+    table: ``points`` holds copies of its columns, and a run on other names
+    or columns (or these changed in place) raises ``ValueError``.  Do not
+    write to the arrays an evaluator returns while in a table.
     """
 
-    __slots__ = ("points", "_key", "_cols", "_pending")
+    __slots__ = ("points", "_key", "_cols")
 
     def __init__(self):
         super().__init__()
         self.points: dict[str, np.ndarray] | None = None
-        self._pending: list | None = None  # steps laid out, not yet run
-
-    def _lay_out(self, roots: Sequence[Expr], idx: Mapping[str, int]) -> list[tuple]:
-        if self._pending:
-            raise ValueError("an earlier evaluator on this value table has not run")
-        self._pending = _tape(roots, idx, self)
-        return self._pending
 
     def _bind(self, names: tuple[str, ...], arrs: list[np.ndarray]) -> None:
         key = names, [a.shape for a in arrs], [a.tobytes() for a in arrs]
@@ -1107,9 +1100,9 @@ def compile_evaluator(e: Expr, names: Sequence[str], terms: Sequence[Expr] = (),
     no-silent-NaN policy as :func:`evaluate`.
 
     With ``shared``, a :class:`ValueTable`, only the nodes the table lacks
-    are laid out, and only the first call evaluates them; a call that raises
-    takes them off, for a later call to lay out again.  Values and errors
-    are those of a callable without the table.
+    are laid out, and each call adds the values it computes to the table
+    until one runs to its end.  Values and errors are those of a callable
+    without the table.
     """
     names = tuple(names)
     roots = (e, *terms)
@@ -1119,26 +1112,13 @@ def compile_evaluator(e: Expr, names: Sequence[str], terms: Sequence[Expr] = (),
         return lambda *cols: _run(steps, {}, names,
                                   [np.asarray(c, dtype=float) for c in cols], roots, terms)
 
-    table = shared
-    steps = table._lay_out(roots, idx)
+    steps = _tape(roots, idx, shared)
 
     def run(*cols):
         nonlocal steps
-        if steps is None:  # taken off by a run that raised
-            steps = table._lay_out(roots, idx)
-        try:
-            table._bind(names, [np.asarray(c, dtype=float) for c in cols])
-            out = _run(steps, table, names, table._cols, roots, terms)
-        except BaseException:
-            if steps:  # take its values off; an emptied table is unbound
-                for step in steps:
-                    table.pop(step[3], None)
-                if not table:
-                    table.points = None
-                steps = table._pending = None
-            raise
-        if steps:  # run: its values are the table's now
-            steps, table._pending = (), None
+        shared._bind(names, [np.asarray(c, dtype=float) for c in cols])
+        out = _run(steps, shared, names, shared._cols, roots, terms)
+        steps = ()  # its values are the table's now
         return out
 
     return run
@@ -1153,8 +1133,8 @@ class SamplingDomain:
     """A box of variable ranges to draw ``n`` points from.
 
     Draws are uniform per coordinate from ``numpy.random.default_rng(seed)``,
-    so sampling is reproducible.  Raises ``ValueError`` unless ``n >= 1``,
-    ``seed >= 0`` and every interval is finite with ``lo < hi``.
+    so sampling is reproducible.  Raises ``ValueError`` unless ``n >= 1`` and
+    ``seed >= 0`` are integers (not bools) and every interval is finite with ``lo < hi``.
     """
 
     intervals: Mapping[str, tuple[float, float]]
@@ -1162,6 +1142,9 @@ class SamplingDomain:
     seed: int = 0
 
     def __post_init__(self):
+        for name, v in (("n", self.n), ("seed", self.seed)):
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if not self.n >= 1:
             raise ValueError(f"need at least one sample point, got n={self.n}")
         if not self.seed >= 0:
@@ -1214,9 +1197,10 @@ def zero_report_at(e: Expr, pts: Mapping[str, np.ndarray],
     at least one point, with one column shape for all symbols.
 
     Several tests on the same ``pts`` may grow one :class:`ValueTable`, passed
-    as ``shared``: each test lays out and runs only the nodes the table
-    lacks, and its report is the one an unshared call gives.  A table bound
-    to other points raises ``ValueError``; a refused test adds nothing.
+    as ``shared``, which only grows and holds each node's value at ``pts``:
+    each test lays out and runs only the nodes the table lacks, and reports
+    or raises as an unshared call does.  A table bound to other points
+    raises ``ValueError``.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number > 0, got {tol}")
@@ -1237,8 +1221,9 @@ def zero_report_at(e: Expr, pts: Mapping[str, np.ndarray],
                             "supply a column for each") from None
         raise
     vals, terms = run(*cols)
-    scale = np.abs(terms[0]) if len(terms) == 1 else np.abs(np.stack(terms)).max(axis=0)
-    ratio = np.abs(vals) / (1.0 + scale)
+    size = np.abs(vals)  # a lone term is e up to sign, so it is its size too
+    scale = size if len(terms) == 1 else np.abs(np.stack(terms)).max(axis=0)
+    ratio = size / (1.0 + scale)
     i = int(np.argmax(ratio))
     witness = {nm: float(cols[k][i]) for k, nm in enumerate(names)}
     return ZeroReport(ok=bool(ratio[i] <= tol), max_ratio=float(ratio[i]),

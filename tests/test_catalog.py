@@ -30,6 +30,7 @@ from liesym.catalog import (
 )
 from liesym.expr import (
     compile_evaluator,
+    const,
     differentiate,
     evaluate,
     fold_constants,
@@ -40,7 +41,7 @@ from liesym.expr import (
     zero_report_at,
 )
 from liesym.liealg import AlgebraElement, normalize_L8
-from liesym.odesys import Mat2, linear_change
+from liesym.odesys import Mat2, linear_change, shift_change
 from liesym.symmetry import (
     Generator,
     LinearGenerator,
@@ -565,7 +566,10 @@ class TestT2:
         ({"n": 0}, "need at least one sample point, got n=0"),
         ({"n": -1}, "need at least one sample point, got n=-1"),
         ({"seed": -1}, "seed must be a non-negative integer, got -1"),
-    ], ids=["n=0", "n=-1", "seed=-1"])
+        ({"n": 2.5}, "n must be an integer, got 2.5"),
+        ({"n": True}, "n must be an integer, got True"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ], ids=["n=0", "n=-1", "seed=-1", "n=2.5", "n=True", "seed=1.5"])
     @pytest.mark.parametrize("entry_id", ALL_IDS)
     def test_bad_sample_count_or_seed(self, entry_id, kwargs, message):
         """Every row, the pushforward rows included, rejects them with the
@@ -618,6 +622,29 @@ class TestT3:
             P = random_unimodularish(rng)
             worst = transformed_worst(entry_id, P, seed=4)
             assert worst < 1e-8, (entry_id, worst)
+
+
+class TestTranslatedRows:
+    """T2.4 and T2.5 are T2.6 moved by their own centre (y0, z0), and T3.S4a
+    and T3.S4b are T3.S4c moved the same way: ``shift_change`` of the base
+    row gives the row's F and G exactly, at its defaults and at four draws,
+    on the row's own sample points."""
+
+    @pytest.mark.parametrize("base, entry_id", [
+        ("T2.6", "T2.4"), ("T2.6", "T2.5"), ("T3.S4c", "T3.S4a"), ("T3.S4c", "T3.S4b")])
+    def test_row_is_its_base_row_shifted(self, base, entry_id):
+        e = get_entry(entry_id)
+        for s in (None, 0, 1, 2, 3):
+            p = e.resolve(None if s is None else draw_params(entry_id, s))
+            v = e._values(p)
+            moved = shift_change(get_entry(base).build(p), const(v["y0"]), const(v["z0"]))
+            row = e.build(p)
+            pts = e.sample_points(p)
+            names = tuple(pts)
+            cols = [pts[n] for n in names]
+            for got, want in ((moved.F, row.F), (moved.G, row.G)):
+                assert np.array_equal(compile_evaluator(got, names)(*cols),
+                                      compile_evaluator(want, names)(*cols)), (entry_id, s)
 
 
 class TestXiFamily:

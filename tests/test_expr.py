@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import math
+import operator
 import random
 import re
 from pathlib import Path
@@ -1110,51 +1111,83 @@ def _outcome(thunk):
         return ("err", str(exc))
 
 
+def _holds_unshared_values(table, names, cols):
+    """Whether every value ``table`` holds is its node's value from a
+    callable without the table, bit for bit."""
+    shape = cols[0].shape
+    return all(np.broadcast_to(v, shape).tobytes()
+               == compile_evaluator(node, names)(*cols).tobytes()
+               for node, v in table.items())
+
+
 @given(st.lists(trees, min_size=2, max_size=4), st.lists(bindings, min_size=1, max_size=5))
 @settings(max_examples=150)
 def test_table_runs_match_fresh_runs(ts, pts):
     # values bit for bit, and the same first non-finite sub-expression and
-    # point, whatever earlier runs left in the table
+    # point, whatever earlier runs left in the table; a value once held is
+    # kept, and every value held is the node's unshared value
     cols = [np.array([p[n] for p in pts]) for n in _NAMES]
     table = ValueTable()
     for t in ts:
         before = dict(table)
         got = _outcome(lambda: compile_evaluator(t, _NAMES, shared=table)(*cols))
         assert got == _outcome(lambda: compile_evaluator(t, _NAMES)(*cols))
-        if got[0] == "err":
-            assert table == before  # a run that raises adds nothing
         for node, v in before.items():
             assert table[node] is v
+    assert _holds_unshared_values(table, _NAMES, cols)
 
 
-def test_table_skips_what_it_holds():
-    # the second compile lays out only the two new operations: the leaves,
+def test_table_skips_what_it_holds(tape_ops):
+    # the second run evaluates only the two new operations: the leaves,
     # y * z and y * z + exp(y) are the table's already
     y, z = np.array([0.5, 1.0, 2.0]), np.array([3.0, -1.0, 0.25])
     table = ValueTable()
     compile_evaluator(parse("y * z + exp(y)"), ("y", "z"), shared=table)(y, z)
     assert list(table) == [parse(t) for t in ("y", "z", "y * z", "exp(y)", "y * z + exp(y)")]
-    held = len(table)
+    held, ran = len(table), len(tape_ops)
     run = compile_evaluator(parse("(y * z + exp(y)) * sin(y * z)"), ("y", "z"), shared=table)
-    assert [op for op, *_ in table._pending] == [np.sin, ex._TAPE_FNS[ex.PRODUCT]]
     assert np.array_equal(run(y, z), (y * z + np.exp(y)) * np.sin(y * z))
-    assert len(table) == held + 2 and not table._pending
+    assert tape_ops[ran:] == [np.sin, operator.mul]
+    assert len(table) == held + 2
 
 
-def test_table_run_that_raises_adds_nothing():
+def _report_or_error(thunk):
+    """A zero test's report, or the type and text of what it raised."""
+    try:
+        return thunk()
+    except (EvalError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_table_run_that_raises_keeps_only_correct_values(tape_ops):
     y, z = np.array([0.5, 1.0, 2.0]), np.array([0.2, 1.0, 1.0])
+    pts = {"y": y, "z": z}
+    passing = parse("ln(y + z) * (y - z) + 1e-12 * exp(y) - (y - z) * ln(y + z)")
+    raising = parse("ln(y + z) * (y - z) + 1 / (y - z)")
+    # a first run that raises keeps the values it computed, and the table
+    # stays bound to its points; called again, the callable raises the same
     table = ValueTable()
-    with pytest.raises(EvalError):
-        compile_evaluator(parse("ln(y + z) * (y - z) + 1 / (y - z)"), ("y", "z"),
-                          shared=table)(y, z)
-    assert len(table) == 0 and table.points is None
-    compile_evaluator(parse("ln(y + z) * (y - z)"), ("y", "z"), shared=table)(y, z)
-    filled = dict(table)
-    with pytest.raises(EvalError, match=re.escape(
-            "non-finite value in '1 / (y - z)' near {'y': 1.0, 'z': 1.0}")):
-        compile_evaluator(parse("ln(y + z) * (y - z) + 1 / (y - z)"), ("y", "z"),
-                          shared=table)(y, z)
-    assert table == filled
+    run = compile_evaluator(raising, ("y", "z"), shared=table)
+    for _ in range(2):
+        with pytest.raises(EvalError, match=re.escape(
+                "non-finite value in '1 / (y - z)' near {'y': 1.0, 'z': 1.0}")):
+            run(y, z)
+    assert parse("ln(y + z) * (y - z)") in table
+    assert table.points.keys() == pts.keys()
+    assert all(np.array_equal(table.points[n], pts[n]) for n in pts)
+    assert _holds_unshared_values(table, ("y", "z"), (y, z))
+    with pytest.raises(ValueError, match="filled at other points"):
+        zero_report_at(passing, {"y": z, "z": y}, shared=table)
+    # passing, raising and refused tests then report or raise as unshared ones
+    tests = [passing, raising, passing, parse("gamma * ln(y + z)"), raising, passing]
+    for e in tests:
+        assert (_report_or_error(lambda: zero_report_at(e, pts, shared=table))
+                == _report_or_error(lambda: zero_report_at(e, pts)))
+        assert _holds_unshared_values(table, ("y", "z"), (y, z))
+    # the passing test's nodes are all held by now: it runs no operation
+    ran = len(tape_ops)
+    zero_report_at(passing, pts, shared=table)
+    assert len(tape_ops) == ran
 
 
 @pytest.mark.parametrize("first, second", [
@@ -1210,66 +1243,33 @@ def test_table_from_other_points_is_refused():
         compile_evaluator(parse("y"), ("y", "z"), shared=table)(pts["y"], pts["z"])
 
 
-def _layout(table):
-    """Everything a table holds: its values, its points and whether steps
-    wait for their run."""
-    return dict(table), table.points and dict(table.points), bool(table._pending)
-
-
-def test_table_rollback_leaves_slots_and_values_as_they_were():
-    y, z = np.array([0.5, 1.0, 2.0]), np.array([0.2, 1.0, 1.0])
-    table = ValueTable()
-    compile_evaluator(parse("ln(y + z) * (y - z)"), ("y", "z"), shared=table)(y, z)
-    held = _layout(table)
-    raising = compile_evaluator(parse("ln(y + z) * (y - z) + 1 / (y - z)"), ("y", "z"),
-                                shared=table)
-    assert table._pending  # laid out, not yet run
-    with pytest.raises(EvalError, match=re.escape("'1 / (y - z)' near {'y': 1.0, 'z': 1.0}")):
-        raising(y, z)
-    assert _layout(table) == held
-    with pytest.raises(EvalError, match="unbound symbol 'q'"):
-        compile_evaluator(parse("exp(y + z) * q"), ("y", "z"), shared=table)
-    assert _layout(table) == held
-    with pytest.raises(ValueError, match="filled at other points"):
-        compile_evaluator(parse("exp(y + z)"), ("y", "z"), shared=table)(z, y)
-    assert _layout(table) == held
-    # a callable whose slots were taken off lays them out again when called
-    with pytest.raises(EvalError, match=re.escape("'1 / (y - z)' near {'y': 1.0, 'z': 1.0}")):
-        raising(y, z)
-    assert _layout(table) == held
-    # a refused first run leaves the table empty and unbound
-    fresh = ValueTable()
-    with pytest.raises(EvalError):
-        compile_evaluator(parse("1 / (y - z)"), ("y", "z"), shared=fresh)(y, z)
-    assert _layout(fresh) == ({}, None, False)
-
-
-def test_table_refuses_a_compile_while_an_earlier_callable_waits():
+def test_table_callables_compiled_together_run_in_any_order():
+    # B is laid out before A runs and runs first; each run's values are
+    # the unshared ones
     y, z = np.array([0.5, 1.0, 2.0]), np.array([3.0, -1.0, 0.25])
+    a_expr, b_expr = parse("y * z + exp(y)"), parse("exp(y) * sin(y * z) - y * z")
     table = ValueTable()
-    first = compile_evaluator(parse("y * z"), ("y", "z"), shared=table)
-    with pytest.raises(ValueError, match="has not run"):
-        compile_evaluator(parse("exp(y)"), ("y", "z"), shared=table)
-    assert np.array_equal(first(y, z), y * z)
-    assert np.array_equal(compile_evaluator(parse("exp(y)"), ("y", "z"), shared=table)(y, z),
-                          np.exp(y))
-    # a compile that lays out nothing new leaves nothing waiting
-    compile_evaluator(parse("y * z"), ("y", "z"), shared=table)
-    compile_evaluator(parse("z"), ("y", "z"), shared=table)
+    a = compile_evaluator(a_expr, ("y", "z"), shared=table)
+    b = compile_evaluator(b_expr, ("y", "z"), shared=table)
+    assert len(table) == 0
+    assert b(y, z).tobytes() == compile_evaluator(b_expr, ("y", "z"))(y, z).tobytes()
+    assert a(y, z).tobytes() == compile_evaluator(a_expr, ("y", "z"))(y, z).tobytes()
+    assert a_expr in table and b_expr in table
+    assert _holds_unshared_values(table, ("y", "z"), (y, z))
 
 
 def test_table_callable_called_twice_appends_and_runs_once(tape_ops):
     y, z = np.array([0.5, 1.0, 2.0]), np.array([3.0, -1.0, 0.25])
     table = ValueTable()
     run = compile_evaluator(parse("y * z + exp(y)"), ("y", "z"), shared=table)
-    steps = len(table._pending)
+    assert len(tape_ops) == 0 and len(table) == 0  # a compile runs nothing
     first = run(y, z)
-    assert len(tape_ops) == 3 and len(table) == steps == 5
+    assert len(tape_ops) == 3 and len(table) == 5
     second = run(y, z)
-    assert len(tape_ops) == 3 and len(table) == steps and second is first
+    assert len(tape_ops) == 3 and len(table) == 5 and second is first
     with pytest.raises(ValueError, match="filled at other points"):
         run(z, y)
-    assert len(tape_ops) == 3 and len(table) == steps
+    assert len(tape_ops) == 3 and len(table) == 5
 
 
 def test_zero_test_of_held_nodes_runs_no_operation(tape_ops):
@@ -1284,7 +1284,6 @@ def test_zero_test_of_held_nodes_runs_no_operation(tape_ops):
     assert zero_report_at(parse("y * z"), pts, shared=table) == zero_report_at(
         parse("y * z"), pts)
     assert len(tape_ops) == ran + 1  # the unshared y * z
-    assert not table._pending
 
 
 def test_table_reads_as_a_mapping_of_node_values():
@@ -1440,10 +1439,20 @@ def test_zero_report_at_rejects_unequal_columns(text):
     {"n": 0}, {"n": -3}, {"intervals": {"y": (1.0, 1.0)}},
     {"intervals": {"y": (2.0, 1.0)}}, {"intervals": {"y": (0.0, math.inf)}},
     {"intervals": {"y": (math.nan, 1.0)}}, {"seed": -1},
+    # not integers: refused here, not later by numpy
+    {"n": 2.5}, {"n": 3.0}, {"n": True}, {"n": "4"},
+    {"seed": 1.5}, {"seed": False}, {"seed": None},
 ])
 def test_sampling_domain_rejects_bad_input(change):
     with pytest.raises(ValueError):
         SamplingDomain(**{"intervals": {"y": (0.0, 1.0)}, **change})
+
+
+def test_sampling_domain_takes_numpy_integers():
+    box = {"y": (0.0, 1.0), "z": (2.0, 3.0)}
+    got = sample(SamplingDomain(intervals=box, n=np.int64(6), seed=np.uint32(3)))
+    want = sample(SamplingDomain(intervals=box, n=6, seed=3))
+    assert all(got[k].tobytes() == want[k].tobytes() for k in box)
 
 
 def test_zero_report_at_skips_free_symbols_on_success(monkeypatch):

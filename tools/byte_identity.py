@@ -52,7 +52,8 @@ script.  709 files:
   ``reducibility_hint``; and five zero tests in turn on one value table,
   each report or error text a file: a passing test, one that raises
   (``1 / (y - z)`` where y = z), the passing test again, one refused for an
-  unbound symbol, and the passing test once more;
+  unbound symbol, and the passing test once more: the passing test reports
+  the same each time;
 - ``sample.txt`` and ``reducibility/``: ``sample`` on a two-variable box and
   ten ``reducibility_hint`` calls on parameter-free profile pairs, eight of
   which reach the Wronskian test.
@@ -317,8 +318,8 @@ def write_outputs(out: Path, work: Path) -> int:
     for name, thunk in errors.items():
         emit(f"errors/{name}.txt", _error_text(thunk))
 
-    # a raising test and a refused one must leave the table as the passing
-    # test left it, so the passing test reports the same each time
+    # tests that raise or are refused in between: the passing test reports
+    # the same each time
     table = ValueTable()
     tpts = sample(SamplingDomain(intervals={"y": (0.2, 3.0), "z": (0.2, 3.0)}, n=20, seed=5))
     tpts["z"][7] = tpts["y"][7]
