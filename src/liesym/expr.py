@@ -1117,6 +1117,9 @@ def compile_evaluator(e: Expr, names: Sequence[str], terms: Sequence[Expr] = (),
     def run(*cols):
         nonlocal steps
         shared._bind(names, [np.asarray(c, dtype=float) for c in cols])
+        # a held value is kept: skip the nodes that a raising call of this
+        # callable, or another callable on the table, has run since
+        steps = [s for s in steps if s[3] not in shared]
         out = _run(steps, shared, names, shared._cols, roots, terms)
         steps = ()  # its values are the table's now
         return out

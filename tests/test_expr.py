@@ -1190,6 +1190,58 @@ def test_table_run_that_raises_keeps_only_correct_values(tape_ops):
     assert len(tape_ops) == ran
 
 
+def test_table_run_that_raises_adds_nothing(tape_ops):
+    # a run stops at its first non-finite step: when that is its first new
+    # step, it adds nothing, and neither does a second call of it
+    y, z = np.array([0.5, 1.0, 2.0]), np.array([0.2, 1.0, 1.0])
+    table = ValueTable()
+    compile_evaluator(parse("ln(y + z) * (y - z)"), ("y", "z"), shared=table)(y, z)
+    filled = dict(table)
+    run = compile_evaluator(parse("ln(y + z) * (y - z) + (y + z) / (y - z)"), ("y", "z"),
+                            shared=table)
+    ran = len(tape_ops)
+    for _ in range(2):
+        with pytest.raises(EvalError, match=re.escape(
+                "non-finite value in '(y + z) / (y - z)' near {'y': 1.0, 'z': 1.0}")):
+            run(y, z)
+        assert table == filled and all(table[node] is v for node, v in filled.items())
+    assert tape_ops[ran:] == [operator.truediv] * 2
+
+
+def test_table_rollback_leaves_slots_and_values_as_they_were():
+    # nothing is rolled back, and nothing needs to be: a run that raises, a
+    # compile that is refused and a run at other points leave every held
+    # value and the points as they were
+    y, z = np.array([0.5, 1.0, 2.0]), np.array([0.2, 1.0, 1.0])
+    table = ValueTable()
+    compile_evaluator(parse("ln(y + z) * (y - z)"), ("y", "z"), shared=table)(y, z)
+    held, points = dict(table), table.points
+    raising = compile_evaluator(parse("exp(y) * (y - z) + 1 / (y - z)"), ("y", "z"),
+                                shared=table)
+    assert table == held  # laid out, not yet run
+    with pytest.raises(EvalError, match=re.escape("'1 / (y - z)' near {'y': 1.0, 'z': 1.0}")):
+        raising(y, z)
+    assert all(table[node] is v for node, v in held.items()) and table.points is points
+    assert _holds_unshared_values(table, ("y", "z"), (y, z))
+    grown = dict(table)
+    assert parse("exp(y) * (y - z)") in grown
+    with pytest.raises(EvalError, match="unbound symbol 'q'"):
+        compile_evaluator(parse("exp(y + z) * q"), ("y", "z"), shared=table)
+    with pytest.raises(ValueError, match="filled at other points"):
+        compile_evaluator(parse("exp(y + z)"), ("y", "z"), shared=table)(z, y)
+    with pytest.raises(EvalError, match=re.escape("'1 / (y - z)' near {'y': 1.0, 'z': 1.0}")):
+        raising(y, z)
+    assert table == grown and all(table[node] is v for node, v in grown.items())
+    assert table.points is points
+    # a first run that raises keeps its correct values and binds the table
+    fresh = ValueTable()
+    with pytest.raises(EvalError):
+        compile_evaluator(parse("1 / (y - z)"), ("y", "z"), shared=fresh)(y, z)
+    assert parse("y - z") in fresh and parse("1 / (y - z)") not in fresh
+    assert set(fresh.points) == {"y", "z"}
+    assert _holds_unshared_values(fresh, ("y", "z"), (y, z))
+
+
 @pytest.mark.parametrize("first, second", [
     ("y * z + exp(y)", "exp(y) * 2 + 1 / (y - z) + ln(y * z - 3)"),
     ("ln(y) + y * z", "ln(y) * (y * z) + sqrt(z - 1) + 1 / (y - z)"),
@@ -1253,7 +1305,9 @@ def test_table_callables_compiled_together_run_in_any_order():
     b = compile_evaluator(b_expr, ("y", "z"), shared=table)
     assert len(table) == 0
     assert b(y, z).tobytes() == compile_evaluator(b_expr, ("y", "z"))(y, z).tobytes()
+    held = dict(table)
     assert a(y, z).tobytes() == compile_evaluator(a_expr, ("y", "z"))(y, z).tobytes()
+    assert all(table[node] is v for node, v in held.items())  # A reran none of B's
     assert a_expr in table and b_expr in table
     assert _holds_unshared_values(table, ("y", "z"), (y, z))
 
